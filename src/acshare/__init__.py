@@ -16,7 +16,7 @@ from .bench import (
     write_csv,
 )
 from .dataset import HeartRecord, load_dataset, payload_to_record, record_to_payload
-from .entities import Message, Outcome, Transcript, run_protocol
+from .entities import run_protocol
 from .netsim import (
     AdversaryClass,
     AdversarySpec,
@@ -35,6 +35,7 @@ from .protocol import (
     ValidationPair,
     new_system_params,
 )
+from .wire import Message, Outcome, Transcript
 
 __all__ = [
     "AdversaryClass",

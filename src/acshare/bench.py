@@ -19,20 +19,24 @@ from pathlib import Path
 from typing import Sequence
 
 from .dataset import load_dataset, record_to_payload, resolve_dataset
-from .entities import CLOUD_NAME, Transcript, run_protocol
+from .entities import CLOUD_NAME, run_protocol
 from .netsim import (
     KEY_LENGTH_BITS,
+    AdversaryClass,
+    AdversarySpec,
+    ConfigError,
+    OutcomeSummary,
+    ScenarioConfig,
+    principal_roster,
+    summarize,
+)
+from .wire import (
     KIND_CIPHER_UPLOAD,
     KIND_KEY_STORE,
     KIND_PROVISION,
     KIND_REGISTER,
     KIND_SESSION_STORE,
-    AdversaryClass,
-    AdversarySpec,
-    OutcomeSummary,
-    ScenarioConfig,
-    principal_roster,
-    summarize,
+    Transcript,
 )
 
 HEADER = "dataset,key_length_bits,memory_bytes,genuine_detection_rate,seed"
@@ -44,8 +48,12 @@ PAYLOAD_DIGEST_BYTES = 32
 WRAP_OVERHEAD_BYTES = 8
 
 
-class UndefinedRateError(ValueError):
-    """The detection rate over zero genuine principals is undefined."""
+class UndefinedRateError(ConfigError):
+    """The detection rate over zero genuine principals is undefined.
+
+    A configuration error: a sweep with no genuine principals can never
+    yield a rate.
+    """
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,7 @@ from .dataset import (
     record_to_payload,
     resolve_dataset,
 )
-from .entities import (
-    ACCEPTED,
-    DuplicateIdentityError,
-    PhaseOrderError,
-    Transcript,
-    UnknownPrincipalError,
-    run_protocol,
-)
+from .entities import DuplicateIdentityError, PhaseOrderError, UnknownPrincipalError, run_protocol
 from .netsim import (
     KEY_LENGTH_BITS,
     AdversaryClass,
@@ -52,6 +45,7 @@ from .netsim import (
     summarize,
 )
 from .protocol import EmptyPayloadError
+from .wire import ACCEPTED, Transcript
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,6 +61,7 @@ def _fail(token: str, message: object, code: int) -> int:
 
 
 def _check_seed(seed: int) -> int:
+    """Reject a bench seed before any dataset is read."""
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
     return seed
@@ -121,7 +116,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         adversaries=tuple(adversaries),
         dataset="sample",
         key_length_bits=args.key_length,
-        seed=_check_seed(args.seed),
+        seed=args.seed,
     )
     payloads = [record_to_payload(SAMPLE_RECORD)]
     transcript = run_protocol(config, payloads)
@@ -141,7 +136,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = ScenarioConfig.from_file(args.scenario)
     if args.seed is not None:
-        config = replace(config, seed=_check_seed(args.seed))
+        config = replace(config, seed=args.seed)
     transcript, summary = run_scenario(config, data_dir=args.data_dir)
     out = Path(args.out)
     transcript.write(out)

@@ -17,14 +17,28 @@ stable JSON lines, so one seed always reproduces one byte stream.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
-from .netsim import (
+from .netsim import AdversaryClass, Network, ScenarioConfig, apply_adversary, principal_roster
+from .primitives import Rng
+from .protocol import (
+    CorruptCiphertextError,
+    Credentials,
+    IntegrityError,
+    KeyMaterial,
+    SystemParams,
+    access_query,
+    derive_private_key,
+    derive_session_key,
+    make_cipher_bundle,
+    new_system_params,
+    recover_payload,
+    registration_digest,
+    validation_messages,
+)
+from .wire import (
     ACCEPTED,
     INTEGRITY_FAILURE,
     KIND_ACCESS_ACCEPTED,
@@ -49,28 +63,9 @@ from .netsim import (
     PRIVATE,
     PUBLIC,
     REJECTED,
-    AdversaryClass,
-    Network,
-    ScenarioConfig,
-    apply_adversary,
-    principal_roster,
-)
-from .primitives import Rng
-from .protocol import (
-    CipherBundle,
-    CorruptCiphertextError,
-    Credentials,
-    IntegrityError,
-    KeyMaterial,
-    SystemParams,
-    access_query,
-    derive_private_key,
-    derive_session_key,
-    make_cipher_bundle,
-    new_system_params,
-    recover_payload,
-    registration_digest,
-    validation_messages,
+    Message,
+    Outcome,
+    Transcript,
 )
 
 # stage tokens, in execution order
@@ -116,80 +111,6 @@ class Phase(Enum):
     REJECTED = "REJECTED"
 
 
-@dataclass(frozen=True)
-class Message:
-    """One transmission, exactly as it crossed its channel.
-
-    ``step`` is assigned by the transcript at append time; drafts carry
-    step 0. ``fields`` maps field names to raw byte values; the JSON
-    form renders them as lowercase hex.
-    """
-
-    step: int
-    stage: str
-    sender: str
-    recipient: str
-    channel: str
-    kind: str
-    fields: dict[str, bytes]
-    annotation: dict | None = None
-
-    def to_json(self) -> str:
-        doc = {
-            "step": self.step,
-            "phase": self.stage,
-            "from": self.sender,
-            "to": self.recipient,
-            "channel": self.channel,
-            "kind": self.kind,
-            "fields": {name: value.hex() for name, value in self.fields.items()},
-        }
-        if self.annotation is not None:
-            doc["annotation"] = self.annotation
-        return json.dumps(doc, separators=(",", ":"))
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Terminal status of one principal.
-
-    Rejections carry the stage, a reason, and the mismatching value
-    pair in hex so the verdict can be rechecked from the transcript.
-    """
-
-    status: str
-    stage: str
-    reason: str | None = None
-    mismatch: tuple[str, str] | None = None
-    recovered: int = 0
-
-
-class Transcript:
-    """Ordered message log plus per-principal outcomes."""
-
-    def __init__(self) -> None:
-        self.messages: list[Message] = []
-        self.outcomes: dict[str, Outcome] = {}
-        self.world: World | None = None
-
-    def append(self, draft: Message) -> Message:
-        message = replace(draft, step=len(self.messages) + 1)
-        self.messages.append(message)
-        return message
-
-    def by_kind(self, kind: str) -> list[Message]:
-        return [m for m in self.messages if m.kind == kind]
-
-    def to_jsonl(self) -> str:
-        return "".join(message.to_json() + "\n" for message in self.messages)
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.to_jsonl().encode("ascii")).hexdigest()
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="ascii")
-
-
 @dataclass
 class UserAgent:
     name: str
@@ -211,7 +132,6 @@ class OwnerAgent:
     phase: Phase = Phase.INIT
     params: SystemParams | None = None
     keys: KeyMaterial | None = None
-    bundles: list[CipherBundle] = field(default_factory=list)
 
 
 @dataclass
@@ -299,27 +219,6 @@ class World:
         raise UnknownPrincipalError(f"no user named {name}")
 
 
-def _draft(
-    stage: str,
-    sender: str,
-    recipient: str,
-    channel: str,
-    kind: str,
-    fields: dict[str, bytes],
-    annotation: dict | None = None,
-) -> Message:
-    return Message(
-        step=0,
-        stage=stage,
-        sender=sender,
-        recipient=recipient,
-        channel=channel,
-        kind=kind,
-        fields=fields,
-        annotation=annotation,
-    )
-
-
 def setup_phase(
     user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network, width: int
 ) -> None:
@@ -332,54 +231,31 @@ def setup_phase(
     if cloud.store.s is None:
         # the first registration provisions the server
         provisioned = net.transmit(
-            _draft(
-                STAGE_SETUP,
-                kgc.name,
-                cloud.name,
-                PRIVATE,
-                KIND_PROVISION,
-                {"s": params.s, "m": params.m},
-            )
+            STAGE_SETUP, kgc.name, cloud.name, PRIVATE, KIND_PROVISION,
+            {"s": params.s, "m": params.m},
         )
         cloud.store.s = provisioned.fields["s"]
         cloud.store.m = provisioned.fields["m"]
     net.transmit(
-        _draft(
-            STAGE_SETUP,
-            kgc.name,
-            user.name,
-            PRIVATE,
-            KIND_PROVISION,
-            {"s": params.s, "m": params.m},
-        )
+        STAGE_SETUP, kgc.name, user.name, PRIVATE, KIND_PROVISION, {"s": params.s, "m": params.m}
     )
     user.params = params
 
     creds = user.credentials
-    register = _draft(
-        STAGE_SETUP,
-        user.name,
-        cloud.name,
-        PRIVATE,
-        KIND_REGISTER,
-        {"user_id": creds.user_id, "password": creds.password},
-    )
+    fields = {"user_id": creds.user_id, "password": creds.password}
+    annotation = None
     if user.adversary is AdversaryClass.WRONG_PASSWORD:
-        register = apply_adversary(user.adversary, register, net.rng, flips=user.flips)
-    delivered = net.transmit(register)
+        fields, annotation = apply_adversary(user.adversary, fields, net.rng, flips=user.flips)
+    delivered = net.transmit(
+        STAGE_SETUP, user.name, cloud.name, PRIVATE, KIND_REGISTER, fields, annotation
+    )
     cloud.store.register(delivered.fields["user_id"], delivered.fields["password"])
 
     # the user derives its digest from the credentials it believes in
     user.reg_digest = registration_digest(creds.user_id, creds.password, params.s, width)
     digest_msg = net.transmit(
-        _draft(
-            STAGE_SETUP,
-            user.name,
-            cloud.name,
-            PUBLIC,
-            KIND_REGISTER_DIGEST,
-            {"user_id": creds.user_id, "digest": user.reg_digest},
-        )
+        STAGE_SETUP, user.name, cloud.name, PUBLIC, KIND_REGISTER_DIGEST,
+        {"user_id": creds.user_id, "digest": user.reg_digest},
     )
     slot = cloud.store.slot(digest_msg.fields["user_id"])
     expected = registration_digest(
@@ -388,26 +264,14 @@ def setup_phase(
     presented = digest_msg.fields["digest"]
     if presented == expected:
         net.transmit(
-            _draft(
-                STAGE_SETUP,
-                cloud.name,
-                user.name,
-                PUBLIC,
-                KIND_REGISTER_ACCEPTED,
-                {"digest": presented},
-            )
+            STAGE_SETUP, cloud.name, user.name, PUBLIC, KIND_REGISTER_ACCEPTED,
+            {"digest": presented},
         )
         user.phase = Phase.REGISTERED
     else:
         net.transmit(
-            _draft(
-                STAGE_SETUP,
-                cloud.name,
-                user.name,
-                PUBLIC,
-                KIND_REGISTER_REJECTED,
-                {"digest": presented, "expected": expected},
-            )
+            STAGE_SETUP, cloud.name, user.name, PUBLIC, KIND_REGISTER_REJECTED,
+            {"digest": presented, "expected": expected},
         )
         user.phase = Phase.REJECTED
         net.transcript.outcomes[user.name] = Outcome(
@@ -436,14 +300,8 @@ def keygen_phase(
             )
         if principal.params is None:
             net.transmit(
-                _draft(
-                    STAGE_KEYGEN,
-                    kgc.name,
-                    principal.name,
-                    PRIVATE,
-                    KIND_PROVISION,
-                    {"s": kgc.params.s, "m": kgc.params.m},
-                )
+                STAGE_KEYGEN, kgc.name, principal.name, PRIVATE, KIND_PROVISION,
+                {"s": kgc.params.s, "m": kgc.params.m},
             )
             principal.params = kgc.params
     elif principal.phase is not Phase.REGISTERED:
@@ -459,26 +317,15 @@ def keygen_phase(
     material = KeyMaterial(
         public_param=public_param, attribute=attribute, private_key=private_key
     )
-    issue = _draft(
-        STAGE_KEYGEN,
-        kgc.name,
-        principal.name,
-        PRIVATE,
-        KIND_KEY_ISSUE,
-        {
-            "public_param": public_param,
-            "attribute": attribute,
-            "private_key": private_key,
-        },
-    )
-    forged = (
-        not is_owner and principal.adversary is AdversaryClass.FORGED_PRIVATE_KEY
-    )
-    if forged:
+    fields = {"public_param": public_param, "attribute": attribute, "private_key": private_key}
+    annotation = None
+    if not is_owner and principal.adversary is AdversaryClass.FORGED_PRIVATE_KEY:
         # the principal throws the issued key away on receipt and keeps
         # a fabricated one; the transcript line shows what it holds
-        issue = apply_adversary(principal.adversary, issue, net.rng, width=width)
-    delivered = net.transmit(issue)
+        fields, annotation = apply_adversary(principal.adversary, fields, net.rng, width=width)
+    delivered = net.transmit(
+        STAGE_KEYGEN, kgc.name, principal.name, PRIVATE, KIND_KEY_ISSUE, fields, annotation
+    )
     principal.keys = KeyMaterial(
         public_param=public_param,
         attribute=attribute,
@@ -488,18 +335,12 @@ def keygen_phase(
         user_id = principal.credentials.user_id
         kgc.issued[user_id] = material
         stored = net.transmit(
-            _draft(
-                STAGE_KEYGEN,
-                kgc.name,
-                cloud.name,
-                PRIVATE,
-                KIND_KEY_STORE,
-                {
-                    "user_id": user_id,
-                    "private_key": material.private_key,
-                    "attribute": material.attribute,
-                },
-            )
+            STAGE_KEYGEN, kgc.name, cloud.name, PRIVATE, KIND_KEY_STORE,
+            {
+                "user_id": user_id,
+                "private_key": material.private_key,
+                "attribute": material.attribute,
+            },
         )
         slot = cloud.store.slot(stored.fields["user_id"])
         slot.private_key = stored.fields["private_key"]
@@ -518,16 +359,9 @@ def encryption_phase(
     assert owner.params is not None and owner.keys is not None
     for payload in payloads:
         bundle = make_cipher_bundle(payload, owner.params, owner.keys.private_key)
-        owner.bundles.append(bundle)
         delivered = net.transmit(
-            _draft(
-                STAGE_ENCRYPTION,
-                owner.name,
-                cloud.name,
-                PUBLIC,
-                KIND_CIPHER_UPLOAD,
-                {"wrapped": bundle.wrapped, "payload_digest": bundle.payload_digest},
-            )
+            STAGE_ENCRYPTION, owner.name, cloud.name, PUBLIC, KIND_CIPHER_UPLOAD,
+            {"wrapped": bundle.wrapped, "payload_digest": bundle.payload_digest},
         )
         cloud.store.add_bundle(
             delivered.fields["wrapped"], delivered.fields["payload_digest"]
@@ -561,14 +395,8 @@ def _serve_access(
     replayed = query.annotation is not None and "replayed_from_step" in query.annotation
     if presented_q != expected_q:
         net.transmit(
-            _draft(
-                STAGE_ACCESS,
-                cloud.name,
-                reply_to,
-                PUBLIC,
-                KIND_ACCESS_REJECTED,
-                {"q": presented_q, "expected": expected_q},
-            )
+            STAGE_ACCESS, cloud.name, reply_to, PUBLIC, KIND_ACCESS_REJECTED,
+            {"q": presented_q, "expected": expected_q},
         )
         requester.phase = Phase.REJECTED
         net.transcript.outcomes[requester.name] = Outcome(
@@ -580,25 +408,12 @@ def _serve_access(
         return
     accept_note = {"granted_for_replay_of_step": query.annotation["replayed_from_step"]} if replayed else None
     net.transmit(
-        _draft(
-            STAGE_ACCESS,
-            cloud.name,
-            reply_to,
-            PUBLIC,
-            KIND_ACCESS_ACCEPTED,
-            {"user_id": user_id, "q": presented_q},
-            annotation=accept_note,
-        )
+        STAGE_ACCESS, cloud.name, reply_to, PUBLIC, KIND_ACCESS_ACCEPTED,
+        {"user_id": user_id, "q": presented_q},
+        annotation=accept_note,
     )
     net.transmit(
-        _draft(
-            STAGE_ACCESS,
-            cloud.name,
-            kgc.name,
-            PRIVATE,
-            KIND_SESSION_REQUEST,
-            {"user_id": user_id},
-        )
+        STAGE_ACCESS, cloud.name, kgc.name, PRIVATE, KIND_SESSION_REQUEST, {"user_id": user_id}
     )
     material = kgc.issued[user_id]
     session_key = derive_session_key(
@@ -606,27 +421,15 @@ def _serve_access(
     )
     if holder is not None:
         delivered = net.transmit(
-            _draft(
-                STAGE_ACCESS,
-                kgc.name,
-                holder.name,
-                PRIVATE,
-                KIND_SESSION_KEY,
-                {"session_key": session_key},
-            )
+            STAGE_ACCESS, kgc.name, holder.name, PRIVATE, KIND_SESSION_KEY,
+            {"session_key": session_key},
         )
         # deterministic derivation: a replay-triggered re-issue hands the
         # holder the same bytes it already has, so nothing desynchronizes
         holder.session_key = delivered.fields["session_key"]
     stored = net.transmit(
-        _draft(
-            STAGE_ACCESS,
-            kgc.name,
-            cloud.name,
-            PRIVATE,
-            KIND_SESSION_STORE,
-            {"user_id": user_id, "session_key": session_key},
-        )
+        STAGE_ACCESS, kgc.name, cloud.name, PRIVATE, KIND_SESSION_STORE,
+        {"user_id": user_id, "session_key": session_key},
     )
     slot.session_key = stored.fields["session_key"]
     requester.phase = Phase.ACCESS_GRANTED
@@ -648,14 +451,7 @@ def access_control_phase(
     user_id = user.credentials.user_id
     q = access_query(user.reg_digest, user_id, user.keys.private_key, width)
     delivered = net.transmit(
-        _draft(
-            STAGE_ACCESS,
-            user.name,
-            cloud.name,
-            PUBLIC,
-            KIND_ACCESS_QUERY,
-            {"user_id": user_id, "q": q},
-        )
+        STAGE_ACCESS, user.name, cloud.name, PUBLIC, KIND_ACCESS_QUERY, {"user_id": user_id, "q": q}
     )
     _serve_access(delivered, user, users_by_id, cloud, kgc, net, width)
 
@@ -676,10 +472,15 @@ def replay_access(
     if not net.observed_queries:
         raise PhaseOrderError("no access query was observed, nothing to replay")
     source = net.observed_queries[0]
-    injected = apply_adversary(
-        AdversaryClass.REPLAY_QUERY, source, net.rng, injected_by=replayer.name
+    replay_note = {
+        "adversary": AdversaryClass.REPLAY_QUERY.name,
+        "replayed_from_step": source.step,
+        "injected_by": replayer.name,
+    }
+    delivered = net.transmit(
+        source.stage, source.sender, source.recipient, source.channel, source.kind,
+        source.fields, replay_note,
     )
-    delivered = net.transmit(injected)
     _serve_access(delivered, replayer, users_by_id, cloud, kgc, net, width)
 
 
@@ -692,23 +493,17 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network, width: in
         # the injector holds no secrets for the identity it claimed; the
         # best it can do from outside is guess, on the open channel
         assert user.claimed_id is not None
-        draft = _draft(
-            STAGE_VALIDATION,
-            user.name,
-            cloud.name,
-            PUBLIC,
-            KIND_VALIDATE,
-            {
-                "user_id": user.claimed_id,
-                "v1": net.rng.take(width),
-                "v2": net.rng.take(width),
-                "nonce": net.rng.take(width),
-            },
-            annotation={
-                "adversary": AdversaryClass.REPLAY_QUERY.name,
-                "note": "guessed validation pair for a hijacked grant",
-            },
-        )
+        channel = PUBLIC
+        fields = {
+            "user_id": user.claimed_id,
+            "v1": net.rng.take(width),
+            "v2": net.rng.take(width),
+            "nonce": net.rng.take(width),
+        }
+        annotation = {
+            "adversary": AdversaryClass.REPLAY_QUERY.name,
+            "note": "guessed validation pair for a hijacked grant",
+        }
     else:
         assert (
             user.params is not None
@@ -727,17 +522,14 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network, width: in
             user.keys.attribute,
             width,
         )
-        draft = _draft(
-            STAGE_VALIDATION,
-            user.name,
-            cloud.name,
-            PRIVATE,
-            KIND_VALIDATE,
-            {"user_id": user_id, "v1": pair.v1, "v2": pair.v2, "nonce": pair.nonce},
-        )
+        channel = PRIVATE
+        fields = {"user_id": user_id, "v1": pair.v1, "v2": pair.v2, "nonce": pair.nonce}
+        annotation = None
         if user.adversary is AdversaryClass.TAMPER_VALIDATION:
-            draft = apply_adversary(user.adversary, draft, net.rng, flips=user.flips)
-    delivered = net.transmit(draft)
+            fields, annotation = apply_adversary(user.adversary, fields, net.rng, flips=user.flips)
+    delivered = net.transmit(
+        STAGE_VALIDATION, user.name, cloud.name, channel, KIND_VALIDATE, fields, annotation
+    )
 
     user_id = delivered.fields["user_id"]
     slot = cloud.store.slot(user_id)
@@ -759,31 +551,14 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network, width: in
     got_v2 = delivered.fields["v2"]
     if got_v1 == expected.v1 and got_v2 == expected.v2:
         net.transmit(
-            _draft(
-                STAGE_VALIDATION,
-                cloud.name,
-                user.name,
-                delivered.channel,
-                KIND_VALIDATE_ACCEPTED,
-                {"v1": got_v1, "v2": got_v2},
-            )
+            STAGE_VALIDATION, cloud.name, user.name, delivered.channel, KIND_VALIDATE_ACCEPTED,
+            {"v1": got_v1, "v2": got_v2},
         )
         user.phase = Phase.VERIFIED
     else:
         net.transmit(
-            _draft(
-                STAGE_VALIDATION,
-                cloud.name,
-                user.name,
-                delivered.channel,
-                KIND_VALIDATE_REJECTED,
-                {
-                    "v1": got_v1,
-                    "v1_expected": expected.v1,
-                    "v2": got_v2,
-                    "v2_expected": expected.v2,
-                },
-            )
+            STAGE_VALIDATION, cloud.name, user.name, delivered.channel, KIND_VALIDATE_REJECTED,
+            {"v1": got_v1, "v1_expected": expected.v1, "v2": got_v2, "v2_expected": expected.v2},
         )
         if got_v1 != expected.v1:
             mismatch = (got_v1.hex(), expected.v1.hex())
@@ -806,26 +581,14 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
         )
     assert user.params is not None
     net.transmit(
-        _draft(
-            STAGE_SHARING,
-            user.name,
-            cloud.name,
-            PUBLIC,
-            KIND_DATA_REQUEST,
-            {"user_id": user.credentials.user_id},
-        )
+        STAGE_SHARING, user.name, cloud.name, PUBLIC, KIND_DATA_REQUEST,
+        {"user_id": user.credentials.user_id},
     )
     recovered: list[bytes] = []
     for wrapped, payload_digest in cloud.store.bundles:
         delivered = net.transmit(
-            _draft(
-                STAGE_SHARING,
-                cloud.name,
-                user.name,
-                PUBLIC,
-                KIND_DATA_SHARE,
-                {"wrapped": wrapped, "payload_digest": payload_digest},
-            )
+            STAGE_SHARING, cloud.name, user.name, PUBLIC, KIND_DATA_SHARE,
+            {"wrapped": wrapped, "payload_digest": payload_digest},
         )
         try:
             payload = recover_payload(

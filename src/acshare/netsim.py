@@ -1,9 +1,10 @@
-"""Channels, adversaries, and scenario configuration.
+"""Network delivery, adversaries, and scenario configuration.
 
-The network model is deliberately small: one PUBLIC and one PRIVATE
-FIFO channel. PUBLIC messages can be observed by eavesdroppers and,
-for the ciphertext-tampering class, substituted with a flipped copy in
-flight; the original line stays in the transcript marked as tampered,
+The network model is deliberately small: every message is delivered,
+and recorded, the moment it is sent, on a PUBLIC or a PRIVATE channel.
+PUBLIC messages can be observed by eavesdroppers and, for the
+ciphertext-tampering class, substituted with a flipped copy in flight;
+the original line stays in the transcript marked as tampered,
 immediately followed by the delivered copy. PRIVATE messages are ideal:
 never observed, never modified, and no adversary annotation may ever
 reference one.
@@ -29,50 +30,25 @@ public channel. Private channels stay inviolable either way.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .primitives import Rng, to_int
-
-if TYPE_CHECKING:  # imported for annotations only; entities imports us at runtime
-    from .entities import Message, Transcript
-
-PUBLIC = "PUBLIC"
-PRIVATE = "PRIVATE"
+from .wire import (
+    ACCEPTED,
+    KIND_ACCESS_QUERY,
+    KIND_DATA_SHARE,
+    OUTCOME_STATUSES,
+    PRIVATE,
+    PUBLIC,
+    Message,
+    Transcript,
+)
 
 #: key lengths the benchmarks sweep, in bits
 KEY_LENGTH_BITS = (64, 128, 256, 512)
-
-# message kinds; the vocabulary lives here so channel-level adversary
-# targeting does not depend on the agent layer
-KIND_PROVISION = "PROVISION"
-KIND_REGISTER = "REGISTER"
-KIND_REGISTER_DIGEST = "REGISTER_DIGEST"
-KIND_REGISTER_ACCEPTED = "REGISTER_ACCEPTED"
-KIND_REGISTER_REJECTED = "REGISTER_REJECTED"
-KIND_KEY_ISSUE = "KEY_ISSUE"
-KIND_KEY_STORE = "KEY_STORE"
-KIND_CIPHER_UPLOAD = "CIPHER_UPLOAD"
-KIND_ACCESS_QUERY = "ACCESS_QUERY"
-KIND_ACCESS_ACCEPTED = "ACCESS_ACCEPTED"
-KIND_ACCESS_REJECTED = "ACCESS_REJECTED"
-KIND_SESSION_REQUEST = "SESSION_REQUEST"
-KIND_SESSION_KEY = "SESSION_KEY"
-KIND_SESSION_STORE = "SESSION_STORE"
-KIND_VALIDATE = "VALIDATE"
-KIND_VALIDATE_ACCEPTED = "VALIDATE_ACCEPTED"
-KIND_VALIDATE_REJECTED = "VALIDATE_REJECTED"
-KIND_DATA_REQUEST = "DATA_REQUEST"
-KIND_DATA_SHARE = "DATA_SHARE"
-
-# per-principal outcome statuses
-ACCEPTED = "ACCEPTED"
-REJECTED = "REJECTED"
-INTEGRITY_FAILURE = "INTEGRITY_FAILURE"
-OUTCOME_STATUSES = (ACCEPTED, REJECTED, INTEGRITY_FAILURE)
 
 GENUINE_LABEL = "genuine"
 
@@ -225,31 +201,6 @@ def principal_roster(config: ScenarioConfig) -> list[tuple[str, AdversaryClass, 
     return roster
 
 
-class Channel:
-    """FIFO queue for one channel kind; delivery preserves send order."""
-
-    def __init__(self, kind: str) -> None:
-        if kind not in (PUBLIC, PRIVATE):
-            raise ConfigError(f"channel kind must be PUBLIC or PRIVATE, got {kind!r}")
-        self.kind = kind
-        self._queue: deque = deque()
-
-    def send(self, message: "Message") -> None:
-        if message.channel != self.kind:
-            raise ValueError(
-                f"message marked {message.channel} cannot enter the {self.kind} channel"
-            )
-        self._queue.append(message)
-
-    def deliver(self) -> "Message":
-        if not self._queue:
-            raise LookupError(f"no pending message on the {self.kind} channel")
-        return self._queue.popleft()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
 def _flip_into(fields: dict, name: str, rng: Rng, span: int | None, flips: int) -> list[dict]:
     """Flip ``flips`` bytes of ``fields[name]`` in place, within ``span``.
 
@@ -270,45 +221,34 @@ def _flip_into(fields: dict, name: str, rng: Rng, span: int | None, flips: int) 
 
 def apply_adversary(
     cls: AdversaryClass,
-    message: "Message",
+    fields: dict[str, bytes],
     rng: Rng,
     *,
     width: int | None = None,
     flips: int = 1,
-    injected_by: str | None = None,
-) -> "Message":
-    """Adversarially modified counterpart of ``message``.
+) -> tuple[dict[str, bytes], dict | None]:
+    """Adversarially modified copy of ``fields`` and its annotation.
 
-    Pure with respect to the message: the input is never mutated, and
-    the returned copy carries an annotation describing what happened.
-    The caller decides where to invoke this (at emission for the
-    self-corrupting classes, in flight for channel-level classes).
+    The input dict is never mutated; the annotation describes what
+    happened. The caller decides where to invoke this (at emission for
+    the self-corrupting classes, in flight for ciphertext tampering).
+    A replay acts on a whole observed message, so it is not handled here.
     """
     if cls is AdversaryClass.NONE:
-        return message
+        return fields, None
+    fields = dict(fields)
     if cls is AdversaryClass.WRONG_PASSWORD:
-        fields = dict(message.fields)
         notes = _flip_into(fields, "password", rng, None, flips)
-        return replace(
-            message,
-            fields=fields,
-            annotation={"adversary": cls.name, "flips": notes},
-        )
+        return fields, {"adversary": cls.name, "flips": notes}
     if cls is AdversaryClass.FORGED_PRIVATE_KEY:
         if width is None:
             raise ValueError("FORGED_PRIVATE_KEY needs the key width")
-        fields = dict(message.fields)
         fields["private_key"] = rng.take(width)
-        return replace(
-            message,
-            fields=fields,
-            annotation={
-                "adversary": cls.name,
-                "note": "issued key discarded, random key fabricated",
-            },
-        )
+        return fields, {
+            "adversary": cls.name,
+            "note": "issued key discarded, random key fabricated",
+        }
     if cls is AdversaryClass.TAMPER_VALIDATION:
-        fields = dict(message.fields)
         notes = []
         for _ in range(flips):
             # the flip lands anywhere across the concatenated pair
@@ -321,106 +261,83 @@ def apply_adversary(
             data[local] ^= delta
             fields[target] = bytes(data)
             notes.append({"field": target, "byte_index": local, "xor": delta})
-        return replace(
-            message,
-            fields=fields,
-            annotation={"adversary": cls.name, "flips": notes},
-        )
+        return fields, {"adversary": cls.name, "flips": notes}
     if cls is AdversaryClass.TAMPER_CIPHERTEXT:
         if width is None:
             raise ValueError("TAMPER_CIPHERTEXT needs the key width")
-        fields = dict(message.fields)
         # the trailing frame holds the stripped owner key, which is not
         # integrity-bound; the adversary aims at the data-bearing prefix
         span = max(1, len(fields["wrapped"]) - (width + 4))
         notes = _flip_into(fields, "wrapped", rng, span, flips)
-        return replace(
-            message,
-            fields=fields,
-            annotation={"adversary": cls.name, "flips": notes},
-        )
-    if cls is AdversaryClass.REPLAY_QUERY:
-        return replace(
-            message,
-            annotation={
-                "adversary": cls.name,
-                "replayed_from_step": message.step,
-                "injected_by": injected_by,
-            },
-        )
+        return fields, {"adversary": cls.name, "flips": notes}
     raise ConfigError(f"unhandled adversary class {cls}")
 
 
 class Network:
-    """PUBLIC and PRIVATE channels wired to a transcript.
+    """Immediate delivery over PUBLIC and PRIVATE channels into a transcript.
 
-    ``transmit`` pushes a draft through its channel, applies in-flight
-    adversary behaviour on PUBLIC deliveries, records everything, and
-    returns the message as delivered. Observation by eavesdroppers is
-    recorded as an annotation on the delivered line; a tampered
-    delivery records two lines (original marked, then the flipped copy).
+    ``transmit`` records a message the moment it is sent and returns it
+    as delivered; nothing is ever queued. PRIVATE messages are recorded
+    exactly as sent. On PUBLIC, an access query is marked as observed
+    by every replaying outsider, and a data share bound for a
+    ciphertext tamperer records two lines: the original marked as
+    tampered, then the flipped copy that is delivered.
     """
 
     def __init__(
         self,
-        transcript: "Transcript",
+        transcript: Transcript,
         rng: Rng,
         adversaries: Mapping[str, tuple[AdversaryClass, int]] | None = None,
         width: int | None = None,
     ) -> None:
         self.transcript = transcript
         self.rng = rng
-        self.adversaries = dict(adversaries or {})
         self.width = width
-        self.public = Channel(PUBLIC)
-        self.private = Channel(PRIVATE)
-        self.observed_queries: list["Message"] = []
-
-    def transmit(self, draft: "Message") -> "Message":
-        channel = self.public if draft.channel == PUBLIC else self.private
-        channel.send(draft)
-        message = channel.deliver()
-        if message.channel == PRIVATE:
-            # ideal channel: recorded exactly as sent, never touched
-            return self.transcript.append(message)
-        return self._deliver_public(message)
-
-    def _deliver_public(self, message: "Message") -> "Message":
-        annotation = dict(message.annotation) if message.annotation else None
-        observers = [
-            name
-            for name, (cls, _) in self.adversaries.items()
-            if cls is AdversaryClass.REPLAY_QUERY and name != message.sender
+        adversaries = adversaries or {}
+        self.replayers = [
+            name for name, (cls, _) in adversaries.items() if cls is AdversaryClass.REPLAY_QUERY
         ]
-        if observers and message.kind == KIND_ACCESS_QUERY and annotation is None:
-            annotation = {"observed_by": observers}
-        target = self.adversaries.get(message.recipient)
-        if (
-            target is not None
-            and target[0] is AdversaryClass.TAMPER_CIPHERTEXT
-            and message.kind == KIND_DATA_SHARE
-        ):
-            marked = dict(annotation or {})
-            marked["tampered_in_flight"] = True
-            original = self.transcript.append(replace(message, annotation=marked))
-            tampered = apply_adversary(
-                AdversaryClass.TAMPER_CIPHERTEXT,
-                original,
-                self.rng,
-                width=self.width,
-                flips=target[1],
+        #: flip budget of each ciphertext tamperer, by name
+        self.tamperers = {
+            name: flips
+            for name, (cls, flips) in adversaries.items()
+            if cls is AdversaryClass.TAMPER_CIPHERTEXT
+        }
+        self.observed_queries: list[Message] = []
+
+    def transmit(
+        self,
+        stage: str,
+        sender: str,
+        recipient: str,
+        channel: str,
+        kind: str,
+        fields: dict[str, bytes],
+        annotation: dict | None = None,
+    ) -> Message:
+        append = self.transcript.append
+        if channel == PRIVATE:
+            # ideal channel: recorded exactly as sent, never touched
+            return append(stage, sender, recipient, channel, kind, fields, annotation)
+        if channel != PUBLIC:
+            raise ValueError(f"channel must be PUBLIC or PRIVATE, got {channel!r}")
+        if kind == KIND_ACCESS_QUERY and annotation is None and self.replayers:
+            message = append(
+                stage, sender, recipient, channel, kind, fields, {"observed_by": self.replayers}
             )
-            note = dict(tampered.annotation or {})
+            self.observed_queries.append(message)
+            return message
+        flips = self.tamperers.get(recipient)
+        if kind == KIND_DATA_SHARE and flips is not None:
+            marked = {**(annotation or {}), "tampered_in_flight": True}
+            original = append(stage, sender, recipient, channel, kind, fields, marked)
+            fields, note = apply_adversary(
+                AdversaryClass.TAMPER_CIPHERTEXT, fields, self.rng, width=self.width, flips=flips
+            )
             note["tampered_copy_of_step"] = original.step
-            return self.transcript.append(replace(tampered, annotation=note))
-        recorded = self.transcript.append(replace(message, annotation=annotation))
-        if (
-            recorded.kind == KIND_ACCESS_QUERY
-            and recorded.annotation is not None
-            and "observed_by" in recorded.annotation
-        ):
-            self.observed_queries.append(recorded)
-        return recorded
+            return append(stage, sender, recipient, channel, kind, fields, note)
+        return append(stage, sender, recipient, channel, kind, fields, annotation)
 
 
 @dataclass
@@ -445,7 +362,7 @@ class OutcomeSummary:
         return lines
 
 
-def summarize(transcript: "Transcript", config: ScenarioConfig) -> OutcomeSummary:
+def summarize(transcript: Transcript, config: ScenarioConfig) -> OutcomeSummary:
     """Partition per-principal outcomes by adversary class."""
     per_class: dict[str, dict[str, int]] = {}
     for name, cls, _ in principal_roster(config):

@@ -234,11 +234,6 @@ class Rng:
         return out
 
 
-def random_bytes(rng: Rng, width: int) -> bytes:
-    """Draw ``width`` bytes from ``rng``."""
-    return rng.take(width)
-
-
 def derive_seed(master_seed: int, *parts: int | bytes) -> int:
     """Child seed for an independent stream, bound to ``parts``.
 

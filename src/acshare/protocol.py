@@ -97,7 +97,6 @@ class KeyMaterial:
 class CipherBundle:
     """Owner-side encryption product for one payload."""
 
-    encrypted: bytes  # stream-encrypted payload, masked
     wrapped: bytes  # framed (encrypted, owner key) under the data key
     payload_digest: bytes  # digest of the clear payload, checked on recovery
 
@@ -245,9 +244,7 @@ def make_cipher_bundle(payload: bytes, params: SystemParams, owner_key: bytes) -
     key = derive_data_key(params.m, params.s)
     encrypted = encrypt_data(payload, params.s, params.m)
     wrapped = wrap_ciphertext(encrypted, owner_key, key)
-    return CipherBundle(
-        encrypted=encrypted, wrapped=wrapped, payload_digest=digest(payload)
-    )
+    return CipherBundle(wrapped=wrapped, payload_digest=digest(payload))
 
 
 def recover_payload(wrapped: bytes, payload_digest: bytes, s: bytes, m: bytes) -> bytes:

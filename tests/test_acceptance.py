@@ -17,15 +17,7 @@ from acshare.bench import expected_memory_bytes, genuine_detection_rate, run_swe
 from acshare.cli import main as cli_main
 from acshare.dataset import load_dataset, payload_to_record, record_to_payload
 from acshare.entities import Phase, run_protocol
-from acshare.netsim import (
-    ACCEPTED,
-    INTEGRITY_FAILURE,
-    KEY_LENGTH_BITS,
-    AdversaryClass,
-    AdversarySpec,
-    ScenarioConfig,
-    summarize,
-)
+from acshare.netsim import KEY_LENGTH_BITS, AdversaryClass, AdversarySpec, ScenarioConfig, summarize
 from acshare.primitives import effective_modulus, mod_reduce, to_int
 from acshare.protocol import (
     access_query,
@@ -33,6 +25,7 @@ from acshare.protocol import (
     registration_digest,
     validation_messages,
 )
+from acshare.wire import ACCEPTED, INTEGRITY_FAILURE
 
 from reference import (
     ref_access_query,

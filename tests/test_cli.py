@@ -109,6 +109,14 @@ class TestRun:
         assert code == 2
         assert err.startswith("error[CONFIG]:")
 
+    def test_seed_override_out_of_range(self, capsys, tmp_path, scenario_path):
+        code, _, err = invoke(
+            capsys, "run", "--scenario", str(scenario_path), "--out", str(tmp_path / "x.jsonl"),
+            "--data-dir", DATA_DIR, "--seed", str(2**64),
+        )
+        assert code == 2
+        assert err.startswith("error[CONFIG]:")
+
 
 class TestBench:
     def test_small_sweep(self, capsys, tmp_path):
@@ -141,6 +149,22 @@ class TestBench:
         )
         assert code == 4
         assert err.startswith("error[IO]:")
+
+    def test_bad_seed_reported_before_data_is_read(self, capsys, tmp_path):
+        code, _, err = invoke(
+            capsys, "bench", "--out", str(tmp_path / "x.csv"),
+            "--data-dir", str(tmp_path / "no-data"), "--seed", "-1",
+        )
+        assert code == 2
+        assert err.startswith("error[CONFIG]:")
+
+    def test_zero_genuine_is_config_error(self, capsys, tmp_path):
+        code, _, err = invoke(
+            capsys, "bench", "--out", str(tmp_path / "x.csv"), "--data-dir", DATA_DIR,
+            "--dataset", "swiss", "--key-length", "64", "--max-records", "1", "--genuine", "0",
+        )
+        assert code == 2
+        assert err.startswith("error[CONFIG]:")
 
 
 class TestParseDataset:

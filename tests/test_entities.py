@@ -10,13 +10,10 @@ from acshare.entities import (
     CloudStore,
     DuplicateIdentityError,
     KgcAgent,
-    Message,
-    Outcome,
     OwnerAgent,
     Phase,
     PhaseOrderError,
     STAGES,
-    Transcript,
     UnknownPrincipalError,
     UserAgent,
     data_sharing_phase,
@@ -25,17 +22,10 @@ from acshare.entities import (
     setup_phase,
     validation_phase,
 )
-from acshare.netsim import (
-    ACCEPTED,
-    AdversaryClass,
-    AdversarySpec,
-    Network,
-    PRIVATE,
-    PUBLIC,
-    ScenarioConfig,
-)
+from acshare.netsim import AdversaryClass, AdversarySpec, Network, ScenarioConfig
 from acshare.primitives import Rng
 from acshare.protocol import Credentials, new_system_params
+from acshare.wire import ACCEPTED, PUBLIC, Message, Transcript
 
 
 def fresh_net(width=8, seed=0):

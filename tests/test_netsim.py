@@ -4,20 +4,13 @@ import json
 
 import pytest
 
-from acshare.entities import Message, Transcript, run_protocol
+from acshare.entities import run_protocol
 from acshare.netsim import (
-    ACCEPTED,
-    INTEGRITY_FAILURE,
-    REJECTED,
     AdversaryClass,
     AdversarySpec,
-    Channel,
     ConfigError,
     KEY_LENGTH_BITS,
     Network,
-    OUTCOME_STATUSES,
-    PRIVATE,
-    PUBLIC,
     ScenarioConfig,
     apply_adversary,
     principal_roster,
@@ -25,6 +18,15 @@ from acshare.netsim import (
     summarize,
 )
 from acshare.primitives import Rng
+from acshare.wire import (
+    ACCEPTED,
+    INTEGRITY_FAILURE,
+    OUTCOME_STATUSES,
+    PRIVATE,
+    PUBLIC,
+    REJECTED,
+    Transcript,
+)
 
 ALL_CLASSES = (
     AdversaryClass.WRONG_PASSWORD,
@@ -51,41 +53,12 @@ def scenario(**overrides):
     return ScenarioConfig(**base)
 
 
-def draft(kind="ACCESS_QUERY", channel=PUBLIC, fields=None, **overrides):
-    settings = dict(
-        step=0,
-        stage="access",
-        sender="user-000",
-        recipient="cloud",
-        channel=channel,
-        kind=kind,
-        fields=fields or {"user_id": b"user-000", "q": bytes(16)},
-    )
-    settings.update(overrides)
-    return Message(**settings)
-
-
 class TestChannel:
-    def test_fifo_order(self):
-        channel = Channel(PUBLIC)
-        first = draft(fields={"q": b"1"})
-        second = draft(fields={"q": b"2"})
-        channel.send(first)
-        channel.send(second)
-        assert channel.deliver() is first
-        assert channel.deliver() is second
-
-    def test_empty_delivery_fails(self):
-        with pytest.raises(LookupError):
-            Channel(PRIVATE).deliver()
-
-    def test_wrong_channel_rejected(self):
-        with pytest.raises(ValueError):
-            Channel(PRIVATE).send(draft(channel=PUBLIC))
-
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            Channel("CARRIER_PIGEON")
+        net = Network(transcript=Transcript(), rng=Rng(0))
+        with pytest.raises(ValueError):
+            net.transmit("access", "user-000", "cloud", "CARRIER_PIGEON", "ACCESS_QUERY", {})
+        assert net.transcript.messages == []
 
 
 class TestScenarioConfig:
@@ -191,79 +164,53 @@ class TestScenarioConfig:
 
 class TestApplyAdversary:
     def test_none_is_identity(self):
-        message = draft()
-        assert apply_adversary(AdversaryClass.NONE, message, Rng(0)) is message
+        fields = {"user_id": b"user-000", "q": bytes(16)}
+        mutated, annotation = apply_adversary(AdversaryClass.NONE, fields, Rng(0))
+        assert mutated is fields and annotation is None
 
     def test_wrong_password_flips_one_byte(self):
-        message = draft(
-            kind="REGISTER",
-            channel=PRIVATE,
-            fields={"user_id": b"u", "password": bytes(16)},
-        )
-        mutated = apply_adversary(AdversaryClass.WRONG_PASSWORD, message, Rng(1))
+        fields = {"user_id": b"u", "password": bytes(16)}
+        mutated, annotation = apply_adversary(AdversaryClass.WRONG_PASSWORD, fields, Rng(1))
         diff = [
             i
-            for i, (a, b) in enumerate(zip(message.fields["password"], mutated.fields["password"]))
+            for i, (a, b) in enumerate(zip(fields["password"], mutated["password"]))
             if a != b
         ]
         assert len(diff) == 1
-        note = mutated.annotation["flips"][0]
+        note = annotation["flips"][0]
         assert note["field"] == "password"
         assert note["byte_index"] == diff[0]
-        assert message.fields["password"] == bytes(16)  # input untouched
+        assert fields["password"] == bytes(16)  # input untouched
 
     def test_forged_key_substitutes_width_bytes(self):
-        message = draft(
-            kind="KEY_ISSUE",
-            channel=PRIVATE,
-            fields={"public_param": bytes(16), "attribute": bytes(16), "private_key": bytes(16)},
+        fields = {"public_param": bytes(16), "attribute": bytes(16), "private_key": bytes(16)}
+        mutated, annotation = apply_adversary(
+            AdversaryClass.FORGED_PRIVATE_KEY, fields, Rng(2), width=16
         )
-        mutated = apply_adversary(
-            AdversaryClass.FORGED_PRIVATE_KEY, message, Rng(2), width=16
-        )
-        assert mutated.fields["private_key"] != message.fields["private_key"]
-        assert len(mutated.fields["private_key"]) == 16
-        assert mutated.fields["public_param"] == message.fields["public_param"]
-        assert mutated.annotation["adversary"] == "FORGED_PRIVATE_KEY"
+        assert mutated["private_key"] != fields["private_key"]
+        assert len(mutated["private_key"]) == 16
+        assert mutated["public_param"] == fields["public_param"]
+        assert annotation["adversary"] == "FORGED_PRIVATE_KEY"
 
     def test_tamper_validation_hits_the_pair(self):
-        message = draft(
-            kind="VALIDATE",
-            channel=PRIVATE,
-            fields={"user_id": b"u", "v1": bytes(16), "v2": bytes(16), "nonce": bytes(16)},
-        )
-        mutated = apply_adversary(AdversaryClass.TAMPER_VALIDATION, message, Rng(3))
-        changed = (message.fields["v1"] != mutated.fields["v1"]) + (
-            message.fields["v2"] != mutated.fields["v2"]
-        )
+        fields = {"user_id": b"u", "v1": bytes(16), "v2": bytes(16), "nonce": bytes(16)}
+        mutated, _ = apply_adversary(AdversaryClass.TAMPER_VALIDATION, fields, Rng(3))
+        changed = (fields["v1"] != mutated["v1"]) + (fields["v2"] != mutated["v2"])
         assert changed == 1
-        assert mutated.fields["nonce"] == message.fields["nonce"]
+        assert mutated["nonce"] == fields["nonce"]
 
     def test_tamper_ciphertext_stays_in_payload_span(self):
         width = 16
         wrapped = bytes(100)
-        message = draft(kind="DATA_SHARE", fields={"wrapped": wrapped, "payload_digest": bytes(32)})
+        fields = {"wrapped": wrapped, "payload_digest": bytes(32)}
         for seed in range(40):
-            mutated = apply_adversary(
-                AdversaryClass.TAMPER_CIPHERTEXT, message, Rng(seed), width=width
+            mutated, annotation = apply_adversary(
+                AdversaryClass.TAMPER_CIPHERTEXT, fields, Rng(seed), width=width
             )
-            note = mutated.annotation["flips"][0]
+            note = annotation["flips"][0]
             assert note["byte_index"] < len(wrapped) - width - 4
-            assert mutated.fields["wrapped"] != wrapped
-            assert mutated.fields["payload_digest"] == bytes(32)
-
-    def test_replay_preserves_fields(self):
-        observed = draft(step=11)
-        injected = apply_adversary(
-            AdversaryClass.REPLAY_QUERY, observed, Rng(4), injected_by="adv-replay_query-000"
-        )
-        assert injected.fields == observed.fields
-        assert injected.sender == observed.sender
-        assert injected.annotation == {
-            "adversary": "REPLAY_QUERY",
-            "replayed_from_step": 11,
-            "injected_by": "adv-replay_query-000",
-        }
+            assert mutated["wrapped"] != wrapped
+            assert mutated["payload_digest"] == bytes(32)
 
 
 class TestPopulationOutcomes:
@@ -385,9 +332,14 @@ class TestReplayFlow:
         queries = transcript.by_kind("ACCESS_QUERY")
         assert len(queries) == 2
         observed, injected = queries
-        assert "observed_by" in observed.annotation
+        assert observed.annotation == {"observed_by": ["adv-replay_query-000"]}
         assert injected.fields == observed.fields
-        assert injected.annotation["replayed_from_step"] == observed.step
+        assert injected.sender == observed.sender
+        assert injected.annotation == {
+            "adversary": "REPLAY_QUERY",
+            "replayed_from_step": observed.step,
+            "injected_by": "adv-replay_query-000",
+        }
         grants = transcript.by_kind("ACCESS_ACCEPTED")
         assert len(grants) == 2
         assert grants[1].annotation == {"granted_for_replay_of_step": observed.step}
