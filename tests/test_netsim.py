@@ -212,6 +212,22 @@ class TestApplyAdversary:
             assert mutated["wrapped"] != wrapped
             assert mutated["payload_digest"] == bytes(32)
 
+    def test_replay_preserves_fields(self, sample_payload):
+        # a replay re-sends a whole observed message, outside apply_adversary
+        config = scenario(
+            adversaries=(AdversarySpec(cls=AdversaryClass.REPLAY_QUERY, count=1),),
+            seed=4,
+        )
+        transcript = run_protocol(config, [sample_payload])
+        observed, injected = transcript.by_kind("ACCESS_QUERY")
+        assert injected.fields == observed.fields
+        assert injected.sender == observed.sender
+        assert injected.annotation == {
+            "adversary": "REPLAY_QUERY",
+            "replayed_from_step": observed.step,
+            "injected_by": "adv-replay_query-000",
+        }
+
 
 class TestPopulationOutcomes:
     @pytest.mark.parametrize("cls", ALL_CLASSES)
