@@ -88,3 +88,10 @@ def ref_validation_pair(user_id, session_key, s, nonce, private_key, m, attribut
     v1 = ref_mod_reduce(_grow(_h(_fr([user_id, session_key, s])), width), nonce)
     v2 = ref_mod_reduce(_grow(_h(_fr([user_id, private_key, m])), width), _grow(attribute, width))
     return v1, v2
+
+
+def ref_cipher_bundle(payload, s, m, owner_key):
+    key = _h(_fr([m, s, b"DATA"]))
+    masked = _xor(_xor(payload, _stream(key, len(payload))), _grow(_h(_fr([s, m])), len(payload)))
+    inner = _fr([masked, owner_key])
+    return _xor(inner, _stream(key, len(inner))), _h(payload)

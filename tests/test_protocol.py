@@ -1,32 +1,40 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acshare.primitives import FramingError, Rng, WidthMismatchError, digest
+from acshare.primitives import (
+    Rng,
+    WidthMismatchError,
+    digest,
+    frame_concat,
+    frame_split,
+    sym_decrypt,
+    sym_encrypt,
+)
 from acshare.protocol import (
     CorruptCiphertextError,
     EmptyPayloadError,
     IntegrityError,
     SystemParams,
     access_query,
-    decrypt_data,
     derive_data_key,
     derive_private_key,
     derive_session_key,
-    encrypt_data,
     make_cipher_bundle,
     new_system_params,
     recover_payload,
     registration_digest,
-    unwrap_ciphertext,
     validation_messages,
-    wrap_ciphertext,
 )
 
 from reference import (
     ref_access_query,
+    ref_cipher_bundle,
     ref_private_key,
     ref_registration_digest,
     ref_session_key,
@@ -145,32 +153,41 @@ class TestSystemParams:
 
 
 class TestDataPipeline:
-    @given(st.data(), widths, st.binary(min_size=1, max_size=300))
-    def test_encrypt_decrypt_round_trip(self, data, width, payload):
-        s = data.draw(fixed(width))
-        m = data.draw(fixed(width))
-        assert decrypt_data(encrypt_data(payload, s, m), s, m) == payload
+    @given(st.data(), widths, st.binary(min_size=1, max_size=400))
+    def test_bundle_matches_oracle(self, data, width, payload):
+        s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
+        bundle = make_cipher_bundle(payload, SystemParams(s=s, m=m, width=width), owner_key)
+        assert (bundle.wrapped, bundle.payload_digest) == ref_cipher_bundle(payload, s, m, owner_key)
+        assert recover_payload(bundle.wrapped, bundle.payload_digest, s, m) == payload
 
     def test_empty_payload_rejected(self):
+        params = SystemParams(s=b"\x01" * 8, m=b"\x02" * 8, width=8)
         with pytest.raises(EmptyPayloadError):
-            encrypt_data(b"", b"\x01" * 8, b"\x02" * 8)
+            make_cipher_bundle(b"", params, b"\x03" * 8)
 
     def test_decrypt_empty_is_empty(self):
-        assert decrypt_data(b"", b"\x01" * 8, b"\x02" * 8) == b""
+        s, m = b"\x01" * 8, b"\x02" * 8
+        wrapped = sym_encrypt(derive_data_key(m, s), frame_concat([b"", b"\x03" * 8]))
+        assert recover_payload(wrapped, digest(b""), s, m) == b""
 
     @given(st.data(), widths, st.binary(min_size=1, max_size=200))
-    def test_wrap_length_relation(self, data, width, encrypted):
-        owner_key = data.draw(fixed(width))
-        key = data.draw(st.binary(min_size=1, max_size=32))
-        wrapped = wrap_ciphertext(encrypted, owner_key, key)
-        assert len(wrapped) == len(encrypted) + width + 8
-        back, stripped = unwrap_ciphertext(wrapped, key)
-        assert back == encrypted
-        assert stripped == owner_key
+    def test_wrap_length_relation(self, data, width, payload):
+        rng = Rng(data.draw(st.integers(0, 2**32)))
+        params = new_system_params(rng, width)
+        owner_key = rng.take(width)
+        wrapped = make_cipher_bundle(payload, params, owner_key).wrapped
+        assert len(wrapped) == len(payload) + width + 8
+        fields = frame_split(sym_decrypt(derive_data_key(params.m, params.s), wrapped))
+        assert len(fields) == 2
+        assert fields[1] == owner_key
 
     def test_unwrap_rejects_garbage(self):
+        s, m = b"\x01" * 8, b"\x02" * 8
         with pytest.raises(CorruptCiphertextError):
-            unwrap_ciphertext(b"\xff" * 3, b"key")
+            recover_payload(b"\xff" * 3, digest(b""), s, m)
+        three_fields = sym_encrypt(derive_data_key(m, s), frame_concat([b"a", b"b", b"c"]))
+        with pytest.raises(CorruptCiphertextError):
+            recover_payload(three_fields, digest(b""), s, m)
 
     @given(st.data(), widths, st.binary(min_size=1, max_size=200))
     def test_bundle_round_trip(self, data, width, payload):
@@ -227,3 +244,15 @@ class TestDataKey:
     def test_deterministic_and_order_sensitive(self):
         assert derive_data_key(b"m" * 8, b"s" * 8) == derive_data_key(b"m" * 8, b"s" * 8)
         assert derive_data_key(b"m" * 8, b"s" * 8) != derive_data_key(b"s" * 8, b"m" * 8)
+
+
+class TestOracleIndependence:
+    def test_reference_imports_only_hashlib_and_struct(self):
+        source = Path(__file__).with_name("reference.py").read_text(encoding="utf-8")
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+        assert imported - {"hashlib", "struct"} == set()
