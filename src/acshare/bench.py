@@ -159,35 +159,43 @@ def run_sweep(
     max_records: int | None = None,
     data_dir: str | Path = "data",
 ) -> list[BenchRow]:
-    """One protocol run per (dataset, key length, seed), in that order."""
+    """One protocol run per (dataset, key length, seed), in that order.
+
+    Every cell's configuration is built, and so checked, before any
+    dataset is read.
+    """
+    sources = [resolve_dataset(spec, data_dir) for spec in datasets]
+    cells = [
+        [
+            ScenarioConfig(
+                n_genuine=n_genuine,
+                adversaries=tuple(adversaries),
+                dataset=name,
+                key_length_bits=bits,
+                seed=seed,
+                max_records=max_records,
+            )
+            for bits in key_lengths
+            for seed in seeds
+        ]
+        for name, _ in sources
+    ]
     rows = []
-    for spec in datasets:
-        name, path = resolve_dataset(spec, data_dir)
-        records = load_dataset(path, variant=name)
-        if max_records is not None:
-            records = records[:max_records]
+    for (name, path), configs in zip(sources, cells):
+        records = load_dataset(path, variant=name)[:max_records]
         payloads = [record_to_payload(record) for record in records]
-        for bits in key_lengths:
-            for seed in seeds:
-                config = ScenarioConfig(
-                    n_genuine=n_genuine,
-                    adversaries=tuple(adversaries),
+        for config in configs:
+            transcript = run_protocol(config, payloads)
+            summary = summarize(transcript, config)
+            rows.append(
+                BenchRow(
                     dataset=name,
-                    key_length_bits=bits,
-                    seed=seed,
-                    max_records=max_records,
+                    key_length_bits=config.key_length_bits,
+                    memory_bytes=measure_memory(config, transcript),
+                    genuine_detection_rate=genuine_detection_rate(summary),
+                    seed=config.seed,
                 )
-                transcript = run_protocol(config, payloads)
-                summary = summarize(transcript, config)
-                rows.append(
-                    BenchRow(
-                        dataset=name,
-                        key_length_bits=bits,
-                        memory_bytes=measure_memory(config, transcript),
-                        genuine_detection_rate=genuine_detection_rate(summary),
-                        seed=seed,
-                    )
-                )
+            )
     return rows
 
 

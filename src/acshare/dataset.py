@@ -93,14 +93,6 @@ class HeartRecord:
     def values(self) -> tuple[float | None, ...]:
         return tuple(getattr(self, name) for name in ATTRIBUTES)
 
-    @classmethod
-    def from_values(cls, values: tuple[float | None, ...]) -> "HeartRecord":
-        if len(values) != len(ATTRIBUTES):
-            raise DatasetParseError(
-                f"expected {len(ATTRIBUTES)} attributes, got {len(values)}"
-            )
-        return cls(*values)
-
 
 def _parse_token(token: str) -> float | None:
     token = token.strip()

@@ -219,6 +219,21 @@ class World:
         raise UnknownPrincipalError(f"no user named {name}")
 
 
+def _reject(
+    user: UserAgent,
+    net: Network,
+    stage: str,
+    reason: str,
+    mismatch: tuple[str, str] | None,
+    status: str = REJECTED,
+) -> None:
+    """Stop ``user`` at ``stage`` and record its one outcome."""
+    user.phase = Phase.REJECTED
+    net.transcript.outcomes[user.name] = Outcome(
+        status=status, stage=stage, reason=reason, mismatch=mismatch
+    )
+
+
 def setup_phase(
     user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network, width: int
 ) -> None:
@@ -273,12 +288,9 @@ def setup_phase(
             STAGE_SETUP, cloud.name, user.name, PUBLIC, KIND_REGISTER_REJECTED,
             {"digest": presented, "expected": expected},
         )
-        user.phase = Phase.REJECTED
-        net.transcript.outcomes[user.name] = Outcome(
-            status=REJECTED,
-            stage=STAGE_SETUP,
-            reason="registration digest mismatch",
-            mismatch=(presented.hex(), expected.hex()),
+        _reject(
+            user, net, STAGE_SETUP, "registration digest mismatch",
+            (presented.hex(), expected.hex()),
         )
 
 
@@ -345,8 +357,6 @@ def keygen_phase(
         slot = cloud.store.slot(stored.fields["user_id"])
         slot.private_key = stored.fields["private_key"]
         slot.attribute = stored.fields["attribute"]
-    else:
-        kgc.issued[principal.name.encode("ascii")] = material
     principal.phase = Phase.KEYED
 
 
@@ -398,12 +408,9 @@ def _serve_access(
             STAGE_ACCESS, cloud.name, reply_to, PUBLIC, KIND_ACCESS_REJECTED,
             {"q": presented_q, "expected": expected_q},
         )
-        requester.phase = Phase.REJECTED
-        net.transcript.outcomes[requester.name] = Outcome(
-            status=REJECTED,
-            stage=STAGE_ACCESS,
-            reason="access query mismatch",
-            mismatch=(presented_q.hex(), expected_q.hex()),
+        _reject(
+            requester, net, STAGE_ACCESS, "access query mismatch",
+            (presented_q.hex(), expected_q.hex()),
         )
         return
     accept_note = {"granted_for_replay_of_step": query.annotation["replayed_from_step"]} if replayed else None
@@ -564,13 +571,7 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network, width: in
             mismatch = (got_v1.hex(), expected.v1.hex())
         else:
             mismatch = (got_v2.hex(), expected.v2.hex())
-        user.phase = Phase.REJECTED
-        net.transcript.outcomes[user.name] = Outcome(
-            status=REJECTED,
-            stage=STAGE_VALIDATION,
-            reason="validation pair mismatch",
-            mismatch=mismatch,
-        )
+        _reject(user, net, STAGE_VALIDATION, "validation pair mismatch", mismatch)
 
 
 def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None:
@@ -600,19 +601,8 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
         except (CorruptCiphertextError, IntegrityError) as exc:
             # loud failure: nothing recovered so far is kept, and the
             # mismatching digests go into the outcome for rechecking
-            user.phase = Phase.REJECTED
-            user.recovered = []
-            mismatch = None
-            advertised = getattr(exc, "advertised", None)
-            actual = getattr(exc, "actual", None)
-            if advertised is not None and actual is not None:
-                mismatch = (actual, advertised)
-            net.transcript.outcomes[user.name] = Outcome(
-                status=INTEGRITY_FAILURE,
-                stage=STAGE_SHARING,
-                reason=str(exc),
-                mismatch=mismatch,
-            )
+            mismatch = (exc.actual, exc.advertised) if isinstance(exc, IntegrityError) else None
+            _reject(user, net, STAGE_SHARING, str(exc), mismatch, status=INTEGRITY_FAILURE)
             return
         recovered.append(payload)
     user.recovered = recovered

@@ -82,6 +82,16 @@ def frame_split(framed: bytes) -> list[bytes]:
     return fields
 
 
+def _counter_blocks(data: bytes, length: int) -> bytes:
+    # digests of (data, 0), (data, 1), ... frames, truncated to length
+    out = bytearray()
+    i = 0
+    while len(out) < length:
+        out += digest(frame_concat([data, _counter(i)]))
+        i += 1
+    return bytes(out[:length])
+
+
 def expand(data: bytes, width: int) -> bytes:
     """Map ``data`` to exactly ``width`` bytes, deterministically.
 
@@ -93,12 +103,7 @@ def expand(data: bytes, width: int) -> bytes:
         raise InvalidWidthError(f"target width must be >= 1, got {width}")
     if width <= DIGEST_WIDTH:
         return digest(data)[:width]
-    blocks = bytearray()
-    i = 0
-    while len(blocks) < width:
-        blocks += digest(frame_concat([data, _counter(i)]))
-        i += 1
-    return bytes(blocks[:width])
+    return _counter_blocks(data, width)
 
 
 def xor_bytes(x: bytes, y: bytes) -> bytes:
@@ -181,12 +186,7 @@ def keystream(key: bytes, length: int) -> bytes:
         raise InvalidWidthError("keystream needs a non-empty key")
     if length < 0:
         raise InvalidWidthError("keystream length must be >= 0")
-    out = bytearray()
-    i = 0
-    while len(out) < length:
-        out += digest(frame_concat([key, _counter(i)]))
-        i += 1
-    return bytes(out[:length])
+    return _counter_blocks(key, length)
 
 
 def sym_encrypt(key: bytes, plaintext: bytes) -> bytes:
@@ -232,15 +232,3 @@ class Rng:
         out = bytes(self._buffer[:width])
         del self._buffer[:width]
         return out
-
-
-def derive_seed(master_seed: int, *parts: int | bytes) -> int:
-    """Child seed for an independent stream, bound to ``parts``.
-
-    Used when several runs hang off one master seed (sweep cells,
-    scenario batteries) and must not share a byte stream.
-    """
-    fields: list[bytes] = [struct.pack(">Q", master_seed & Rng.SEED_MASK)]
-    for part in parts:
-        fields.append(part if isinstance(part, bytes) else struct.pack(">Q", part))
-    return to_int(digest(frame_concat(fields))[:8])

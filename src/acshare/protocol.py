@@ -23,6 +23,11 @@ Shapes, for width L (H is SHA-256, SE the hash-counter stream cipher,
 where P is the per-principal public parameter, a the attribute vector,
 r a per-round nonce, O_pk the data owner's private key, and
 K_K = H(m || "KGC") the key the centre wraps session material under.
+
+The bundle format is two functions: the owner's encryption phase,
+:func:`make_cipher_bundle` (``D_E``, then ``D_C`` and the payload
+digest), and the user's data-sharing phase, :func:`recover_payload`
+(its inverse plus the digest check).
 """
 
 from __future__ import annotations
@@ -148,55 +153,6 @@ def derive_data_key(m: bytes, s: bytes) -> bytes:
     return digest(frame_concat([m, s, DATA_KEY_LABEL]))
 
 
-def encrypt_data(payload: bytes, s: bytes, m: bytes) -> bytes:
-    """Encrypt a payload under the data key, masked with H(s || m).
-
-    Length preserving. Empty payloads are refused: a zero-length
-    ciphertext would be indistinguishable from a missing one.
-    """
-    if not payload:
-        raise EmptyPayloadError("refusing to encrypt an empty payload")
-    key = derive_data_key(m, s)
-    mask = expand(digest(frame_concat([s, m])), len(payload))
-    return xor_bytes(sym_encrypt(key, payload), mask)
-
-
-def decrypt_data(encrypted: bytes, s: bytes, m: bytes) -> bytes:
-    """Invert :func:`encrypt_data`; an empty input maps to empty output."""
-    if not encrypted:
-        return b""
-    key = derive_data_key(m, s)
-    mask = expand(digest(frame_concat([s, m])), len(encrypted))
-    return sym_decrypt(key, xor_bytes(encrypted, mask))
-
-
-def wrap_ciphertext(encrypted: bytes, owner_key: bytes, data_key: bytes) -> bytes:
-    """Bind the encrypted payload to the owner's key for cloud storage.
-
-    The result is 8 bytes (two length prefixes) longer than the inputs
-    combined.
-    """
-    return sym_encrypt(data_key, frame_concat([encrypted, owner_key]))
-
-
-def unwrap_ciphertext(wrapped: bytes, data_key: bytes) -> tuple[bytes, bytes]:
-    """Recover ``(encrypted, owner_key)`` from a wrapped ciphertext.
-
-    Malformed framing after decryption means the ciphertext was
-    corrupted in storage or transit (or the wrong key was used).
-    """
-    clear = sym_decrypt(data_key, wrapped)
-    try:
-        fields = frame_split(clear)
-    except FramingError as exc:
-        raise CorruptCiphertextError(str(exc)) from exc
-    if len(fields) != 2:
-        raise CorruptCiphertextError(
-            f"expected 2 framed fields, found {len(fields)}"
-        )
-    return fields[0], fields[1]
-
-
 def access_query(reg_digest: bytes, user_id: bytes, private_key: bytes, width: int) -> bytes:
     """Access query: registration digest times a key-bound factor."""
     factor = expand(digest(frame_concat([user_id, private_key])), width)
@@ -240,23 +196,42 @@ def validation_messages(
 
 
 def make_cipher_bundle(payload: bytes, params: SystemParams, owner_key: bytes) -> CipherBundle:
-    """Owner-side pipeline: encrypt, wrap, and fingerprint one payload."""
+    """Owner-side pipeline: encrypt, wrap, and fingerprint one payload.
+
+    Empty payloads are refused: a zero-length ciphertext would be
+    indistinguishable from a missing one. The wrapped ciphertext is 8
+    bytes (two length prefixes) longer than the payload and owner key
+    combined.
+    """
+    if not payload:
+        raise EmptyPayloadError("refusing to encrypt an empty payload")
     key = derive_data_key(params.m, params.s)
-    encrypted = encrypt_data(payload, params.s, params.m)
-    wrapped = wrap_ciphertext(encrypted, owner_key, key)
+    mask = expand(digest(frame_concat([params.s, params.m])), len(payload))
+    encrypted = xor_bytes(sym_encrypt(key, payload), mask)
+    wrapped = sym_encrypt(key, frame_concat([encrypted, owner_key]))
     return CipherBundle(wrapped=wrapped, payload_digest=digest(payload))
 
 
 def recover_payload(wrapped: bytes, payload_digest: bytes, s: bytes, m: bytes) -> bytes:
     """User-side pipeline: unwrap, decrypt, and verify one payload.
 
-    Raises :class:`CorruptCiphertextError` when framing breaks and
+    Raises :class:`CorruptCiphertextError` when framing breaks (the
+    ciphertext was corrupted, or the wrong key was used) and
     :class:`IntegrityError` when the digest check fails; a corrupted
     share can never come back as a silently wrong payload.
     """
     key = derive_data_key(m, s)
-    encrypted, _owner_key = unwrap_ciphertext(wrapped, key)
-    payload = decrypt_data(encrypted, s, m)
+    try:
+        fields = frame_split(sym_decrypt(key, wrapped))
+    except FramingError as exc:
+        raise CorruptCiphertextError(str(exc)) from exc
+    if len(fields) != 2:
+        raise CorruptCiphertextError(f"expected 2 framed fields, found {len(fields)}")
+    encrypted = fields[0]
+    payload = b""
+    if encrypted:  # an empty D_E has no mask to expand
+        mask = expand(digest(frame_concat([s, m])), len(encrypted))
+        payload = sym_decrypt(key, xor_bytes(encrypted, mask))
     actual = digest(payload)
     if actual != payload_digest:
         raise IntegrityError(

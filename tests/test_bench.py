@@ -18,6 +18,7 @@ from acshare.netsim import (
     KEY_LENGTH_BITS,
     AdversaryClass,
     AdversarySpec,
+    ConfigError,
     ScenarioConfig,
     summarize,
 )
@@ -113,6 +114,13 @@ class TestSweep:
             ("swiss", 128, 1),
         ]
         assert all(r.genuine_detection_rate == 1.0 for r in rows)
+
+    @pytest.mark.parametrize(
+        "cell", [{"seeds": [-1]}, {"key_lengths": [100]}], ids=["bad_seed", "bad_key_length"]
+    )
+    def test_bad_cell_rejected_before_data_is_read(self, tmp_path, cell):
+        with pytest.raises(ConfigError):
+            run_sweep(["cleveland"], data_dir=tmp_path / "missing", **cell)
 
     def test_csv_format(self, tmp_path):
         rows = [

@@ -10,7 +10,6 @@ from acshare.primitives import (
     InvalidWidthError,
     Rng,
     WidthMismatchError,
-    derive_seed,
     digest,
     effective_modulus,
     expand,
@@ -246,14 +245,3 @@ class TestRng:
         combined = rng.take(5) + rng.take(11)
         assert combined == Rng(3).take(16)
 
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(1, 2, b"x") == derive_seed(1, 2, b"x")
-
-    def test_part_sensitivity(self):
-        assert derive_seed(1, 2) != derive_seed(1, 3)
-        assert derive_seed(1, b"a") != derive_seed(1, b"b")
-
-    def test_fits_in_64_bits(self):
-        assert 0 <= derive_seed(2**64 - 1, b"tail") < 2**64
