@@ -16,8 +16,11 @@ from acshare.entities import (
     STAGES,
     UnknownPrincipalError,
     UserAgent,
+    access_control_phase,
     data_sharing_phase,
     encryption_phase,
+    keygen_phase,
+    replay_access,
     run_protocol,
     setup_phase,
     validation_phase,
@@ -137,7 +140,9 @@ class TestCloudStore:
 class TestPhaseOrder:
     def test_registration_needs_system_params(self):
         net = fresh_net()
-        with pytest.raises(PhaseOrderError):
+        with pytest.raises(
+            PhaseOrderError, match="^system parameters must exist before registration$"
+        ):
             setup_phase(fresh_user(), CloudAgent(), KgcAgent(), net, 8)
 
     def test_registration_runs_once(self):
@@ -148,20 +153,66 @@ class TestPhaseOrder:
         user = fresh_user()
         setup_phase(user, cloud, kgc, net, 8)
         assert user.phase is Phase.REGISTERED
-        with pytest.raises(PhaseOrderError):
+        with pytest.raises(
+            PhaseOrderError, match="^user-000 cannot register from phase REGISTERED$"
+        ):
             setup_phase(user, cloud, kgc, net, 8)
+
+    def test_user_keygen_needs_registration(self):
+        net = fresh_net()
+        kgc = KgcAgent()
+        kgc.params = new_system_params(net.rng, 8)
+        with pytest.raises(
+            PhaseOrderError, match="^user-000 cannot receive keys from phase INIT$"
+        ):
+            keygen_phase(kgc, CloudAgent(), fresh_user(), net, 8)
+
+    def test_owner_keygen_runs_once(self):
+        net = fresh_net()
+        kgc = KgcAgent()
+        kgc.params = new_system_params(net.rng, 8)
+        owner = OwnerAgent()
+        keygen_phase(kgc, CloudAgent(), owner, net, 8)
+        assert owner.phase is Phase.KEYED
+        with pytest.raises(
+            PhaseOrderError, match="^owner-000 cannot receive keys from phase KEYED$"
+        ):
+            keygen_phase(kgc, CloudAgent(), owner, net, 8)
 
     def test_encryption_requires_keys(self):
         owner = OwnerAgent()
-        with pytest.raises(PhaseOrderError):
+        with pytest.raises(PhaseOrderError, match="^owner-000 cannot encrypt from phase INIT$"):
             encryption_phase(owner, CloudAgent(), [b"x"], fresh_net())
 
+    def test_access_requires_keys(self):
+        with pytest.raises(
+            PhaseOrderError, match="^user-000 cannot request access from phase INIT$"
+        ):
+            access_control_phase(fresh_user(), {}, CloudAgent(), KgcAgent(), fresh_net(), 8)
+
+    def test_replay_only_from_outside(self):
+        replayer = fresh_user("adv-replay_query-000", adversary=AdversaryClass.REPLAY_QUERY)
+        replayer.phase = Phase.REGISTERED
+        with pytest.raises(
+            PhaseOrderError, match="^adv-replay_query-000 cannot replay from phase REGISTERED$"
+        ):
+            replay_access(replayer, {}, CloudAgent(), KgcAgent(), fresh_net(), 8)
+
+    def test_replay_needs_an_observed_query(self):
+        replayer = fresh_user("adv-replay_query-000", adversary=AdversaryClass.REPLAY_QUERY)
+        with pytest.raises(
+            PhaseOrderError, match="^no access query was observed, nothing to replay$"
+        ):
+            replay_access(replayer, {}, CloudAgent(), KgcAgent(), fresh_net(), 8)
+
     def test_validation_requires_grant(self):
-        with pytest.raises(PhaseOrderError):
+        with pytest.raises(PhaseOrderError, match="^user-000 cannot validate from phase INIT$"):
             validation_phase(fresh_user(), CloudAgent(), fresh_net(), 8)
 
     def test_sharing_requires_verification(self):
-        with pytest.raises(PhaseOrderError):
+        with pytest.raises(
+            PhaseOrderError, match="^user-000 cannot receive data from phase INIT$"
+        ):
             data_sharing_phase(CloudAgent(), fresh_user(), fresh_net())
 
 
