@@ -84,7 +84,7 @@ def measure_memory(config: ScenarioConfig, transcript: Transcript) -> int:
     Only messages the server actually received count; session grants
     overwrite rather than accumulate, mirroring the store.
     """
-    width = config.key_length_bits // 8
+    width = config.width
     total = 2 * width  # the generation centre holds its parameter pair
     provisioned = False
     credentials: dict[bytes, int] = {}
@@ -127,7 +127,7 @@ def expected_memory_bytes(config: ScenarioConfig, payload_sizes: Sequence[int]) 
     Each bundle stores the payload, the stripped owner key, two length
     prefixes, and the payload digest.
     """
-    width = config.key_length_bits // 8
+    width = config.width
     total = 2 * width
     roster = principal_roster(config)
     registering = [entry for entry in roster if entry[1] is not AdversaryClass.REPLAY_QUERY]
@@ -164,6 +164,8 @@ def run_sweep(
     Every cell's configuration is built, and so checked, before any
     dataset is read.
     """
+    if n_genuine == 0:
+        raise UndefinedRateError("no genuine principals in the scenario")
     sources = [resolve_dataset(spec, data_dir) for spec in datasets]
     cells = [
         [

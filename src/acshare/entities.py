@@ -234,26 +234,31 @@ def _reject(
     )
 
 
-def setup_phase(
-    user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network, width: int
-) -> None:
+def _require_phase(agent: UserAgent | OwnerAgent, phase: Phase, action: str) -> None:
+    """Refuse to let ``agent`` ``action`` unless it is in ``phase``."""
+    if agent.phase is not phase:
+        raise PhaseOrderError(f"{agent.name} cannot {action} from phase {agent.phase.name}")
+
+
+def _provision(kgc: KgcAgent, recipient: str, net: Network, stage: str) -> Message:
+    """Send the system parameters to ``recipient`` over a private channel."""
+    return net.transmit(
+        stage, kgc.name, recipient, PRIVATE, KIND_PROVISION, {"s": kgc.params.s, "m": kgc.params.m}
+    )
+
+
+def setup_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network) -> None:
     """Registration: provision, credential deposit, digest check."""
     if kgc.params is None:
         raise PhaseOrderError("system parameters must exist before registration")
-    if user.phase is not Phase.INIT:
-        raise PhaseOrderError(f"{user.name} cannot register from phase {user.phase.name}")
+    _require_phase(user, Phase.INIT, "register")
     params = kgc.params
     if cloud.store.s is None:
         # the first registration provisions the server
-        provisioned = net.transmit(
-            STAGE_SETUP, kgc.name, cloud.name, PRIVATE, KIND_PROVISION,
-            {"s": params.s, "m": params.m},
-        )
+        provisioned = _provision(kgc, cloud.name, net, STAGE_SETUP)
         cloud.store.s = provisioned.fields["s"]
         cloud.store.m = provisioned.fields["m"]
-    net.transmit(
-        STAGE_SETUP, kgc.name, user.name, PRIVATE, KIND_PROVISION, {"s": params.s, "m": params.m}
-    )
+    _provision(kgc, user.name, net, STAGE_SETUP)
     user.params = params
 
     creds = user.credentials
@@ -267,14 +272,14 @@ def setup_phase(
     cloud.store.register(delivered.fields["user_id"], delivered.fields["password"])
 
     # the user derives its digest from the credentials it believes in
-    user.reg_digest = registration_digest(creds.user_id, creds.password, params.s, width)
+    user.reg_digest = registration_digest(creds.user_id, creds.password, params.s, net.width)
     digest_msg = net.transmit(
         STAGE_SETUP, user.name, cloud.name, PUBLIC, KIND_REGISTER_DIGEST,
         {"user_id": creds.user_id, "digest": user.reg_digest},
     )
     slot = cloud.store.slot(digest_msg.fields["user_id"])
     expected = registration_digest(
-        digest_msg.fields["user_id"], slot.password, cloud.store.s, width
+        digest_msg.fields["user_id"], slot.password, cloud.store.s, net.width
     )
     presented = digest_msg.fields["digest"]
     if presented == expected:
@@ -295,39 +300,22 @@ def setup_phase(
 
 
 def keygen_phase(
-    kgc: KgcAgent,
-    cloud: CloudAgent,
-    principal: UserAgent | OwnerAgent,
-    net: Network,
-    width: int,
+    kgc: KgcAgent, cloud: CloudAgent, principal: UserAgent | OwnerAgent, net: Network
 ) -> None:
     """Key issuance for one principal; user keys are mirrored to the server."""
     if kgc.params is None:
         raise PhaseOrderError("system parameters must exist before key issuance")
     is_owner = isinstance(principal, OwnerAgent)
-    if is_owner:
-        if principal.phase is not Phase.INIT:
-            raise PhaseOrderError(
-                f"{principal.name} cannot receive keys from phase {principal.phase.name}"
-            )
-        if principal.params is None:
-            net.transmit(
-                STAGE_KEYGEN, kgc.name, principal.name, PRIVATE, KIND_PROVISION,
-                {"s": kgc.params.s, "m": kgc.params.m},
-            )
-            principal.params = kgc.params
-    elif principal.phase is not Phase.REGISTERED:
-        raise PhaseOrderError(
-            f"{principal.name} cannot receive keys from phase {principal.phase.name}"
-        )
+    _require_phase(principal, Phase.INIT if is_owner else Phase.REGISTERED, "receive keys")
+    if is_owner:  # the owner never registers, so it is provisioned here
+        _provision(kgc, principal.name, net, STAGE_KEYGEN)
+        principal.params = kgc.params
 
+    width = net.width
     public_param = net.rng.take(width)
     attribute = net.rng.take(width)
     private_key = derive_private_key(
         kgc.params.m, public_param, kgc.params.s, attribute, width
-    )
-    material = KeyMaterial(
-        public_param=public_param, attribute=attribute, private_key=private_key
     )
     fields = {"public_param": public_param, "attribute": attribute, "private_key": private_key}
     annotation = None
@@ -345,14 +333,12 @@ def keygen_phase(
     )
     if not is_owner:
         user_id = principal.credentials.user_id
-        kgc.issued[user_id] = material
+        kgc.issued[user_id] = KeyMaterial(
+            public_param=public_param, attribute=attribute, private_key=private_key
+        )
         stored = net.transmit(
             STAGE_KEYGEN, kgc.name, cloud.name, PRIVATE, KIND_KEY_STORE,
-            {
-                "user_id": user_id,
-                "private_key": material.private_key,
-                "attribute": material.attribute,
-            },
+            {"user_id": user_id, "private_key": private_key, "attribute": attribute},
         )
         slot = cloud.store.slot(stored.fields["user_id"])
         slot.private_key = stored.fields["private_key"]
@@ -364,8 +350,7 @@ def encryption_phase(
     owner: OwnerAgent, cloud: CloudAgent, payloads: Sequence[bytes], net: Network
 ) -> None:
     """The owner encrypts every payload and uploads the bundles."""
-    if owner.phase is not Phase.KEYED:
-        raise PhaseOrderError(f"{owner.name} cannot encrypt from phase {owner.phase.name}")
+    _require_phase(owner, Phase.KEYED, "encrypt")
     assert owner.params is not None and owner.keys is not None
     for payload in payloads:
         bundle = make_cipher_bundle(payload, owner.params, owner.keys.private_key)
@@ -385,7 +370,6 @@ def _serve_access(
     cloud: CloudAgent,
     kgc: KgcAgent,
     net: Network,
-    width: int,
 ) -> None:
     """Server side of one access query, replayed or genuine.
 
@@ -394,18 +378,18 @@ def _serve_access(
     it to the identity's registered holder, which on a replayed query
     is the victim, never the injector.
     """
+    width = net.width
     user_id = query.fields["user_id"]
     slot = cloud.store.slot(user_id)
     assert cloud.store.s is not None and slot.private_key is not None
     expected_digest = registration_digest(user_id, slot.password, cloud.store.s, width)
     expected_q = access_query(expected_digest, user_id, slot.private_key, width)
     presented_q = query.fields["q"]
-    holder = users_by_id.get(user_id)
-    reply_to = holder.name if holder is not None else requester.name
+    holder = users_by_id[user_id]  # every stored id belongs to a roster user
     replayed = query.annotation is not None and "replayed_from_step" in query.annotation
     if presented_q != expected_q:
         net.transmit(
-            STAGE_ACCESS, cloud.name, reply_to, PUBLIC, KIND_ACCESS_REJECTED,
+            STAGE_ACCESS, cloud.name, holder.name, PUBLIC, KIND_ACCESS_REJECTED,
             {"q": presented_q, "expected": expected_q},
         )
         _reject(
@@ -415,7 +399,7 @@ def _serve_access(
         return
     accept_note = {"granted_for_replay_of_step": query.annotation["replayed_from_step"]} if replayed else None
     net.transmit(
-        STAGE_ACCESS, cloud.name, reply_to, PUBLIC, KIND_ACCESS_ACCEPTED,
+        STAGE_ACCESS, cloud.name, holder.name, PUBLIC, KIND_ACCESS_ACCEPTED,
         {"user_id": user_id, "q": presented_q},
         annotation=accept_note,
     )
@@ -426,14 +410,13 @@ def _serve_access(
     session_key = derive_session_key(
         material.public_param, kgc.params.m, material.attribute, width
     )
-    if holder is not None:
-        delivered = net.transmit(
-            STAGE_ACCESS, kgc.name, holder.name, PRIVATE, KIND_SESSION_KEY,
-            {"session_key": session_key},
-        )
-        # deterministic derivation: a replay-triggered re-issue hands the
-        # holder the same bytes it already has, so nothing desynchronizes
-        holder.session_key = delivered.fields["session_key"]
+    delivered = net.transmit(
+        STAGE_ACCESS, kgc.name, holder.name, PRIVATE, KIND_SESSION_KEY,
+        {"session_key": session_key},
+    )
+    # deterministic derivation: a replay-triggered re-issue hands the
+    # holder the same bytes it already has, so nothing desynchronizes
+    holder.session_key = delivered.fields["session_key"]
     stored = net.transmit(
         STAGE_ACCESS, kgc.name, cloud.name, PRIVATE, KIND_SESSION_STORE,
         {"user_id": user_id, "session_key": session_key},
@@ -449,18 +432,16 @@ def access_control_phase(
     cloud: CloudAgent,
     kgc: KgcAgent,
     net: Network,
-    width: int,
 ) -> None:
     """A keyed user presents its access query."""
-    if user.phase is not Phase.KEYED:
-        raise PhaseOrderError(f"{user.name} cannot request access from phase {user.phase.name}")
+    _require_phase(user, Phase.KEYED, "request access")
     assert user.reg_digest is not None and user.keys is not None
     user_id = user.credentials.user_id
-    q = access_query(user.reg_digest, user_id, user.keys.private_key, width)
+    q = access_query(user.reg_digest, user_id, user.keys.private_key, net.width)
     delivered = net.transmit(
         STAGE_ACCESS, user.name, cloud.name, PUBLIC, KIND_ACCESS_QUERY, {"user_id": user_id, "q": q}
     )
-    _serve_access(delivered, user, users_by_id, cloud, kgc, net, width)
+    _serve_access(delivered, user, users_by_id, cloud, kgc, net)
 
 
 def replay_access(
@@ -469,13 +450,9 @@ def replay_access(
     cloud: CloudAgent,
     kgc: KgcAgent,
     net: Network,
-    width: int,
 ) -> None:
     """An unregistered outsider re-injects an observed access query."""
-    if replayer.phase is not Phase.INIT:
-        raise PhaseOrderError(
-            f"{replayer.name} cannot replay from phase {replayer.phase.name}"
-        )
+    _require_phase(replayer, Phase.INIT, "replay")
     if not net.observed_queries:
         raise PhaseOrderError("no access query was observed, nothing to replay")
     source = net.observed_queries[0]
@@ -488,13 +465,13 @@ def replay_access(
         source.stage, source.sender, source.recipient, source.channel, source.kind,
         source.fields, replay_note,
     )
-    _serve_access(delivered, replayer, users_by_id, cloud, kgc, net, width)
+    _serve_access(delivered, replayer, users_by_id, cloud, kgc, net)
 
 
-def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network, width: int) -> None:
+def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
     """Session-key proof: the user presents its validation pair."""
-    if user.phase is not Phase.ACCESS_GRANTED:
-        raise PhaseOrderError(f"{user.name} cannot validate from phase {user.phase.name}")
+    _require_phase(user, Phase.ACCESS_GRANTED, "validate")
+    width = net.width
     hijacked = user.adversary is AdversaryClass.REPLAY_QUERY and user.session_key is None
     if hijacked:
         # the injector holds no secrets for the identity it claimed; the
@@ -576,10 +553,7 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network, width: in
 
 def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None:
     """The server streams every stored bundle to a verified user."""
-    if user.phase is not Phase.VERIFIED:
-        raise PhaseOrderError(
-            f"{user.name} cannot receive data from phase {user.phase.name}"
-        )
+    _require_phase(user, Phase.VERIFIED, "receive data")
     assert user.params is not None
     net.transmit(
         STAGE_SHARING, user.name, cloud.name, PUBLIC, KIND_DATA_REQUEST,
@@ -620,7 +594,7 @@ def run_protocol(config: ScenarioConfig, payloads: Sequence[bytes]) -> Transcrip
     replay injections after the genuine queries, then validation, then
     data sharing. Each principal ends with exactly one outcome.
     """
-    width = config.key_length_bits // 8
+    width = config.width
     rng = Rng(config.seed)
     transcript = Transcript()
     roster = principal_roster(config)
@@ -646,24 +620,24 @@ def run_protocol(config: ScenarioConfig, payloads: Sequence[bytes]) -> Transcrip
     for user in users:
         if user.adversary is AdversaryClass.REPLAY_QUERY:
             continue  # outsiders never register
-        setup_phase(user, cloud, kgc, net, width)
+        setup_phase(user, cloud, kgc, net)
 
-    keygen_phase(kgc, cloud, owner, net, width)
+    keygen_phase(kgc, cloud, owner, net)
     for user in users:
         if user.phase is Phase.REGISTERED:
-            keygen_phase(kgc, cloud, user, net, width)
+            keygen_phase(kgc, cloud, user, net)
 
     encryption_phase(owner, cloud, payloads, net)
 
     for user in users:
         if user.adversary is AdversaryClass.REPLAY_QUERY:
-            replay_access(user, users_by_id, cloud, kgc, net, width)
+            replay_access(user, users_by_id, cloud, kgc, net)
         elif user.phase is Phase.KEYED:
-            access_control_phase(user, users_by_id, cloud, kgc, net, width)
+            access_control_phase(user, users_by_id, cloud, kgc, net)
 
     for user in users:
         if user.phase is Phase.ACCESS_GRANTED:
-            validation_phase(user, cloud, net, width)
+            validation_phase(user, cloud, net)
 
     for user in users:
         if user.phase is Phase.VERIFIED:

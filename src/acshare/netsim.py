@@ -29,12 +29,14 @@ public channel. Private channels stay inviolable either way.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .dataset import load_dataset, record_to_payload, resolve_dataset
 from .primitives import Rng, to_int
 from .wire import (
     ACCEPTED,
@@ -98,10 +100,6 @@ class ScenarioConfig:
     seed: int
     max_records: int | None = None
 
-    _JSON_KEYS = frozenset(
-        {"n_genuine", "adversaries", "dataset", "key_length_bits", "seed", "max_records"}
-    )
-
     def __post_init__(self) -> None:
         if self.n_genuine < 0:
             raise ConfigError(f"n_genuine must be >= 0, got {self.n_genuine}")
@@ -136,10 +134,11 @@ class ScenarioConfig:
     def from_json(cls, doc: Mapping) -> "ScenarioConfig":
         if not isinstance(doc, Mapping):
             raise ConfigError("scenario document must be a JSON object")
-        unknown = set(doc) - cls._JSON_KEYS
+        schema = dataclasses.fields(cls)
+        unknown = set(doc) - {f.name for f in schema}
         if unknown:
             raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-        missing = {"n_genuine", "adversaries", "dataset", "key_length_bits", "seed"} - set(doc)
+        missing = {f.name for f in schema if f.default is dataclasses.MISSING} - set(doc)
         if missing:
             raise ConfigError(f"missing scenario keys: {sorted(missing)}")
         adversaries = []
@@ -201,21 +200,31 @@ def principal_roster(config: ScenarioConfig) -> list[tuple[str, AdversaryClass, 
     return roster
 
 
-def _flip_into(fields: dict, name: str, rng: Rng, span: int | None, flips: int) -> list[dict]:
-    """Flip ``flips`` bytes of ``fields[name]`` in place, within ``span``.
+def _flip_into(
+    fields: dict, names: tuple[str, ...], rng: Rng, span: int | None, flips: int
+) -> list[dict]:
+    """Flip ``flips`` bytes of the named fields in place, within ``span``.
 
-    Every flip XORs a nonzero value, so each chosen byte is guaranteed
-    to change. Returns deterministic notes for the annotation.
+    The fields are read as one string, in the order named, so a flip
+    lands anywhere across them; ``span`` bounds it to a prefix of that
+    string. Every flip XORs a nonzero value, so each chosen byte is
+    guaranteed to change. Returns deterministic notes, each naming the
+    field and the index within it, for the annotation.
     """
-    data = bytearray(fields[name])
-    limit = len(data) if span is None else min(span, len(data))
+    data = {name: bytearray(fields[name]) for name in names}
+    total = sum(len(buffer) for buffer in data.values())
+    limit = total if span is None else min(span, total)
     notes = []
     for _ in range(flips):
         idx = to_int(rng.take(4)) % limit
         delta = (rng.take(1)[0] % 255) + 1
-        data[idx] ^= delta
+        for name, buffer in data.items():
+            if idx < len(buffer):
+                break
+            idx -= len(buffer)
+        buffer[idx] ^= delta
         notes.append({"field": name, "byte_index": idx, "xor": delta})
-    fields[name] = bytes(data)
+    fields.update((name, bytes(buffer)) for name, buffer in data.items())
     return notes
 
 
@@ -238,7 +247,7 @@ def apply_adversary(
         return fields, None
     fields = dict(fields)
     if cls is AdversaryClass.WRONG_PASSWORD:
-        notes = _flip_into(fields, "password", rng, None, flips)
+        notes = _flip_into(fields, ("password",), rng, None, flips)
         return fields, {"adversary": cls.name, "flips": notes}
     if cls is AdversaryClass.FORGED_PRIVATE_KEY:
         if width is None:
@@ -249,18 +258,7 @@ def apply_adversary(
             "note": "issued key discarded, random key fabricated",
         }
     if cls is AdversaryClass.TAMPER_VALIDATION:
-        notes = []
-        for _ in range(flips):
-            # the flip lands anywhere across the concatenated pair
-            v1_len = len(fields["v1"])
-            joint = to_int(rng.take(4)) % (v1_len + len(fields["v2"]))
-            target = "v1" if joint < v1_len else "v2"
-            local = joint if joint < v1_len else joint - v1_len
-            data = bytearray(fields[target])
-            delta = (rng.take(1)[0] % 255) + 1
-            data[local] ^= delta
-            fields[target] = bytes(data)
-            notes.append({"field": target, "byte_index": local, "xor": delta})
+        notes = _flip_into(fields, ("v1", "v2"), rng, None, flips)
         return fields, {"adversary": cls.name, "flips": notes}
     if cls is AdversaryClass.TAMPER_CIPHERTEXT:
         if width is None:
@@ -268,7 +266,7 @@ def apply_adversary(
         # the trailing frame holds the stripped owner key, which is not
         # integrity-bound; the adversary aims at the data-bearing prefix
         span = max(1, len(fields["wrapped"]) - (width + 4))
-        notes = _flip_into(fields, "wrapped", rng, span, flips)
+        notes = _flip_into(fields, ("wrapped",), rng, span, flips)
         return fields, {"adversary": cls.name, "flips": notes}
     raise ConfigError(f"unhandled adversary class {cls}")
 
@@ -288,13 +286,12 @@ class Network:
         self,
         transcript: Transcript,
         rng: Rng,
-        adversaries: Mapping[str, tuple[AdversaryClass, int]] | None = None,
-        width: int | None = None,
+        adversaries: Mapping[str, tuple[AdversaryClass, int]],
+        width: int,
     ) -> None:
         self.transcript = transcript
         self.rng = rng
         self.width = width
-        adversaries = adversaries or {}
         self.replayers = [
             name for name, (cls, _) in adversaries.items() if cls is AdversaryClass.REPLAY_QUERY
         ]
@@ -392,12 +389,8 @@ def run_scenario(
     loading when the caller already holds serialized records.
     """
     if payloads is None:
-        from .dataset import load_dataset, record_to_payload, resolve_dataset
-
         name, path = resolve_dataset(config.dataset, data_dir)
-        records = load_dataset(path, variant=name)
-        if config.max_records is not None:
-            records = records[: config.max_records]
+        records = load_dataset(path, variant=name)[: config.max_records]
         payloads = [record_to_payload(record) for record in records]
     from .entities import run_protocol  # late import; entities builds on this module
 

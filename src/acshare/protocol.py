@@ -80,7 +80,6 @@ class SystemParams:
 
     s: bytes
     m: bytes
-    width: int
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def new_system_params(rng: Rng, width: int) -> SystemParams:
     m = rng.take(width)
     while m == s:  # distinct by contract; a collision is astronomically rare
         m = rng.take(width)
-    return SystemParams(s=s, m=m, width=width)
+    return SystemParams(s=s, m=m)
 
 
 def registration_digest(user_id: bytes, password: bytes, s: bytes, width: int) -> bytes:

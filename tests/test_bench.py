@@ -116,7 +116,9 @@ class TestSweep:
         assert all(r.genuine_detection_rate == 1.0 for r in rows)
 
     @pytest.mark.parametrize(
-        "cell", [{"seeds": [-1]}, {"key_lengths": [100]}], ids=["bad_seed", "bad_key_length"]
+        "cell",
+        [{"seeds": [-1]}, {"key_lengths": [100]}, {"n_genuine": 0}],
+        ids=["bad_seed", "bad_key_length", "no_genuine"],
     )
     def test_bad_cell_rejected_before_data_is_read(self, tmp_path, cell):
         with pytest.raises(ConfigError):

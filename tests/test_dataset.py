@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acshare.dataset import (
-    ATTRIBUTES,
     DatasetParseError,
     HeartRecord,
     SAMPLE_RECORD,

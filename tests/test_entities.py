@@ -5,7 +5,6 @@ import json
 import pytest
 
 from acshare.entities import (
-    CLOUD_NAME,
     CloudAgent,
     CloudStore,
     DuplicateIdentityError,
@@ -143,7 +142,7 @@ class TestPhaseOrder:
         with pytest.raises(
             PhaseOrderError, match="^system parameters must exist before registration$"
         ):
-            setup_phase(fresh_user(), CloudAgent(), KgcAgent(), net, 8)
+            setup_phase(fresh_user(), CloudAgent(), KgcAgent(), net)
 
     def test_registration_runs_once(self):
         net = fresh_net()
@@ -151,12 +150,12 @@ class TestPhaseOrder:
         kgc.params = new_system_params(net.rng, 8)
         cloud = CloudAgent()
         user = fresh_user()
-        setup_phase(user, cloud, kgc, net, 8)
+        setup_phase(user, cloud, kgc, net)
         assert user.phase is Phase.REGISTERED
         with pytest.raises(
             PhaseOrderError, match="^user-000 cannot register from phase REGISTERED$"
         ):
-            setup_phase(user, cloud, kgc, net, 8)
+            setup_phase(user, cloud, kgc, net)
 
     def test_user_keygen_needs_registration(self):
         net = fresh_net()
@@ -165,19 +164,19 @@ class TestPhaseOrder:
         with pytest.raises(
             PhaseOrderError, match="^user-000 cannot receive keys from phase INIT$"
         ):
-            keygen_phase(kgc, CloudAgent(), fresh_user(), net, 8)
+            keygen_phase(kgc, CloudAgent(), fresh_user(), net)
 
     def test_owner_keygen_runs_once(self):
         net = fresh_net()
         kgc = KgcAgent()
         kgc.params = new_system_params(net.rng, 8)
         owner = OwnerAgent()
-        keygen_phase(kgc, CloudAgent(), owner, net, 8)
+        keygen_phase(kgc, CloudAgent(), owner, net)
         assert owner.phase is Phase.KEYED
         with pytest.raises(
             PhaseOrderError, match="^owner-000 cannot receive keys from phase KEYED$"
         ):
-            keygen_phase(kgc, CloudAgent(), owner, net, 8)
+            keygen_phase(kgc, CloudAgent(), owner, net)
 
     def test_encryption_requires_keys(self):
         owner = OwnerAgent()
@@ -188,7 +187,7 @@ class TestPhaseOrder:
         with pytest.raises(
             PhaseOrderError, match="^user-000 cannot request access from phase INIT$"
         ):
-            access_control_phase(fresh_user(), {}, CloudAgent(), KgcAgent(), fresh_net(), 8)
+            access_control_phase(fresh_user(), {}, CloudAgent(), KgcAgent(), fresh_net())
 
     def test_replay_only_from_outside(self):
         replayer = fresh_user("adv-replay_query-000", adversary=AdversaryClass.REPLAY_QUERY)
@@ -196,18 +195,18 @@ class TestPhaseOrder:
         with pytest.raises(
             PhaseOrderError, match="^adv-replay_query-000 cannot replay from phase REGISTERED$"
         ):
-            replay_access(replayer, {}, CloudAgent(), KgcAgent(), fresh_net(), 8)
+            replay_access(replayer, {}, CloudAgent(), KgcAgent(), fresh_net())
 
     def test_replay_needs_an_observed_query(self):
         replayer = fresh_user("adv-replay_query-000", adversary=AdversaryClass.REPLAY_QUERY)
         with pytest.raises(
             PhaseOrderError, match="^no access query was observed, nothing to replay$"
         ):
-            replay_access(replayer, {}, CloudAgent(), KgcAgent(), fresh_net(), 8)
+            replay_access(replayer, {}, CloudAgent(), KgcAgent(), fresh_net())
 
     def test_validation_requires_grant(self):
         with pytest.raises(PhaseOrderError, match="^user-000 cannot validate from phase INIT$"):
-            validation_phase(fresh_user(), CloudAgent(), fresh_net(), 8)
+            validation_phase(fresh_user(), CloudAgent(), fresh_net())
 
     def test_sharing_requires_verification(self):
         with pytest.raises(

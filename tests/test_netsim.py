@@ -55,7 +55,7 @@ def scenario(**overrides):
 
 class TestChannel:
     def test_unknown_kind_rejected(self):
-        net = Network(transcript=Transcript(), rng=Rng(0))
+        net = Network(transcript=Transcript(), rng=Rng(0), adversaries={}, width=8)
         with pytest.raises(ValueError):
             net.transmit("access", "user-000", "cloud", "CARRIER_PIGEON", "ACCESS_QUERY", {})
         assert net.transcript.messages == []

@@ -149,19 +149,18 @@ class TestSystemParams:
         params = new_system_params(Rng(seed), width)
         assert len(params.s) == width == len(params.m)
         assert params.s != params.m
-        assert params.width == width
 
 
 class TestDataPipeline:
     @given(st.data(), widths, st.binary(min_size=1, max_size=400))
     def test_bundle_matches_oracle(self, data, width, payload):
         s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
-        bundle = make_cipher_bundle(payload, SystemParams(s=s, m=m, width=width), owner_key)
+        bundle = make_cipher_bundle(payload, SystemParams(s=s, m=m), owner_key)
         assert (bundle.wrapped, bundle.payload_digest) == ref_cipher_bundle(payload, s, m, owner_key)
         assert recover_payload(bundle.wrapped, bundle.payload_digest, s, m) == payload
 
     def test_empty_payload_rejected(self):
-        params = SystemParams(s=b"\x01" * 8, m=b"\x02" * 8, width=8)
+        params = SystemParams(s=b"\x01" * 8, m=b"\x02" * 8)
         with pytest.raises(EmptyPayloadError):
             make_cipher_bundle(b"", params, b"\x03" * 8)
 
