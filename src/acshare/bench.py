@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import load_dataset, record_to_payload, resolve_dataset
+from .dataset import resolve_dataset
 from .entities import CLOUD_NAME, run_protocol
 from .netsim import (
     KEY_LENGTH_BITS,
@@ -27,6 +27,7 @@ from .netsim import (
     ConfigError,
     OutcomeSummary,
     ScenarioConfig,
+    load_payloads,
     principal_roster,
     summarize,
 )
@@ -162,7 +163,7 @@ def run_sweep(
     """One protocol run per (dataset, key length, seed), in that order.
 
     Every cell's configuration is built, and so checked, before any
-    dataset is read.
+    dataset is read, and every dataset is read before the first run.
     """
     if n_genuine == 0:
         raise UndefinedRateError("no genuine principals in the scenario")
@@ -182,10 +183,9 @@ def run_sweep(
         ]
         for name, _ in sources
     ]
+    payload_sets = [load_payloads(name, path, max_records) for name, path in sources]
     rows = []
-    for (name, path), configs in zip(sources, cells):
-        records = load_dataset(path, variant=name)[:max_records]
-        payloads = [record_to_payload(record) for record in records]
+    for (name, _), configs, payloads in zip(sources, cells, payload_sets):
         for config in configs:
             transcript = run_protocol(config, payloads)
             summary = summarize(transcript, config)

@@ -24,6 +24,7 @@ from typing import Sequence
 from .netsim import AdversaryClass, Network, ScenarioConfig, apply_adversary, principal_roster
 from .primitives import Rng
 from .protocol import (
+    CipherContext,
     CorruptCiphertextError,
     Credentials,
     IntegrityError,
@@ -265,7 +266,9 @@ def setup_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network)
     fields = {"user_id": creds.user_id, "password": creds.password}
     annotation = None
     if user.adversary is AdversaryClass.WRONG_PASSWORD:
-        fields, annotation = apply_adversary(user.adversary, fields, net.rng, flips=user.flips)
+        fields, annotation = apply_adversary(
+            user.adversary, fields, net.rng, width=net.width, flips=user.flips
+        )
     delivered = net.transmit(
         STAGE_SETUP, user.name, cloud.name, PRIVATE, KIND_REGISTER, fields, annotation
     )
@@ -352,8 +355,9 @@ def encryption_phase(
     """The owner encrypts every payload and uploads the bundles."""
     _require_phase(owner, Phase.KEYED, "encrypt")
     assert owner.params is not None and owner.keys is not None
+    cipher = CipherContext(owner.params.s, owner.params.m)
     for payload in payloads:
-        bundle = make_cipher_bundle(payload, owner.params, owner.keys.private_key)
+        bundle = make_cipher_bundle(payload, cipher, owner.keys.private_key)
         delivered = net.transmit(
             STAGE_ENCRYPTION, owner.name, cloud.name, PUBLIC, KIND_CIPHER_UPLOAD,
             {"wrapped": bundle.wrapped, "payload_digest": bundle.payload_digest},
@@ -510,7 +514,9 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
         fields = {"user_id": user_id, "v1": pair.v1, "v2": pair.v2, "nonce": pair.nonce}
         annotation = None
         if user.adversary is AdversaryClass.TAMPER_VALIDATION:
-            fields, annotation = apply_adversary(user.adversary, fields, net.rng, flips=user.flips)
+            fields, annotation = apply_adversary(
+                user.adversary, fields, net.rng, width=width, flips=user.flips
+            )
     delivered = net.transmit(
         STAGE_VALIDATION, user.name, cloud.name, channel, KIND_VALIDATE, fields, annotation
     )
@@ -559,6 +565,7 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
         STAGE_SHARING, user.name, cloud.name, PUBLIC, KIND_DATA_REQUEST,
         {"user_id": user.credentials.user_id},
     )
+    cipher = CipherContext(user.params.s, user.params.m)
     recovered: list[bytes] = []
     for wrapped, payload_digest in cloud.store.bundles:
         delivered = net.transmit(
@@ -567,10 +574,7 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
         )
         try:
             payload = recover_payload(
-                delivered.fields["wrapped"],
-                delivered.fields["payload_digest"],
-                user.params.s,
-                user.params.m,
+                delivered.fields["wrapped"], delivered.fields["payload_digest"], cipher
             )
         except (CorruptCiphertextError, IntegrityError) as exc:
             # loud failure: nothing recovered so far is kept, and the

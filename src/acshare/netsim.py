@@ -233,7 +233,7 @@ def apply_adversary(
     fields: dict[str, bytes],
     rng: Rng,
     *,
-    width: int | None = None,
+    width: int,
     flips: int = 1,
 ) -> tuple[dict[str, bytes], dict | None]:
     """Adversarially modified copy of ``fields`` and its annotation.
@@ -250,8 +250,6 @@ def apply_adversary(
         notes = _flip_into(fields, ("password",), rng, None, flips)
         return fields, {"adversary": cls.name, "flips": notes}
     if cls is AdversaryClass.FORGED_PRIVATE_KEY:
-        if width is None:
-            raise ValueError("FORGED_PRIVATE_KEY needs the key width")
         fields["private_key"] = rng.take(width)
         return fields, {
             "adversary": cls.name,
@@ -261,8 +259,6 @@ def apply_adversary(
         notes = _flip_into(fields, ("v1", "v2"), rng, None, flips)
         return fields, {"adversary": cls.name, "flips": notes}
     if cls is AdversaryClass.TAMPER_CIPHERTEXT:
-        if width is None:
-            raise ValueError("TAMPER_CIPHERTEXT needs the key width")
         # the trailing frame holds the stripped owner key, which is not
         # integrity-bound; the adversary aims at the data-bearing prefix
         span = max(1, len(fields["wrapped"]) - (width + 4))
@@ -377,6 +373,18 @@ def summarize(transcript: Transcript, config: ScenarioConfig) -> OutcomeSummary:
     )
 
 
+def load_payloads(name: str, path: str | Path, max_records: int | None) -> list[bytes]:
+    """Serialized records of one dataset file, truncated to ``max_records``.
+
+    A dataset with no records is a configuration error: every genuine
+    principal would complete the sharing stage with nothing shared.
+    """
+    records = load_dataset(path, variant=name)[:max_records]
+    if not records:
+        raise ConfigError(f"dataset {name} at {path} has no records")
+    return [record_to_payload(record) for record in records]
+
+
 def run_scenario(
     config: ScenarioConfig,
     *,
@@ -390,8 +398,7 @@ def run_scenario(
     """
     if payloads is None:
         name, path = resolve_dataset(config.dataset, data_dir)
-        records = load_dataset(path, variant=name)[: config.max_records]
-        payloads = [record_to_payload(record) for record in records]
+        payloads = load_payloads(name, path, config.max_records)
     from .entities import run_protocol  # late import; entities builds on this module
 
     transcript = run_protocol(config, payloads)

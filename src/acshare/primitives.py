@@ -82,14 +82,32 @@ def frame_split(framed: bytes) -> list[bytes]:
     return fields
 
 
-def _counter_blocks(data: bytes, length: int) -> bytes:
-    # digests of (data, 0), (data, 1), ... frames, truncated to length
-    out = bytearray()
-    i = 0
-    while len(out) < length:
-        out += digest(frame_concat([data, _counter(i)]))
-        i += 1
-    return bytes(out[:length])
+class CounterStream:
+    """Digests of ``(data, 0)``, ``(data, 1)``, ... frames as one byte stream.
+
+    The frames share every byte but the trailing counter, so the SHA-256
+    state over that common prefix is taken once and copied for each
+    block. Blocks are kept, and the stream grows only when a request
+    reaches past what is already computed: every :meth:`take` returns a
+    prefix of the same stream.
+    """
+
+    def __init__(self, data: bytes) -> None:
+        self._prefix_state = hashlib.sha256(frame_concat([data, _counter(0)])[:-4])
+        self._blocks = b""
+
+    def take(self, length: int) -> bytes:
+        """First ``length`` bytes of the stream."""
+        if len(self._blocks) < length:
+            first = len(self._blocks) // DIGEST_WIDTH
+            last = -(-length // DIGEST_WIDTH)
+            self._blocks += b"".join(self._block(i) for i in range(first, last))
+        return self._blocks[:length]
+
+    def _block(self, i: int) -> bytes:
+        state = self._prefix_state.copy()
+        state.update(_counter(i))
+        return state.digest()
 
 
 def expand(data: bytes, width: int) -> bytes:
@@ -103,7 +121,7 @@ def expand(data: bytes, width: int) -> bytes:
         raise InvalidWidthError(f"target width must be >= 1, got {width}")
     if width <= DIGEST_WIDTH:
         return digest(data)[:width]
-    return _counter_blocks(data, width)
+    return CounterStream(data).take(width)
 
 
 def xor_bytes(x: bytes, y: bytes) -> bytes:
@@ -186,23 +204,18 @@ def keystream(key: bytes, length: int) -> bytes:
         raise InvalidWidthError("keystream needs a non-empty key")
     if length < 0:
         raise InvalidWidthError("keystream length must be >= 0")
-    return _counter_blocks(key, length)
+    return CounterStream(key).take(length)
 
 
 def sym_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """XOR ``plaintext`` with the key's hash-counter stream.
 
     Length preserving; an empty plaintext maps to an empty ciphertext.
-    Decryption is the same operation, see :func:`sym_decrypt`.
+    The cipher is an involution: decryption is the same operation.
     """
     if not plaintext:
         return b""
     return xor_bytes(plaintext, keystream(key, len(plaintext)))
-
-
-def sym_decrypt(key: bytes, ciphertext: bytes) -> bytes:
-    """Inverse of :func:`sym_encrypt` (the cipher is an involution)."""
-    return sym_encrypt(key, ciphertext)
 
 
 class Rng:

@@ -27,7 +27,8 @@ K_K = H(m || "KGC") the key the centre wraps session material under.
 The bundle format is two functions: the owner's encryption phase,
 :func:`make_cipher_bundle` (``D_E``, then ``D_C`` and the payload
 digest), and the user's data-sharing phase, :func:`recover_payload`
-(its inverse plus the digest check).
+(its inverse plus the digest check). Both take a :class:`CipherContext`,
+which holds ``K_D`` and the ``H(s || m)`` mask of one principal.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .primitives import (
+    DIGEST_WIDTH,
+    CounterStream,
     FramingError,
     Rng,
     WidthMismatchError,
@@ -44,7 +47,6 @@ from .primitives import (
     frame_split,
     mod_reduce,
     mul_mod_width,
-    sym_decrypt,
     sym_encrypt,
     xor_bytes,
 )
@@ -194,7 +196,37 @@ def validation_messages(
     return ValidationPair(v1=v1, v2=v2, nonce=nonce)
 
 
-def make_cipher_bundle(payload: bytes, params: SystemParams, owner_key: bytes) -> CipherBundle:
+class CipherContext:
+    """One principal's data-key state, built once from ``s`` and ``m``.
+
+    Every payload of a run is sealed and opened under the same data key
+    ``K_D`` and the same ``H(s || m)`` mask seed, so both streams are
+    derived once and reused: a keystream or mask request returns a
+    prefix of the stream, grown only as far as the longest request.
+    ``mask(n)`` equals ``expand(H(s || m), n)``, whose first 32 bytes
+    are not a prefix of its longer outputs, so widths up to the digest
+    size are served from ``digest(H(s || m))`` and longer ones from the
+    counter stream.
+    """
+
+    def __init__(self, s: bytes, m: bytes) -> None:
+        mask_seed = digest(frame_concat([s, m]))
+        self._keystream = CounterStream(derive_data_key(m, s))
+        self._short_mask = digest(mask_seed)
+        self._long_mask = CounterStream(mask_seed)
+
+    def apply(self, data: bytes) -> bytes:
+        """``SE(K_D, data)``: XOR with the data key's stream (an involution)."""
+        return xor_bytes(data, self._keystream.take(len(data)))
+
+    def mask(self, length: int) -> bytes:
+        """``expand(H(s || m), length)``."""
+        if length <= DIGEST_WIDTH:
+            return self._short_mask[:length]
+        return self._long_mask.take(length)
+
+
+def make_cipher_bundle(payload: bytes, cipher: CipherContext, owner_key: bytes) -> CipherBundle:
     """Owner-side pipeline: encrypt, wrap, and fingerprint one payload.
 
     Empty payloads are refused: a zero-length ciphertext would be
@@ -204,14 +236,12 @@ def make_cipher_bundle(payload: bytes, params: SystemParams, owner_key: bytes) -
     """
     if not payload:
         raise EmptyPayloadError("refusing to encrypt an empty payload")
-    key = derive_data_key(params.m, params.s)
-    mask = expand(digest(frame_concat([params.s, params.m])), len(payload))
-    encrypted = xor_bytes(sym_encrypt(key, payload), mask)
-    wrapped = sym_encrypt(key, frame_concat([encrypted, owner_key]))
+    encrypted = xor_bytes(cipher.apply(payload), cipher.mask(len(payload)))
+    wrapped = cipher.apply(frame_concat([encrypted, owner_key]))
     return CipherBundle(wrapped=wrapped, payload_digest=digest(payload))
 
 
-def recover_payload(wrapped: bytes, payload_digest: bytes, s: bytes, m: bytes) -> bytes:
+def recover_payload(wrapped: bytes, payload_digest: bytes, cipher: CipherContext) -> bytes:
     """User-side pipeline: unwrap, decrypt, and verify one payload.
 
     Raises :class:`CorruptCiphertextError` when framing breaks (the
@@ -219,18 +249,14 @@ def recover_payload(wrapped: bytes, payload_digest: bytes, s: bytes, m: bytes) -
     :class:`IntegrityError` when the digest check fails; a corrupted
     share can never come back as a silently wrong payload.
     """
-    key = derive_data_key(m, s)
     try:
-        fields = frame_split(sym_decrypt(key, wrapped))
+        fields = frame_split(cipher.apply(wrapped))
     except FramingError as exc:
         raise CorruptCiphertextError(str(exc)) from exc
     if len(fields) != 2:
         raise CorruptCiphertextError(f"expected 2 framed fields, found {len(fields)}")
     encrypted = fields[0]
-    payload = b""
-    if encrypted:  # an empty D_E has no mask to expand
-        mask = expand(digest(frame_concat([s, m])), len(encrypted))
-        payload = sym_decrypt(key, xor_bytes(encrypted, mask))
+    payload = cipher.apply(xor_bytes(encrypted, cipher.mask(len(encrypted))))
     actual = digest(payload)
     if actual != payload_digest:
         raise IntegrityError(

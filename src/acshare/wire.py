@@ -103,6 +103,7 @@ class Transcript:
         self.messages: list[Message] = []
         self.outcomes: dict[str, Outcome] = {}
         self.world = None
+        self._jsonl = (0, "")  # (message count, JSON lines of that many messages)
 
     def append(
         self,
@@ -125,7 +126,16 @@ class Transcript:
         return [m for m in self.messages if m.kind == kind]
 
     def to_jsonl(self) -> str:
-        return "".join(message.to_json() + "\n" for message in self.messages)
+        """JSON lines of every message, one per line.
+
+        Messages are immutable once appended, so the text is kept and
+        only messages appended since the last call are rendered.
+        """
+        count, text = self._jsonl
+        if count < len(self.messages):
+            text += "".join(message.to_json() + "\n" for message in self.messages[count:])
+            self._jsonl = (len(self.messages), text)
+        return text
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("ascii")).hexdigest()

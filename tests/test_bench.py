@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from acshare import bench
 from acshare.bench import (
     BenchRow,
     HEADER,
@@ -123,6 +124,17 @@ class TestSweep:
     def test_bad_cell_rejected_before_data_is_read(self, tmp_path, cell):
         with pytest.raises(ConfigError):
             run_sweep(["cleveland"], data_dir=tmp_path / "missing", **cell)
+
+    def test_empty_dataset_rejected_before_any_run(self, data_dir, tmp_path, monkeypatch):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("\n")
+
+        def no_run(*_args):
+            raise AssertionError("a protocol run started")
+
+        monkeypatch.setattr(bench, "run_protocol", no_run)
+        with pytest.raises(ConfigError, match="has no records"):
+            run_sweep(["swiss", str(empty)], key_lengths=(64,), data_dir=data_dir)
 
     def test_csv_format(self, tmp_path):
         rows = [

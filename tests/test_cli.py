@@ -109,6 +109,17 @@ class TestRun:
         assert code == 2
         assert err.startswith("error[CONFIG]:")
 
+    def test_empty_dataset_is_config_error(self, capsys, tmp_path, scenario_path):
+        (tmp_path / "swiss.csv").write_text("\n")
+        out = tmp_path / "x.jsonl"
+        code, _, err = invoke(
+            capsys, "run", "--scenario", str(scenario_path), "--out", str(out),
+            "--data-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert err.startswith("error[CONFIG]:") and "has no records" in err
+        assert not out.exists()
+
     def test_seed_override_out_of_range(self, capsys, tmp_path, scenario_path):
         code, _, err = invoke(
             capsys, "run", "--scenario", str(scenario_path), "--out", str(tmp_path / "x.jsonl"),
@@ -158,6 +169,18 @@ class TestBench:
         assert code == 2
         assert err.startswith("error[CONFIG]:")
 
+    def test_empty_dataset_is_config_error(self, capsys, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        out = tmp_path / "x.csv"
+        code, _, err = invoke(
+            capsys, "bench", "--out", str(out), "--data-dir", DATA_DIR,
+            "--dataset", "swiss", "--dataset", str(empty), "--key-length", "64",
+        )
+        assert code == 2
+        assert err.startswith("error[CONFIG]:") and "has no records" in err
+        assert not out.exists()
+
     def test_zero_genuine_is_config_error(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "bench", "--out", str(tmp_path / "x.csv"), "--data-dir", DATA_DIR,
@@ -175,6 +198,13 @@ class TestParseDataset:
         assert code == 0
         assert "cleveland: 303 records" in out
         assert "missing values: ca=4, thal=2" in out
+
+    def test_empty_file_reports_zero_records(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        code, out, _ = invoke(capsys, "parse-dataset", "--dataset", str(path))
+        assert code == 0
+        assert "empty: 0 records" in out
 
     def test_broken_file_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -110,6 +111,33 @@ class TestTranscriptSerialization:
     def test_content_hash_matches_reruns(self, honest_config, sample_payload, honest_transcript):
         again = run_protocol(honest_config, [sample_payload])
         assert again.content_hash() == honest_transcript.content_hash()
+
+    def test_jsonl_render_follows_appends(self, honest_transcript, tmp_path, monkeypatch):
+        def copy_into(transcript, messages):
+            for m in messages:
+                transcript.append(
+                    m.stage, m.sender, m.recipient, m.channel, m.kind, m.fields, m.annotation
+                )
+
+        messages = honest_transcript.messages
+        half = len(messages) // 2
+        grown, fresh = Transcript(), Transcript()
+        copy_into(grown, messages[:half])
+        first = grown.to_jsonl()
+        copy_into(grown, messages[half:])
+        copy_into(fresh, messages)
+        rendered = []
+        to_json = Message.to_json
+        monkeypatch.setattr(Message, "to_json", lambda m: rendered.append(m.step) or to_json(m))
+        out = tmp_path / "t.jsonl"
+        grown.write(out)
+        assert grown.content_hash() == hashlib.sha256(out.read_bytes()).hexdigest()
+        # write and content_hash share one render of the messages appended
+        # since the first call
+        assert rendered == list(range(half + 1, len(messages) + 1))
+        monkeypatch.undo()
+        assert out.read_text(encoding="ascii") == grown.to_jsonl() == fresh.to_jsonl()
+        assert fresh.to_jsonl().startswith(first)
 
 
 class TestCloudStore:

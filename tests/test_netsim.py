@@ -165,12 +165,14 @@ class TestScenarioConfig:
 class TestApplyAdversary:
     def test_none_is_identity(self):
         fields = {"user_id": b"user-000", "q": bytes(16)}
-        mutated, annotation = apply_adversary(AdversaryClass.NONE, fields, Rng(0))
+        mutated, annotation = apply_adversary(AdversaryClass.NONE, fields, Rng(0), width=16)
         assert mutated is fields and annotation is None
 
     def test_wrong_password_flips_one_byte(self):
         fields = {"user_id": b"u", "password": bytes(16)}
-        mutated, annotation = apply_adversary(AdversaryClass.WRONG_PASSWORD, fields, Rng(1))
+        mutated, annotation = apply_adversary(
+            AdversaryClass.WRONG_PASSWORD, fields, Rng(1), width=16
+        )
         diff = [
             i
             for i, (a, b) in enumerate(zip(fields["password"], mutated["password"]))
@@ -194,7 +196,7 @@ class TestApplyAdversary:
 
     def test_tamper_validation_hits_the_pair(self):
         fields = {"user_id": b"u", "v1": bytes(16), "v2": bytes(16), "nonce": bytes(16)}
-        mutated, _ = apply_adversary(AdversaryClass.TAMPER_VALIDATION, fields, Rng(3))
+        mutated, _ = apply_adversary(AdversaryClass.TAMPER_VALIDATION, fields, Rng(3), width=16)
         changed = (fields["v1"] != mutated["v1"]) + (fields["v2"] != mutated["v2"])
         assert changed == 1
         assert mutated["nonce"] == fields["nonce"]

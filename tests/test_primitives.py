@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from acshare.primitives import (
@@ -19,13 +19,12 @@ from acshare.primitives import (
     keystream,
     mod_reduce,
     mul_mod_width,
-    sym_decrypt,
     sym_encrypt,
     to_int,
     xor_bytes,
 )
 
-from reference import ref_effective_modulus, ref_mod_reduce
+from reference import _grow, _stream, ref_effective_modulus, ref_mod_reduce
 
 short_bytes = st.binary(min_size=0, max_size=64)
 nonempty_bytes = st.binary(min_size=1, max_size=64)
@@ -108,6 +107,23 @@ class TestExpand:
     @given(short_bytes)
     def test_prefix_consistency(self, data):
         assert expand(data, 8) == expand(data, 32)[:8]
+
+
+class TestCounterBlocks:
+    # expand's multi-block branch and keystream share one counter stream;
+    # lengths straddle the 32-byte digest size and span several blocks
+
+    @given(nonempty_bytes, st.integers(1, 300))
+    @example(b"x", 32)
+    @example(b"x", 33)
+    def test_expand_matches_oracle(self, data, width):
+        assert expand(data, width) == _grow(data, width)
+
+    @given(nonempty_bytes, st.integers(1, 300))
+    @example(b"k", 32)
+    @example(b"k", 33)
+    def test_keystream_matches_oracle(self, key, length):
+        assert keystream(key, length) == _stream(key, length)
 
 
 class TestXor:
@@ -209,7 +225,7 @@ class TestStreamCipher:
     def test_round_trip(self, key, plaintext):
         ciphertext = sym_encrypt(key, plaintext)
         assert len(ciphertext) == len(plaintext)
-        assert sym_decrypt(key, ciphertext) == plaintext
+        assert sym_encrypt(key, ciphertext) == plaintext
 
     @given(nonempty_bytes, nonempty_bytes)
     def test_ciphertext_differs_from_plaintext_usually(self, key, plaintext):

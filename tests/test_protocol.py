@@ -13,14 +13,13 @@ from acshare.primitives import (
     digest,
     frame_concat,
     frame_split,
-    sym_decrypt,
     sym_encrypt,
 )
 from acshare.protocol import (
+    CipherContext,
     CorruptCiphertextError,
     EmptyPayloadError,
     IntegrityError,
-    SystemParams,
     access_query,
     derive_data_key,
     derive_private_key,
@@ -155,54 +154,72 @@ class TestDataPipeline:
     @given(st.data(), widths, st.binary(min_size=1, max_size=400))
     def test_bundle_matches_oracle(self, data, width, payload):
         s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
-        bundle = make_cipher_bundle(payload, SystemParams(s=s, m=m), owner_key)
+        bundle = make_cipher_bundle(payload, CipherContext(s, m), owner_key)
         assert (bundle.wrapped, bundle.payload_digest) == ref_cipher_bundle(payload, s, m, owner_key)
-        assert recover_payload(bundle.wrapped, bundle.payload_digest, s, m) == payload
+        assert recover_payload(bundle.wrapped, bundle.payload_digest, CipherContext(s, m)) == payload
+
+    @given(
+        st.data(),
+        widths,
+        st.lists(st.binary(min_size=1, max_size=400), min_size=1, max_size=12),
+    )
+    def test_reused_context_matches_oracle(self, data, width, payloads):
+        # one context seals and opens every payload in drawn order, so its
+        # streams grow from short and long requests alike
+        s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
+        cipher = CipherContext(s, m)
+        for payload in payloads:
+            bundle = make_cipher_bundle(payload, cipher, owner_key)
+            assert (bundle.wrapped, bundle.payload_digest) == ref_cipher_bundle(
+                payload, s, m, owner_key
+            )
+            assert recover_payload(bundle.wrapped, bundle.payload_digest, cipher) == payload
 
     def test_empty_payload_rejected(self):
-        params = SystemParams(s=b"\x01" * 8, m=b"\x02" * 8)
         with pytest.raises(EmptyPayloadError):
-            make_cipher_bundle(b"", params, b"\x03" * 8)
+            make_cipher_bundle(b"", CipherContext(b"\x01" * 8, b"\x02" * 8), b"\x03" * 8)
 
     def test_decrypt_empty_is_empty(self):
         s, m = b"\x01" * 8, b"\x02" * 8
         wrapped = sym_encrypt(derive_data_key(m, s), frame_concat([b"", b"\x03" * 8]))
-        assert recover_payload(wrapped, digest(b""), s, m) == b""
+        assert recover_payload(wrapped, digest(b""), CipherContext(s, m)) == b""
 
     @given(st.data(), widths, st.binary(min_size=1, max_size=200))
     def test_wrap_length_relation(self, data, width, payload):
         rng = Rng(data.draw(st.integers(0, 2**32)))
         params = new_system_params(rng, width)
         owner_key = rng.take(width)
-        wrapped = make_cipher_bundle(payload, params, owner_key).wrapped
+        wrapped = make_cipher_bundle(payload, CipherContext(params.s, params.m), owner_key).wrapped
         assert len(wrapped) == len(payload) + width + 8
-        fields = frame_split(sym_decrypt(derive_data_key(params.m, params.s), wrapped))
+        fields = frame_split(sym_encrypt(derive_data_key(params.m, params.s), wrapped))
         assert len(fields) == 2
         assert fields[1] == owner_key
 
     def test_unwrap_rejects_garbage(self):
         s, m = b"\x01" * 8, b"\x02" * 8
         with pytest.raises(CorruptCiphertextError):
-            recover_payload(b"\xff" * 3, digest(b""), s, m)
+            recover_payload(b"\xff" * 3, digest(b""), CipherContext(s, m))
         three_fields = sym_encrypt(derive_data_key(m, s), frame_concat([b"a", b"b", b"c"]))
         with pytest.raises(CorruptCiphertextError):
-            recover_payload(three_fields, digest(b""), s, m)
+            recover_payload(three_fields, digest(b""), CipherContext(s, m))
 
     @given(st.data(), widths, st.binary(min_size=1, max_size=200))
     def test_bundle_round_trip(self, data, width, payload):
         rng = Rng(data.draw(st.integers(0, 2**32)))
         params = new_system_params(rng, width)
         owner_key = rng.take(width)
-        bundle = make_cipher_bundle(payload, params, owner_key)
+        cipher = CipherContext(params.s, params.m)
+        bundle = make_cipher_bundle(payload, cipher, owner_key)
         assert bundle.payload_digest == digest(payload)
-        assert recover_payload(bundle.wrapped, bundle.payload_digest, params.s, params.m) == payload
+        assert recover_payload(bundle.wrapped, bundle.payload_digest, cipher) == payload
 
     @given(st.data(), st.binary(min_size=1, max_size=80))
     def test_flips_never_return_wrong_payload(self, data, payload):
         width = 16
         rng = Rng(2024)
         params = new_system_params(rng, width)
-        bundle = make_cipher_bundle(payload, params, rng.take(width))
+        cipher = CipherContext(params.s, params.m)
+        bundle = make_cipher_bundle(payload, cipher, rng.take(width))
         # corrupt one byte anywhere in the data-bearing prefix
         span = len(bundle.wrapped) - width - 4
         index = data.draw(st.integers(0, span - 1))
@@ -210,15 +227,16 @@ class TestDataPipeline:
         corrupt = bytearray(bundle.wrapped)
         corrupt[index] ^= delta
         with pytest.raises((CorruptCiphertextError, IntegrityError)):
-            recover_payload(bytes(corrupt), bundle.payload_digest, params.s, params.m)
+            recover_payload(bytes(corrupt), bundle.payload_digest, cipher)
 
     def test_integrity_error_carries_both_digests(self):
         width = 16
         rng = Rng(5)
         params = new_system_params(rng, width)
-        bundle = make_cipher_bundle(b"payload", params, rng.take(width))
+        cipher = CipherContext(params.s, params.m)
+        bundle = make_cipher_bundle(b"payload", cipher, rng.take(width))
         with pytest.raises(IntegrityError) as info:
-            recover_payload(bundle.wrapped, digest(b"other"), params.s, params.m)
+            recover_payload(bundle.wrapped, digest(b"other"), cipher)
         assert info.value.advertised == digest(b"other").hex()
         assert info.value.actual == digest(b"payload").hex()
 
