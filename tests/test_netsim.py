@@ -274,22 +274,40 @@ class TestPopulationOutcomes:
                 left, right = outcome.mismatch
                 assert left != right
 
-    def test_rejection_mismatch_is_recheckable(self, sample_payload):
+    @pytest.mark.parametrize(
+        "cls, seed, flipped",
+        [
+            (AdversaryClass.WRONG_PASSWORD, 13, None),
+            (AdversaryClass.FORGED_PRIVATE_KEY, 13, None),
+            (AdversaryClass.TAMPER_VALIDATION, 3, "v1"),
+            (AdversaryClass.TAMPER_VALIDATION, 0, "v2"),
+        ],
+        ids=["WRONG_PASSWORD", "FORGED_PRIVATE_KEY", "TAMPER_VALIDATION-v1", "TAMPER_VALIDATION-v2"],
+    )
+    def test_rejection_mismatch_is_recheckable(self, cls, seed, flipped, sample_payload):
         config = scenario(
-            adversaries=(AdversarySpec(cls=AdversaryClass.WRONG_PASSWORD, count=1),),
-            seed=13,
+            n_genuine=0,
+            adversaries=(AdversarySpec(cls=cls, count=1),),
+            key_length_bits=64,
+            seed=seed,
         )
         transcript = run_protocol(config, [sample_payload])
-        outcome = transcript.outcomes["adv-wrong_password-000"]
-        presented, expected = outcome.mismatch
-        digest_msg = [
-            m
-            for m in transcript.by_kind("REGISTER_DIGEST")
-            if m.sender == "adv-wrong_password-000"
-        ][0]
-        assert digest_msg.fields["digest"].hex() == presented
-        rejection = transcript.by_kind("REGISTER_REJECTED")[0]
-        assert rejection.fields["expected"].hex() == expected
+        name = f"adv-{cls.name.lower()}-000"
+        if flipped is not None:
+            (validate,) = [m for m in transcript.by_kind("VALIDATE") if m.sender == name]
+            assert [note["field"] for note in validate.annotation["flips"]] == [flipped]
+        (rejection,) = [
+            m for m in transcript.messages
+            if m.kind.endswith("_REJECTED") and m.recipient == name
+        ]
+        fields = rejection.fields
+        pairs = [
+            (fields[key], fields["expected" if "expected" in fields else f"{key}_expected"])
+            for key in fields
+            if key != "expected" and not key.endswith("_expected")
+        ]
+        first = next(pair for pair in pairs if pair[0] != pair[1])
+        assert transcript.outcomes[name].mismatch == (first[0].hex(), first[1].hex())
 
 
 class TestChannelDiscipline:
