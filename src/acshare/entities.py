@@ -89,6 +89,13 @@ KGC_NAME = "kgc"
 CLOUD_NAME = "cloud"
 OWNER_NAME = "owner-000"
 
+#: the server's three checks: stage -> (accept kind, reject kind, rejection reason)
+GATES = {
+    STAGE_SETUP: (KIND_REGISTER_ACCEPTED, KIND_REGISTER_REJECTED, "registration digest mismatch"),
+    STAGE_ACCESS: (KIND_ACCESS_ACCEPTED, KIND_ACCESS_REJECTED, "access query mismatch"),
+    STAGE_VALIDATION: (KIND_VALIDATE_ACCEPTED, KIND_VALIDATE_REJECTED, "validation pair mismatch"),
+}
+
 
 class PhaseOrderError(RuntimeError):
     """A stage was invoked on a principal in the wrong phase."""
@@ -235,6 +242,36 @@ def _reject(
     )
 
 
+def _decide(
+    stage: str, presented: dict[str, bytes], expected: dict[str, bytes], requester: UserAgent,
+    recipient: str, channel: str, net: Network,
+    accept_fields: dict[str, bytes] | None = None, annotation: dict | None = None,
+) -> bool:
+    """Run the server's ``stage`` gate and send its verdict to ``recipient``.
+
+    The accept reply carries ``accept_fields`` and then the presented
+    values, with ``annotation``. The reject reply sets each presented
+    value beside its expected one, under ``expected`` for a one-value
+    gate and ``<name>_expected`` otherwise, and ``requester`` is
+    rejected with the first differing pair.
+    """
+    accept_kind, reject_kind, reason = GATES[stage]
+    if presented == expected:
+        net.transmit(
+            stage, CLOUD_NAME, recipient, channel, accept_kind,
+            {**(accept_fields or {}), **presented}, annotation,
+        )
+        return True
+    fields = {}
+    for name, value in presented.items():
+        fields[name] = value
+        fields["expected" if len(presented) == 1 else f"{name}_expected"] = expected[name]
+    net.transmit(stage, CLOUD_NAME, recipient, channel, reject_kind, fields)
+    name = next(name for name, value in presented.items() if value != expected[name])
+    _reject(requester, net, stage, reason, (presented[name].hex(), expected[name].hex()))
+    return False
+
+
 def _require_phase(agent: UserAgent | OwnerAgent, phase: Phase, action: str) -> None:
     """Refuse to let ``agent`` ``action`` unless it is in ``phase``."""
     if agent.phase is not phase:
@@ -284,22 +321,9 @@ def setup_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network)
     expected = registration_digest(
         digest_msg.fields["user_id"], slot.password, cloud.store.s, net.width
     )
-    presented = digest_msg.fields["digest"]
-    if presented == expected:
-        net.transmit(
-            STAGE_SETUP, cloud.name, user.name, PUBLIC, KIND_REGISTER_ACCEPTED,
-            {"digest": presented},
-        )
+    presented = {"digest": digest_msg.fields["digest"]}
+    if _decide(STAGE_SETUP, presented, {"digest": expected}, user, user.name, PUBLIC, net):
         user.phase = Phase.REGISTERED
-    else:
-        net.transmit(
-            STAGE_SETUP, cloud.name, user.name, PUBLIC, KIND_REGISTER_REJECTED,
-            {"digest": presented, "expected": expected},
-        )
-        _reject(
-            user, net, STAGE_SETUP, "registration digest mismatch",
-            (presented.hex(), expected.hex()),
-        )
 
 
 def keygen_phase(
@@ -388,25 +412,14 @@ def _serve_access(
     assert cloud.store.s is not None and slot.private_key is not None
     expected_digest = registration_digest(user_id, slot.password, cloud.store.s, width)
     expected_q = access_query(expected_digest, user_id, slot.private_key, width)
-    presented_q = query.fields["q"]
     holder = users_by_id[user_id]  # every stored id belongs to a roster user
     replayed = query.annotation is not None and "replayed_from_step" in query.annotation
-    if presented_q != expected_q:
-        net.transmit(
-            STAGE_ACCESS, cloud.name, holder.name, PUBLIC, KIND_ACCESS_REJECTED,
-            {"q": presented_q, "expected": expected_q},
-        )
-        _reject(
-            requester, net, STAGE_ACCESS, "access query mismatch",
-            (presented_q.hex(), expected_q.hex()),
-        )
-        return
     accept_note = {"granted_for_replay_of_step": query.annotation["replayed_from_step"]} if replayed else None
-    net.transmit(
-        STAGE_ACCESS, cloud.name, holder.name, PUBLIC, KIND_ACCESS_ACCEPTED,
-        {"user_id": user_id, "q": presented_q},
-        annotation=accept_note,
-    )
+    if not _decide(
+        STAGE_ACCESS, {"q": query.fields["q"]}, {"q": expected_q}, requester, holder.name,
+        PUBLIC, net, accept_fields={"user_id": user_id}, annotation=accept_note,
+    ):
+        return
     net.transmit(
         STAGE_ACCESS, cloud.name, kgc.name, PRIVATE, KIND_SESSION_REQUEST, {"user_id": user_id}
     )
@@ -537,24 +550,10 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
         slot.attribute,
         width,
     )
-    got_v1 = delivered.fields["v1"]
-    got_v2 = delivered.fields["v2"]
-    if got_v1 == expected.v1 and got_v2 == expected.v2:
-        net.transmit(
-            STAGE_VALIDATION, cloud.name, user.name, delivered.channel, KIND_VALIDATE_ACCEPTED,
-            {"v1": got_v1, "v2": got_v2},
-        )
+    presented = {"v1": delivered.fields["v1"], "v2": delivered.fields["v2"]}
+    pair = {"v1": expected.v1, "v2": expected.v2}
+    if _decide(STAGE_VALIDATION, presented, pair, user, user.name, delivered.channel, net):
         user.phase = Phase.VERIFIED
-    else:
-        net.transmit(
-            STAGE_VALIDATION, cloud.name, user.name, delivered.channel, KIND_VALIDATE_REJECTED,
-            {"v1": got_v1, "v1_expected": expected.v1, "v2": got_v2, "v2_expected": expected.v2},
-        )
-        if got_v1 != expected.v1:
-            mismatch = (got_v1.hex(), expected.v1.hex())
-        else:
-            mismatch = (got_v2.hex(), expected.v2.hex())
-        _reject(user, net, STAGE_VALIDATION, "validation pair mismatch", mismatch)
 
 
 def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None:
