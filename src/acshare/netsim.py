@@ -207,17 +207,22 @@ def _flip_into(
 
     The fields are read as one string, in the order named, so a flip
     lands anywhere across them; ``span`` bounds it to a prefix of that
-    string. Every flip XORs a nonzero value, so each chosen byte is
-    guaranteed to change. Returns deterministic notes, each naming the
-    field and the index within it, for the annotation.
+    string. A byte's delta is redrawn while it equals the XOR already
+    applied to that byte, so no chosen byte ever returns to its original
+    value. Returns deterministic notes, each naming the field and the
+    index within it, for the annotation.
     """
     data = {name: bytearray(fields[name]) for name in names}
     total = sum(len(buffer) for buffer in data.values())
     limit = total if span is None else min(span, total)
+    applied: dict[int, int] = {}  # running XOR of each flipped position
     notes = []
     for _ in range(flips):
         idx = to_int(rng.take(4)) % limit
         delta = (rng.take(1)[0] % 255) + 1
+        while delta == applied.get(idx, 0):
+            delta = (rng.take(1)[0] % 255) + 1
+        applied[idx] = applied.get(idx, 0) ^ delta
         for name, buffer in data.items():
             if idx < len(buffer):
                 break

@@ -214,6 +214,21 @@ class TestApplyAdversary:
             assert mutated["wrapped"] != wrapped
             assert mutated["payload_digest"] == bytes(32)
 
+    @pytest.mark.parametrize("flips", [2, 3, 8])
+    def test_flips_on_one_byte_never_cancel(self, flips):
+        # every flip lands on the same byte, so a repeated or completing
+        # XOR would hand back the original value
+        for seed in range(300):
+            mutated, annotation = apply_adversary(
+                AdversaryClass.WRONG_PASSWORD, {"password": b"\x00"}, Rng(seed), width=1,
+                flips=flips,
+            )
+            running = 0
+            for note in annotation["flips"]:
+                running ^= note["xor"]
+                assert running != 0
+            assert mutated["password"] == bytes([running])
+
     def test_replay_preserves_fields(self, sample_payload):
         # a replay re-sends a whole observed message, outside apply_adversary
         config = scenario(
@@ -240,6 +255,26 @@ class TestPopulationOutcomes:
         outcome = transcript.outcomes[name]
         status, stage = EXPECTED_TERMINUS[cls]
         assert (outcome.status, outcome.stage) == (status, stage)
+        assert transcript.outcomes["user-000"].status == ACCEPTED
+
+    @pytest.mark.parametrize(
+        "cls, seed",
+        [
+            (AdversaryClass.WRONG_PASSWORD, 3949),
+            (AdversaryClass.TAMPER_VALIDATION, 3190),
+            (AdversaryClass.TAMPER_CIPHERTEXT, 8254),
+        ],
+        ids=lambda value: value.name if isinstance(value, AdversaryClass) else str(value),
+    )
+    def test_two_flips_never_cancel(self, cls, seed, sample_payload):
+        # these seeds once drew the same byte and XOR twice, which let
+        # the adversary's value through unchanged
+        config = scenario(
+            adversaries=(AdversarySpec(cls=cls, count=1, flips=2),), key_length_bits=64, seed=seed
+        )
+        transcript = run_protocol(config, [sample_payload])
+        outcome = transcript.outcomes[f"adv-{cls.name.lower()}-000"]
+        assert (outcome.status, outcome.stage) == EXPECTED_TERMINUS[cls]
         assert transcript.outcomes["user-000"].status == ACCEPTED
 
     def test_mixed_population_counts(self, sample_payload):
