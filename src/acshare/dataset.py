@@ -134,9 +134,15 @@ def load_dataset(path: str | Path, variant: str | None = None) -> list[HeartReco
     path = Path(path)
     label = f"{variant} dataset at {path}" if variant else str(path)
     try:
-        text = path.read_text(encoding="ascii")
+        text = path.read_bytes().decode("ascii")
     except OSError as exc:
         raise OSError(f"cannot read {label}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # every byte before the bad one is ASCII; "?" stands in for it
+        line_no = len((exc.object[: exc.start].decode("ascii") + "?").splitlines())
+        raise DatasetParseError(
+            f"non-ASCII byte {exc.object[exc.start]:#04x}", path=str(path), line_no=line_no
+        ) from exc
     records = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

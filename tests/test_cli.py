@@ -46,6 +46,13 @@ class TestDemo:
         code_b, out_b, _ = invoke(capsys, "demo", "--seed", "9")
         assert (code_a, out_a) == (code_b, out_b)
 
+    def test_adversary_count_other_than_one_is_config_error(self, capsys):
+        for argv in (("WRONG_PASSWORD=0",), ("WRONG_PASSWORD=2",), ("TAMPER_VALIDATION", "REPLAY_QUERY")):
+            flags = [arg for token in argv for arg in ("--adversary", token)]
+            code, out, err = invoke(capsys, "demo", *flags)
+            assert code == 2, argv
+            assert out == "" and err.startswith("error[CONFIG]:")
+
     def test_replay_demo_shows_both_principals(self, capsys):
         code, out, _ = invoke(capsys, "demo", "--adversary", "REPLAY_QUERY")
         assert code == 3
@@ -104,10 +111,21 @@ class TestRun:
 
     def test_malformed_scenario_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code, _, err = invoke(capsys, "run", "--scenario", str(path))
-        assert code == 2
-        assert err.startswith("error[CONFIG]:")
+        # bad JSON, a file that is not UTF-8, nesting deeper than the parser recurses
+        for content in (b"{not json", b'{"seed": "\xff"}', b"[" * 100000):
+            path.write_bytes(content)
+            code, _, err = invoke(capsys, "run", "--scenario", str(path))
+            assert code == 2, content[:20]
+            assert err.startswith("error[CONFIG]:")
+
+    def test_non_ascii_dataset_is_dataset_error(self, capsys, tmp_path, scenario_path):
+        (tmp_path / "swiss.csv").write_bytes(b"63,1,1,145,233,1,2,150,0,2.3,3,0,6,0\n\xe9\n")
+        code, _, err = invoke(
+            capsys, "run", "--scenario", str(scenario_path), "--out", str(tmp_path / "x.jsonl"),
+            "--data-dir", str(tmp_path),
+        )
+        assert code == 4
+        assert err.startswith("error[DATASET]:") and "swiss.csv:2:" in err
 
     def test_empty_dataset_is_config_error(self, capsys, tmp_path, scenario_path):
         (tmp_path / "swiss.csv").write_text("\n")
@@ -181,6 +199,16 @@ class TestBench:
         assert err.startswith("error[CONFIG]:") and "has no records" in err
         assert not out.exists()
 
+    def test_non_ascii_dataset_is_dataset_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xe9\n")
+        code, _, err = invoke(
+            capsys, "bench", "--out", str(tmp_path / "x.csv"), "--dataset", str(bad),
+            "--key-length", "64",
+        )
+        assert code == 4
+        assert err.startswith("error[DATASET]:") and "bad.csv:1:" in err
+
     def test_zero_genuine_is_config_error(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "bench", "--out", str(tmp_path / "x.csv"), "--data-dir", DATA_DIR,
@@ -208,11 +236,13 @@ class TestParseDataset:
 
     def test_broken_file_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("1,2,3\n")
-        code, _, err = invoke(capsys, "parse-dataset", "--dataset", str(path))
-        assert code == 4
-        assert err.startswith("error[DATASET]:")
-        assert ":1:" in err
+        # too few fields, and a byte that is not ASCII after two blank lines
+        for content, line in ((b"1,2,3\n", 1), (b"\n\r\n63,1,1,145,233,1,2,150,0,2.3,3,0,6,\xe9\n", 3)):
+            path.write_bytes(content)
+            code, _, err = invoke(capsys, "parse-dataset", "--dataset", str(path))
+            assert code == 4
+            assert err.startswith("error[DATASET]:")
+            assert f":{line}:" in err
 
 
 class TestUsage:
