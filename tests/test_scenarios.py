@@ -1,0 +1,64 @@
+"""Generated scenarios: the run invariants over drawn configurations.
+
+Each drawn scenario has every adversary class in a small roster, a flip
+budget of 1-3 per class, one of the four key lengths and 1-3 Cleveland
+records. Three invariants must hold for all of them: one outcome per
+principal, ACCEPTED exactly for the genuine ones, and one memory figure
+from the closed form, the transcript and the store ledger.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from acshare.bench import expected_memory_bytes, measure_memory
+from acshare.entities import run_protocol
+from acshare.netsim import (
+    KEY_LENGTH_BITS,
+    AdversaryClass,
+    AdversarySpec,
+    ScenarioConfig,
+    load_payloads,
+    principal_roster,
+)
+from acshare.wire import ACCEPTED
+
+from conftest import REPO_ROOT
+
+CLASSES = [cls for cls in AdversaryClass if cls is not AdversaryClass.NONE]
+RECORDS = load_payloads("cleveland", REPO_ROOT / "data" / "cleveland.csv", None)
+
+
+@st.composite
+def scenarios(draw) -> tuple[ScenarioConfig, list[bytes]]:
+    adversaries = tuple(
+        AdversarySpec(cls, count=draw(st.integers(1, 2)), flips=draw(st.integers(1, 3)))
+        for cls in CLASSES
+    )
+    config = ScenarioConfig(
+        n_genuine=draw(st.integers(1, 2)),  # a replaying outsider needs a genuine user
+        adversaries=adversaries,
+        dataset="cleveland",
+        key_length_bits=draw(st.sampled_from(KEY_LENGTH_BITS)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return config, draw(st.lists(st.sampled_from(RECORDS), min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios())
+def test_generated_scenario_invariants(scenario):
+    config, payloads = scenario
+    transcript = run_protocol(config, payloads)
+    roster = principal_roster(config)
+
+    assert sorted(transcript.outcomes) == sorted(name for name, _, _ in roster)
+    for name, cls, _ in roster:
+        accepted = transcript.outcomes[name].status == ACCEPTED
+        assert accepted == (cls is AdversaryClass.NONE), (name, transcript.outcomes[name])
+
+    store = transcript.world.cloud.store
+    measured = measure_memory(config, transcript)
+    assert measured == expected_memory_bytes(config, [len(p) for p in payloads])
+    assert measured == store.accounted_bytes() + 2 * config.width
