@@ -171,9 +171,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
-        text = Path(path).read_bytes()
         try:
-            doc = json.loads(text.decode("utf-8"))
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"malformed scenario JSON in {path}: {exc}") from exc
         return cls.from_json(doc)

@@ -35,8 +35,9 @@ def test_known_record_reveals_no_other_upload(data_dir):
         n_genuine=1, adversaries=(), dataset="cleveland", key_length_bits=256, seed=0
     )
     transcript = run_protocol(config, payloads)
-    uploads = [m.fields for m in transcript.by_kind("CIPHER_UPLOAD")]
-    assert all(m.channel == "PUBLIC" for m in transcript.by_kind("CIPHER_UPLOAD"))
+    messages = transcript.by_kind("CIPHER_UPLOAD")
+    assert {m.channel for m in messages} == {"PUBLIC"}
+    uploads = [m.fields for m in messages]
 
     # the eavesdropper knows one record, the longest, and sees its upload
     known = max(range(len(payloads)), key=lambda i: len(payloads[i]))
