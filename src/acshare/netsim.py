@@ -173,7 +173,7 @@ class ScenarioConfig:
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, oversized ints
             raise ConfigError(f"malformed scenario JSON in {path}: {exc}") from exc
         return cls.from_json(doc)
 

@@ -111,8 +111,9 @@ class TestRun:
 
     def test_malformed_scenario_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
-        # bad JSON, a file that is not UTF-8, nesting deeper than the parser recurses
-        for content in (b"{not json", b'{"seed": "\xff"}', b"[" * 100000):
+        # bad JSON, a file that is not UTF-8, nesting deeper than the parser
+        # recurses, an integer longer than int() converts
+        for content in (b"{not json", b'{"seed": "\xff"}', b"[" * 100000, b"1" * 5000):
             path.write_bytes(content)
             code, _, err = invoke(capsys, "run", "--scenario", str(path))
             assert code == 2, content[:20]
