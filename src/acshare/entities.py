@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .netsim import AdversaryClass, Network, ScenarioConfig, apply_adversary, principal_roster
+from .netsim import AdversaryClass, Network, ScenarioConfig, principal_roster
 from .primitives import Rng
 from .protocol import (
     CipherContext,
@@ -124,7 +124,6 @@ class UserAgent:
     name: str
     credentials: Credentials
     adversary: AdversaryClass = AdversaryClass.NONE
-    flips: int = 1
     phase: Phase = Phase.INIT
     params: SystemParams | None = None
     keys: KeyMaterial | None = None
@@ -300,14 +299,9 @@ def setup_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network)
     user.params = params
 
     creds = user.credentials
-    fields = {"user_id": creds.user_id, "password": creds.password}
-    annotation = None
-    if user.adversary is AdversaryClass.WRONG_PASSWORD:
-        fields, annotation = apply_adversary(
-            user.adversary, fields, net.rng, width=net.width, flips=user.flips
-        )
     delivered = net.transmit(
-        STAGE_SETUP, user.name, cloud.name, PRIVATE, KIND_REGISTER, fields, annotation
+        STAGE_SETUP, user.name, cloud.name, PRIVATE, KIND_REGISTER,
+        {"user_id": creds.user_id, "password": creds.password},
     )
     cloud.store.register(delivered.fields["user_id"], delivered.fields["password"])
 
@@ -344,14 +338,9 @@ def keygen_phase(
     private_key = derive_private_key(
         kgc.params.m, public_param, kgc.params.s, attribute, width
     )
-    fields = {"public_param": public_param, "attribute": attribute, "private_key": private_key}
-    annotation = None
-    if not is_owner and principal.adversary is AdversaryClass.FORGED_PRIVATE_KEY:
-        # the principal throws the issued key away on receipt and keeps
-        # a fabricated one; the transcript line shows what it holds
-        fields, annotation = apply_adversary(principal.adversary, fields, net.rng, width=width)
     delivered = net.transmit(
-        STAGE_KEYGEN, kgc.name, principal.name, PRIVATE, KIND_KEY_ISSUE, fields, annotation
+        STAGE_KEYGEN, kgc.name, principal.name, PRIVATE, KIND_KEY_ISSUE,
+        {"public_param": public_param, "attribute": attribute, "private_key": private_key},
     )
     principal.keys = KeyMaterial(
         public_param=public_param,
@@ -526,10 +515,6 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
         channel = PRIVATE
         fields = {"user_id": user_id, "v1": pair.v1, "v2": pair.v2, "nonce": pair.nonce}
         annotation = None
-        if user.adversary is AdversaryClass.TAMPER_VALIDATION:
-            fields, annotation = apply_adversary(
-                user.adversary, fields, net.rng, width=width, flips=user.flips
-            )
     delivered = net.transmit(
         STAGE_VALIDATION, user.name, cloud.name, channel, KIND_VALIDATE, fields, annotation
     )
@@ -611,13 +596,11 @@ def run_protocol(config: ScenarioConfig, payloads: Sequence[bytes]) -> Transcrip
     owner = OwnerAgent()
     kgc.params = new_system_params(rng, width)
     users = []
-    for name, cls, flips in roster:
+    for name, cls, _ in roster:
         credentials = Credentials(
             user_id=name.encode("ascii"), password=rng.take(width)
         )
-        users.append(
-            UserAgent(name=name, credentials=credentials, adversary=cls, flips=flips)
-        )
+        users.append(UserAgent(name=name, credentials=credentials, adversary=cls))
     users_by_id = {user.credentials.user_id: user for user in users}
 
     for user in users:

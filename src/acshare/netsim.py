@@ -2,12 +2,8 @@
 
 The network model is deliberately small: every message is delivered,
 and recorded, the moment it is sent, on a PUBLIC or a PRIVATE channel.
-PUBLIC messages can be observed by eavesdroppers and, for the
-ciphertext-tampering class, substituted with a flipped copy in flight;
-the original line stays in the transcript marked as tampered,
-immediately followed by the delivered copy. PRIVATE messages are ideal:
-never observed, never modified, and no adversary annotation may ever
-reference one.
+PUBLIC messages can be observed by eavesdroppers; PRIVATE messages are
+never observed, and no annotation on another line references one.
 
 Adversarial principals each carry exactly one behaviour class:
 
@@ -22,9 +18,14 @@ Adversarial principals each carry exactly one behaviour class:
                         observed on the public channel
     NONE                genuine principal, no interference
 
-The first three corrupt the adversary's own emissions (a principal that
-lacks a secret cannot send the right value); the last two act on the
-public channel. Private channels stay inviolable either way.
+The table ``CORRUPTS`` is the one place a class is tied to the message
+kind it corrupts, and ``Network.transmit`` applies it to every message
+sent from or to an adversarial principal. On PRIVATE, the adversarial
+end's value is recorded as sent: what it emits, or what it holds. On
+PUBLIC, the message is tampered in flight: the original line stays in
+the transcript marked as tampered, immediately followed by the
+delivered copy. A replay resends a whole observed message, so it is
+not in the table.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from .wire import (
     ACCEPTED,
     KIND_ACCESS_QUERY,
     KIND_DATA_SHARE,
+    KIND_KEY_ISSUE,
+    KIND_REGISTER,
+    KIND_VALIDATE,
     OUTCOME_STATUSES,
     PRIVATE,
     PUBLIC,
@@ -73,6 +77,18 @@ class AdversaryClass(Enum):
             return cls[token.strip().upper()]
         except KeyError:
             raise ConfigError(f"unknown adversary class {token!r}") from None
+
+
+#: the one message kind each corrupting class alters, sent from or to
+#: the adversarial principal
+CORRUPTS = {
+    AdversaryClass.WRONG_PASSWORD: KIND_REGISTER,
+    # the principal throws the issued key away on receipt and keeps a
+    # fabricated one; the transcript line shows what it holds
+    AdversaryClass.FORGED_PRIVATE_KEY: KIND_KEY_ISSUE,
+    AdversaryClass.TAMPER_VALIDATION: KIND_VALIDATE,
+    AdversaryClass.TAMPER_CIPHERTEXT: KIND_DATA_SHARE,
+}
 
 
 @dataclass(frozen=True)
@@ -243,9 +259,10 @@ def apply_adversary(
     """Adversarially modified copy of ``fields`` and its annotation.
 
     The input dict is never mutated; the annotation describes what
-    happened. The caller decides where to invoke this (at emission for
-    the self-corrupting classes, in flight for ciphertext tampering).
-    A replay acts on a whole observed message, so it is not handled here.
+    happened. Its only caller is ``Network.transmit``, on the kind
+    ``CORRUPTS`` names for ``cls``, just before the altered line is
+    recorded. A replay acts on a whole observed message, so it is not
+    handled here.
     """
     if cls is AdversaryClass.NONE:
         return fields, None
@@ -275,11 +292,13 @@ class Network:
     """Immediate delivery over PUBLIC and PRIVATE channels into a transcript.
 
     ``transmit`` records a message the moment it is sent and returns it
-    as delivered; nothing is ever queued. PRIVATE messages are recorded
-    exactly as sent. On PUBLIC, an access query is marked as observed
-    by every replaying outsider, and a data share bound for a
-    ciphertext tamperer records two lines: the original marked as
-    tampered, then the flipped copy that is delivered.
+    as delivered; nothing is ever queued. ``adversaries`` maps each
+    adversarial principal to its class and flip budget, and ``transmit``
+    applies ``CORRUPTS`` to every message: on PRIVATE it records the
+    adversarial end's value as sent; on PUBLIC it records the original,
+    marked as tampered in flight, then the altered copy that is
+    delivered. An access query on PUBLIC is marked as observed by every
+    replaying outsider.
     """
 
     def __init__(
@@ -292,15 +311,10 @@ class Network:
         self.transcript = transcript
         self.rng = rng
         self.width = width
+        self.adversaries = adversaries
         self.replayers = [
             name for name, (cls, _) in adversaries.items() if cls is AdversaryClass.REPLAY_QUERY
         ]
-        #: flip budget of each ciphertext tamperer, by name
-        self.tamperers = {
-            name: flips
-            for name, (cls, flips) in adversaries.items()
-            if cls is AdversaryClass.TAMPER_CIPHERTEXT
-        }
         self.observed_queries: list[Message] = []
 
     def transmit(
@@ -313,27 +327,25 @@ class Network:
         fields: dict[str, bytes],
         annotation: dict | None = None,
     ) -> Message:
-        append = self.transcript.append
-        if channel == PRIVATE:
-            # ideal channel: recorded exactly as sent, never touched
-            return append(stage, sender, recipient, channel, kind, fields, annotation)
-        if channel != PUBLIC:
+        if channel != PUBLIC and channel != PRIVATE:
             raise ValueError(f"channel must be PUBLIC or PRIVATE, got {channel!r}")
-        if kind == KIND_ACCESS_QUERY and annotation is None and self.replayers:
+        append = self.transcript.append
+        # a principal only ever talks to the cloud or the kgc, so at
+        # most one end of a message is adversarial
+        cls, flips = self.adversaries.get(sender) or self.adversaries.get(recipient) or (None, 0)
+        if CORRUPTS.get(cls) == kind:
+            if channel == PUBLIC:
+                marked = {**(annotation or {}), "tampered_in_flight": True}
+                original = append(stage, sender, recipient, channel, kind, fields, marked)
+            fields, annotation = apply_adversary(cls, fields, self.rng, width=self.width, flips=flips)
+            if channel == PUBLIC:
+                annotation["tampered_copy_of_step"] = original.step
+        elif channel == PUBLIC and kind == KIND_ACCESS_QUERY and annotation is None and self.replayers:
             message = append(
                 stage, sender, recipient, channel, kind, fields, {"observed_by": self.replayers}
             )
             self.observed_queries.append(message)
             return message
-        flips = self.tamperers.get(recipient)
-        if kind == KIND_DATA_SHARE and flips is not None:
-            marked = {**(annotation or {}), "tampered_in_flight": True}
-            original = append(stage, sender, recipient, channel, kind, fields, marked)
-            fields, note = apply_adversary(
-                AdversaryClass.TAMPER_CIPHERTEXT, fields, self.rng, width=self.width, flips=flips
-            )
-            note["tampered_copy_of_step"] = original.step
-            return append(stage, sender, recipient, channel, kind, fields, note)
         return append(stage, sender, recipient, channel, kind, fields, annotation)
 
 

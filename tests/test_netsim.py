@@ -6,6 +6,7 @@ import pytest
 
 from acshare.entities import run_protocol
 from acshare.netsim import (
+    CORRUPTS,
     AdversaryClass,
     AdversarySpec,
     ConfigError,
@@ -21,6 +22,10 @@ from acshare.primitives import Rng
 from acshare.wire import (
     ACCEPTED,
     INTEGRITY_FAILURE,
+    KIND_DATA_SHARE,
+    KIND_KEY_ISSUE,
+    KIND_REGISTER,
+    KIND_VALIDATE,
     OUTCOME_STATUSES,
     PRIVATE,
     PUBLIC,
@@ -53,12 +58,64 @@ def scenario(**overrides):
     return ScenarioConfig(**base)
 
 
+#: how run_protocol sends each corrupted kind: (sent by the adversary, peer, channel, fields)
+SENDS = {
+    KIND_REGISTER: (True, "cloud", PRIVATE, {"user_id": b"adv-x", "password": bytes(8)}),
+    KIND_KEY_ISSUE: (
+        False, "kgc", PRIVATE, {"public_param": bytes(8), "attribute": bytes(8), "private_key": bytes(8)}
+    ),
+    KIND_VALIDATE: (
+        True, "cloud", PRIVATE, {"user_id": b"adv-x", "v1": bytes(8), "v2": bytes(8), "nonce": bytes(8)}
+    ),
+    KIND_DATA_SHARE: (False, "cloud", PUBLIC, {"wrapped": bytes(64), "payload_digest": bytes(32)}),
+}
+
+
+def send(net, kind):
+    """Send ``kind`` between ``adv-x`` and its peer as run_protocol does."""
+    outbound, peer, channel, fields = SENDS[kind]
+    sender, recipient = ("adv-x", peer) if outbound else (peer, "adv-x")
+    return net.transmit("stage", sender, recipient, channel, kind, fields)
+
+
 class TestChannel:
     def test_unknown_kind_rejected(self):
-        net = Network(transcript=Transcript(), rng=Rng(0), adversaries={}, width=8)
-        with pytest.raises(ValueError):
-            net.transmit("access", "user-000", "cloud", "CARRIER_PIGEON", "ACCESS_QUERY", {})
-        assert net.transcript.messages == []
+        # a corrupting kind bound for an adversary is refused before any draw
+        for adversaries, sender, recipient, kind, fields in (
+            ({}, "user-000", "cloud", "ACCESS_QUERY", {}),
+            (
+                {"adv-x": (AdversaryClass.TAMPER_CIPHERTEXT, 1)}, "cloud", "adv-x", KIND_DATA_SHARE,
+                SENDS[KIND_DATA_SHARE][3],
+            ),
+        ):
+            net = Network(transcript=Transcript(), rng=Rng(0), adversaries=adversaries, width=8)
+            with pytest.raises(ValueError):
+                net.transmit("access", sender, recipient, "CARRIER_PIGEON", kind, fields)
+            assert net.transcript.messages == []
+            assert net.rng.take(8) == Rng(0).take(8)
+
+
+class TestCorrupts:
+    @pytest.mark.parametrize("cls", list(CORRUPTS), ids=lambda cls: cls.name)
+    def test_class_corrupts_only_its_kind(self, cls):
+        kind = CORRUPTS[cls]
+        net = Network(transcript=Transcript(), rng=Rng(0), adversaries={"adv-x": (cls, 1)}, width=8)
+        _, _, channel, sent = SENDS[kind]
+        delivered = send(net, kind)
+        lines = list(net.transcript.messages)
+        assert delivered is lines[-1] and delivered.fields != sent
+        assert delivered.annotation["adversary"] == cls.name
+        if channel == PRIVATE:
+            assert len(lines) == 1
+        else:
+            original = lines[0]
+            assert len(lines) == 2
+            assert (original.fields, original.annotation) == (sent, {"tampered_in_flight": True})
+            assert delivered.annotation["tampered_copy_of_step"] == original.step
+        for other in SENDS.keys() - {kind}:
+            untouched = send(net, other)
+            assert (untouched.fields, untouched.annotation) == (SENDS[other][3], None)
+        assert len(net.transcript.messages) == len(lines) + len(SENDS) - 1
 
 
 class TestScenarioConfig:
