@@ -207,7 +207,7 @@ class CloudAgent:
 class KgcAgent:
     name: str = KGC_NAME
     params: SystemParams | None = None
-    issued: dict[bytes, KeyMaterial] = field(default_factory=dict)
+    issued: dict[bytes, tuple[bytes, bytes]] = field(default_factory=dict)  # (public_param, attribute)
 
 
 @dataclass
@@ -349,9 +349,7 @@ def keygen_phase(
     )
     if not is_owner:
         user_id = principal.credentials.user_id
-        kgc.issued[user_id] = KeyMaterial(
-            public_param=public_param, attribute=attribute, private_key=private_key
-        )
+        kgc.issued[user_id] = (public_param, attribute)
         stored = net.transmit(
             STAGE_KEYGEN, kgc.name, cloud.name, PRIVATE, KIND_KEY_STORE,
             {"user_id": user_id, "private_key": private_key, "attribute": attribute},
@@ -412,10 +410,8 @@ def _serve_access(
     net.transmit(
         STAGE_ACCESS, cloud.name, kgc.name, PRIVATE, KIND_SESSION_REQUEST, {"user_id": user_id}
     )
-    material = kgc.issued[user_id]
-    session_key = derive_session_key(
-        material.public_param, kgc.params.m, material.attribute, width
-    )
+    public_param, attribute = kgc.issued[user_id]
+    session_key = derive_session_key(public_param, kgc.params.m, attribute, width)
     delivered = net.transmit(
         STAGE_ACCESS, kgc.name, holder.name, PRIVATE, KIND_SESSION_KEY,
         {"session_key": session_key},
