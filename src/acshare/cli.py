@@ -101,7 +101,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     adversaries = [_parse_adversary(token) for token in args.adversary]
     if adversaries and sum(spec.count for spec in adversaries) != 1:
         raise ConfigError("the demo runs exactly one adversary; use 'run' for populations")
-    replaying = any(spec.cls is AdversaryClass.REPLAY_QUERY for spec in adversaries)
+    replaying = any(spec.cls is AdversaryClass.REPLAY_QUERY and spec.count for spec in adversaries)
     n_genuine = 1 if (replaying or not adversaries) else 0
     config = ScenarioConfig(
         n_genuine=n_genuine,

@@ -59,6 +59,15 @@ class TestDemo:
         assert "outcome[user-000]: ACCEPTED" in out
         assert "outcome[adv-replay_query-000]: REJECTED at validation" in out
 
+    def test_zero_replayers_add_no_genuine_user(self, capsys):
+        code, out, _ = invoke(
+            capsys, "demo", "--adversary", "REPLAY_QUERY=0", "--adversary", "WRONG_PASSWORD"
+        )
+        assert code == 3
+        assert [line for line in out.splitlines() if line.startswith("outcome[")] == [
+            "outcome[adv-wrong_password-000]: REJECTED at setup (registration digest mismatch)"
+        ]
+
 
 class TestRun:
     @pytest.fixture()
