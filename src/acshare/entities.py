@@ -582,9 +582,8 @@ def run_protocol(config: ScenarioConfig, payloads: Sequence[bytes]) -> Transcrip
     rng = Rng(config.seed)
     transcript = Transcript()
     roster = principal_roster(config)
-    adversaries = {
-        name: (cls, flips) for name, cls, flips in roster if cls is not AdversaryClass.NONE
-    }
+    # each adversary's (class, flip budget), which Network applies
+    adversaries = {row[0]: row[1:] for row in roster if row[1] is not AdversaryClass.NONE}
     net = Network(transcript=transcript, rng=rng, adversaries=adversaries, width=width)
 
     kgc = KgcAgent()
