@@ -206,4 +206,4 @@ def render_csv(rows: Sequence[BenchRow]) -> str:
 
 
 def write_csv(rows: Sequence[BenchRow], path: str | Path) -> None:
-    Path(path).write_text(render_csv(rows), encoding="ascii")
+    Path(path).write_text(render_csv(rows), encoding="ascii", newline="")

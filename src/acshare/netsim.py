@@ -125,8 +125,8 @@ class ScenarioConfig:
             )
         if not 0 <= self.seed <= Rng.SEED_MASK:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if not self.dataset:
-            raise ConfigError("dataset must be a non-empty name or path")
+        if not isinstance(self.dataset, str) or not self.dataset:
+            raise ConfigError(f"dataset must be a non-empty name or path, got {self.dataset!r}")
         if self.max_records is not None and self.max_records < 1:
             raise ConfigError(f"max_records must be >= 1, got {self.max_records}")
         for spec in self.adversaries:
@@ -177,7 +177,7 @@ class ScenarioConfig:
         return cls(
             n_genuine=_as_int(doc["n_genuine"], "n_genuine"),
             adversaries=tuple(adversaries),
-            dataset=str(doc["dataset"]),
+            dataset=doc["dataset"],
             key_length_bits=_as_int(doc["key_length_bits"], "key_length_bits"),
             seed=_as_int(doc["seed"], "seed"),
             max_records=(

@@ -9,6 +9,7 @@ byte-level record of a run; one seed always reproduces one byte stream.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -44,6 +45,10 @@ REJECTED = "REJECTED"
 INTEGRITY_FAILURE = "INTEGRITY_FAILURE"
 OUTCOME_STATUSES = (ACCEPTED, REJECTED, INTEGRITY_FAILURE)
 
+# JSON quoting of a name; the distinct names of a run are bounded by its roster
+_quote = functools.cache(json.dumps)
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 @dataclass(frozen=True)
 class Message:
@@ -64,18 +69,22 @@ class Message:
     annotation: dict | None = None
 
     def to_json(self) -> str:
-        doc = {
-            "step": self.step,
-            "phase": self.stage,
-            "from": self.sender,
-            "to": self.recipient,
-            "channel": self.channel,
-            "kind": self.kind,
-            "fields": {name: value.hex() for name, value in self.fields.items()},
-        }
-        if self.annotation is not None:
-            doc["annotation"] = self.annotation
-        return json.dumps(doc, separators=(",", ":"))
+        """One compact JSON line, without its newline.
+
+        The line equals ``json.dumps(doc, separators=(",", ":"))`` for
+        ``doc = {"step": step, "phase": stage, "from": sender, "to":
+        recipient, "channel": channel, "kind": kind, "fields": {name:
+        value.hex()}}``, with ``"annotation": annotation`` added last
+        when the annotation is not ``None``. It is formatted directly,
+        without building ``doc``.
+        """
+        fields = ",".join(f'{_quote(name)}:"{value.hex()}"' for name, value in self.fields.items())
+        note = "" if self.annotation is None else f',"annotation":{_encode(self.annotation)}'
+        return (
+            f'{{"step":{self.step},"phase":{_quote(self.stage)},"from":{_quote(self.sender)},'
+            f'"to":{_quote(self.recipient)},"channel":{_quote(self.channel)},'
+            f'"kind":{_quote(self.kind)},"fields":{{{fields}}}{note}}}'
+        )
 
 
 @dataclass(frozen=True)
@@ -122,9 +131,6 @@ class Transcript:
         self.messages.append(message)
         return message
 
-    def by_kind(self, kind: str) -> list[Message]:
-        return [m for m in self.messages if m.kind == kind]
-
     def to_jsonl(self) -> str:
         """JSON lines of every message, one per line.
 
@@ -141,4 +147,4 @@ class Transcript:
         return hashlib.sha256(self.to_jsonl().encode("ascii")).hexdigest()
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="ascii")
+        Path(path).write_text(self.to_jsonl(), encoding="ascii", newline="")

@@ -7,8 +7,14 @@ import pytest
 from acshare.dataset import SAMPLE_RECORD, record_to_payload
 from acshare.entities import run_protocol
 from acshare.netsim import ScenarioConfig
+from acshare.wire import Message, Transcript
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def by_kind(transcript: Transcript, kind: str) -> list[Message]:
+    """Every message of ``kind``, in transcript order."""
+    return [m for m in transcript.messages if m.kind == kind]
 
 
 @pytest.fixture(scope="session")

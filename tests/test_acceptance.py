@@ -27,6 +27,7 @@ from acshare.protocol import (
 )
 from acshare.wire import ACCEPTED, INTEGRITY_FAILURE
 
+from conftest import by_kind
 from reference import (
     ref_access_query,
     ref_effective_modulus,
@@ -128,14 +129,14 @@ def test_criterion_4_replay_reaches_grant_and_is_annotated(sample_payload):
         transcript = run_protocol(config, [sample_payload])
         injected = [
             m
-            for m in transcript.by_kind("ACCESS_QUERY")
+            for m in by_kind(transcript, "ACCESS_QUERY")
             if m.annotation and m.annotation.get("adversary") == "REPLAY_QUERY"
         ]
         assert len(injected) == 1
         assert "replayed_from_step" in injected[0].annotation
         grants = [
             m
-            for m in transcript.by_kind("ACCESS_ACCEPTED")
+            for m in by_kind(transcript, "ACCESS_ACCEPTED")
             if m.annotation and "granted_for_replay_of_step" in m.annotation
         ]
         if grants:

@@ -21,6 +21,8 @@ from acshare.protocol import (
     recover_payload,
 )
 
+from conftest import by_kind
+
 FRAME_PREFIX = 4  # length prefix in front of the encrypted payload inside ``wrapped``
 
 
@@ -35,7 +37,7 @@ def test_known_record_reveals_no_other_upload(data_dir):
         n_genuine=1, adversaries=(), dataset="cleveland", key_length_bits=256, seed=0
     )
     transcript = run_protocol(config, payloads)
-    messages = transcript.by_kind("CIPHER_UPLOAD")
+    messages = by_kind(transcript, "CIPHER_UPLOAD")
     assert {m.channel for m in messages} == {"PUBLIC"}
     uploads = [m.fields for m in messages]
 

@@ -24,6 +24,8 @@ from acshare.netsim import (
     summarize,
 )
 
+from conftest import by_kind
+
 MIXED = tuple(
     AdversarySpec(cls=cls, count=1)
     for cls in (
@@ -97,7 +99,7 @@ class TestMemoryAccounting:
         config = config_for(128, adversaries=replay, seed=2)
         transcript = run_protocol(config, [sample_payload])
         # two SESSION_STORE messages, one stored key
-        assert len(transcript.by_kind("SESSION_STORE")) == 2
+        assert len(by_kind(transcript, "SESSION_STORE")) == 2
         predicted = expected_memory_bytes(config, [len(sample_payload)])
         assert measure_memory(config, transcript) == predicted
 

@@ -121,8 +121,13 @@ class TestRun:
     def test_malformed_scenario_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         # bad JSON, a file that is not UTF-8, nesting deeper than the parser
-        # recurses, an integer longer than int() converts
-        for content in (b"{not json", b'{"seed": "\xff"}', b"[" * 100000, b"1" * 5000):
+        # recurses, an integer longer than int() converts, a dataset that is
+        # not a string
+        dataset_list = (
+            b'{"n_genuine": 1, "adversaries": [], "dataset": ["x"], '
+            b'"key_length_bits": 64, "seed": 0}'
+        )
+        for content in (b"{not json", b'{"seed": "\xff"}', b"[" * 100000, b"1" * 5000, dataset_list):
             path.write_bytes(content)
             code, _, err = invoke(capsys, "run", "--scenario", str(path))
             assert code == 2, content[:20]

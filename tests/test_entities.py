@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acshare.entities import (
     CloudAgent,
@@ -29,6 +31,17 @@ from acshare.netsim import AdversaryClass, AdversarySpec, Network, ScenarioConfi
 from acshare.primitives import Rng
 from acshare.protocol import Credentials, new_system_params
 from acshare.wire import ACCEPTED, PUBLIC, Message, Transcript
+
+from conftest import by_kind
+
+
+# names that need JSON escaping turn up in every run, not only by chance
+NAMES = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=8,
+)
 
 
 def fresh_net(width=8, seed=0):
@@ -138,6 +151,31 @@ class TestTranscriptSerialization:
         monkeypatch.undo()
         assert out.read_text(encoding="ascii") == grown.to_jsonl() == fresh.to_jsonl()
         assert fresh.to_jsonl().startswith(first)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        step=st.integers(min_value=1),
+        names=st.tuples(NAMES, NAMES, NAMES, NAMES, NAMES),
+        fields=st.dictionaries(NAMES, st.binary(max_size=8), max_size=4),
+        annotation=st.none() | st.just({}) | st.dictionaries(NAMES, JSON_VALUES, max_size=3),
+    )
+    @example(step=1, names=("", "", "", "", ""), fields={}, annotation={})
+    @example(step=1, names=('"', "\\", "\x00", "\u00e9", "\U0001f600"), fields={}, annotation=None)
+    def test_to_json_equals_json_dumps(self, step, names, fields, annotation):
+        stage, sender, recipient, channel, kind = names
+        doc = {
+            "step": step,
+            "phase": stage,
+            "from": sender,
+            "to": recipient,
+            "channel": channel,
+            "kind": kind,
+            "fields": {name: value.hex() for name, value in fields.items()},
+        }
+        if annotation is not None:
+            doc["annotation"] = annotation
+        message = Message(step, stage, sender, recipient, channel, kind, fields, annotation)
+        assert message.to_json() == json.dumps(doc, separators=(",", ":"))
 
 
 class TestCloudStore:
@@ -289,6 +327,6 @@ class TestReplaySideEffects:
         assert injector.phase is Phase.REJECTED
         assert injector.claimed_id == b"user-000"
         # the grant was re-stored once per query, same bytes both times
-        grants = transcript.by_kind("SESSION_STORE")
+        grants = by_kind(transcript, "SESSION_STORE")
         assert len(grants) == 2
         assert grants[0].fields["session_key"] == grants[1].fields["session_key"]

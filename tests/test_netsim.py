@@ -33,6 +33,8 @@ from acshare.wire import (
     Transcript,
 )
 
+from conftest import by_kind
+
 ALL_CLASSES = (
     AdversaryClass.WRONG_PASSWORD,
     AdversaryClass.FORGED_PRIVATE_KEY,
@@ -293,7 +295,7 @@ class TestApplyAdversary:
             seed=4,
         )
         transcript = run_protocol(config, [sample_payload])
-        observed, injected = transcript.by_kind("ACCESS_QUERY")
+        observed, injected = by_kind(transcript, "ACCESS_QUERY")
         assert injected.fields == observed.fields
         assert injected.sender == observed.sender
         assert injected.annotation == {
@@ -386,7 +388,7 @@ class TestPopulationOutcomes:
         transcript = run_protocol(config, [sample_payload])
         name = f"adv-{cls.name.lower()}-000"
         if flipped is not None:
-            (validate,) = [m for m in transcript.by_kind("VALIDATE") if m.sender == name]
+            (validate,) = [m for m in by_kind(transcript, "VALIDATE") if m.sender == name]
             assert [note["field"] for note in validate.annotation["flips"]] == [flipped]
         (rejection,) = [
             m for m in transcript.messages
@@ -422,7 +424,7 @@ class TestChannelDiscipline:
             seed=18,
         )
         transcript = run_protocol(config, [sample_payload])
-        validates = transcript.by_kind("VALIDATE")
+        validates = by_kind(transcript, "VALIDATE")
         by_sender = {m.sender: m.channel for m in validates}
         assert by_sender["user-000"] == PRIVATE
         assert by_sender["adv-replay_query-000"] == PUBLIC
@@ -436,7 +438,7 @@ class TestTamperedDeliveryLogging:
         )
         transcript = run_protocol(config, [sample_payload])
         shares = [
-            m for m in transcript.by_kind("DATA_SHARE") if m.recipient != "user-000"
+            m for m in by_kind(transcript, "DATA_SHARE") if m.recipient != "user-000"
         ]
         assert len(shares) == 2
         original, copy = shares
@@ -446,7 +448,7 @@ class TestTamperedDeliveryLogging:
         assert copy.fields["wrapped"] != original.fields["wrapped"]
         assert copy.fields["payload_digest"] == original.fields["payload_digest"]
         # the honest user's share stayed untouched
-        honest = [m for m in transcript.by_kind("DATA_SHARE") if m.recipient == "user-000"]
+        honest = [m for m in by_kind(transcript, "DATA_SHARE") if m.recipient == "user-000"]
         assert all(m.annotation is None for m in honest)
 
 
@@ -457,7 +459,7 @@ class TestReplayFlow:
             seed=20,
         )
         transcript = run_protocol(config, [sample_payload])
-        queries = transcript.by_kind("ACCESS_QUERY")
+        queries = by_kind(transcript, "ACCESS_QUERY")
         assert len(queries) == 2
         observed, injected = queries
         assert observed.annotation == {"observed_by": ["adv-replay_query-000"]}
@@ -468,7 +470,7 @@ class TestReplayFlow:
             "replayed_from_step": observed.step,
             "injected_by": "adv-replay_query-000",
         }
-        grants = transcript.by_kind("ACCESS_ACCEPTED")
+        grants = by_kind(transcript, "ACCESS_ACCEPTED")
         assert len(grants) == 2
         assert grants[1].annotation == {"granted_for_replay_of_step": observed.step}
 
@@ -500,12 +502,12 @@ class TestRunScenario:
     def test_payload_override(self, sample_payload):
         transcript, summary = run_scenario(scenario(seed=2), payloads=[sample_payload])
         assert summary.genuine_complete == 1
-        assert len(transcript.by_kind("CIPHER_UPLOAD")) == 1
+        assert len(by_kind(transcript, "CIPHER_UPLOAD")) == 1
 
     def test_loads_dataset_files(self, data_dir):
         config = scenario(dataset="swiss", seed=2, max_records=4)
         transcript, summary = run_scenario(config, data_dir=data_dir)
-        assert len(transcript.by_kind("CIPHER_UPLOAD")) == 4
+        assert len(by_kind(transcript, "CIPHER_UPLOAD")) == 4
         assert summary.genuine_complete == 1
 
     def test_summary_lines_mention_rate(self, sample_payload):
