@@ -27,21 +27,13 @@ from .netsim import (
     run_scenario,
     summarize,
 )
-from .protocol import (
-    CipherBundle,
-    Credentials,
-    KeyMaterial,
-    SystemParams,
-    ValidationPair,
-    new_system_params,
-)
+from .protocol import Credentials, KeyMaterial, SystemParams, new_system_params
 from .wire import Message, Outcome, Transcript
 
 __all__ = [
     "AdversaryClass",
     "AdversarySpec",
     "BenchRow",
-    "CipherBundle",
     "ConfigError",
     "Credentials",
     "HeartRecord",
@@ -54,7 +46,6 @@ __all__ = [
     "SystemParams",
     "Transcript",
     "UndefinedRateError",
-    "ValidationPair",
     "expected_memory_bytes",
     "genuine_detection_rate",
     "load_dataset",

@@ -40,6 +40,7 @@ from .netsim import (
     AdversarySpec,
     ConfigError,
     ScenarioConfig,
+    load_payloads,
     principal_roster,
     run_scenario,
 )
@@ -129,9 +130,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = ScenarioConfig.from_file(args.scenario)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    transcript, summary = run_scenario(config, data_dir=args.data_dir)
+    name, path = resolve_dataset(config.dataset, args.data_dir)
+    payloads = load_payloads(name, path, config.max_records)
     out = Path(args.out)
-    transcript.write(out)
+    with out.open("wb") as sink:  # an unwritable path fails before the run
+        transcript, summary = run_scenario(config, payloads=payloads)
+        sink.write(transcript.to_jsonl())
     print(f"wrote {len(transcript.messages)} messages to {out}")
     print(f"transcript sha256: {transcript.content_hash()}")
     for line in summary.format_lines():

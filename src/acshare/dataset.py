@@ -19,28 +19,11 @@ and distinct records always produce distinct payloads.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .primitives import FramingError, frame_concat, frame_split
-
-ATTRIBUTES = (
-    "age",
-    "sex",
-    "cp",
-    "trestbps",
-    "chol",
-    "fbs",
-    "restecg",
-    "thalach",
-    "exang",
-    "oldpeak",
-    "slope",
-    "ca",
-    "thal",
-    "num",
-)
 
 MISSING = "?"
 
@@ -71,7 +54,7 @@ class DatasetParseError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class HeartRecord:
     """One row of a heart-disease table; None marks a missing value."""
 
@@ -92,6 +75,9 @@ class HeartRecord:
 
     def values(self) -> tuple[float | None, ...]:
         return tuple(getattr(self, name) for name in ATTRIBUTES)
+
+
+ATTRIBUTES = tuple(field.name for field in dataclasses.fields(HeartRecord))
 
 
 def _parse_token(token: str) -> float | None:

@@ -306,15 +306,13 @@ def setup_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network)
     cloud.store.register(delivered.fields["user_id"], delivered.fields["password"])
 
     # the user derives its digest from the credentials it believes in
-    user.reg_digest = registration_digest(creds.user_id, creds.password, params.s, net.width)
+    user.reg_digest = registration_digest(creds.user_id, creds.password, params.s)
     digest_msg = net.transmit(
         STAGE_SETUP, user.name, cloud.name, PUBLIC, KIND_REGISTER_DIGEST,
         {"user_id": creds.user_id, "digest": user.reg_digest},
     )
     slot = cloud.store.slot(digest_msg.fields["user_id"])
-    expected = registration_digest(
-        digest_msg.fields["user_id"], slot.password, cloud.store.s, net.width
-    )
+    expected = registration_digest(digest_msg.fields["user_id"], slot.password, cloud.store.s)
     presented = {"digest": digest_msg.fields["digest"]}
     if _decide(STAGE_SETUP, presented, {"digest": expected}, user, user.name, PUBLIC, net):
         user.phase = Phase.REGISTERED
@@ -332,12 +330,9 @@ def keygen_phase(
         _provision(kgc, principal.name, net, STAGE_KEYGEN)
         principal.params = kgc.params
 
-    width = net.width
-    public_param = net.rng.take(width)
-    attribute = net.rng.take(width)
-    private_key = derive_private_key(
-        kgc.params.m, public_param, kgc.params.s, attribute, width
-    )
+    public_param = net.rng.take(net.width)
+    attribute = net.rng.take(net.width)
+    private_key = derive_private_key(kgc.params.m, public_param, kgc.params.s, attribute)
     delivered = net.transmit(
         STAGE_KEYGEN, kgc.name, principal.name, PRIVATE, KIND_KEY_ISSUE,
         {"public_param": public_param, "attribute": attribute, "private_key": private_key},
@@ -368,10 +363,10 @@ def encryption_phase(
     assert owner.params is not None and owner.keys is not None
     cipher = CipherContext(owner.params.s, owner.params.m)
     for payload in payloads:
-        bundle = make_cipher_bundle(payload, cipher, owner.keys.private_key)
+        wrapped, payload_digest = make_cipher_bundle(payload, cipher, owner.keys.private_key)
         delivered = net.transmit(
             STAGE_ENCRYPTION, owner.name, cloud.name, PUBLIC, KIND_CIPHER_UPLOAD,
-            {"wrapped": bundle.wrapped, "payload_digest": bundle.payload_digest},
+            {"wrapped": wrapped, "payload_digest": payload_digest},
         )
         cloud.store.add_bundle(
             delivered.fields["wrapped"], delivered.fields["payload_digest"]
@@ -393,12 +388,11 @@ def _serve_access(
     it to the identity's registered holder, which on a replayed query
     is the victim, never the injector.
     """
-    width = net.width
     user_id = query.fields["user_id"]
     slot = cloud.store.slot(user_id)
     assert cloud.store.s is not None and slot.private_key is not None
-    expected_digest = registration_digest(user_id, slot.password, cloud.store.s, width)
-    expected_q = access_query(expected_digest, user_id, slot.private_key, width)
+    expected_digest = registration_digest(user_id, slot.password, cloud.store.s)
+    expected_q = access_query(expected_digest, user_id, slot.private_key)
     holder = users_by_id[user_id]  # every stored id belongs to a roster user
     replayed = query.annotation is not None and "replayed_from_step" in query.annotation
     accept_note = {"granted_for_replay_of_step": query.annotation["replayed_from_step"]} if replayed else None
@@ -411,7 +405,7 @@ def _serve_access(
         STAGE_ACCESS, cloud.name, kgc.name, PRIVATE, KIND_SESSION_REQUEST, {"user_id": user_id}
     )
     public_param, attribute = kgc.issued[user_id]
-    session_key = derive_session_key(public_param, kgc.params.m, attribute, width)
+    session_key = derive_session_key(public_param, kgc.params.m, attribute)
     delivered = net.transmit(
         STAGE_ACCESS, kgc.name, holder.name, PRIVATE, KIND_SESSION_KEY,
         {"session_key": session_key},
@@ -439,7 +433,7 @@ def access_control_phase(
     _require_phase(user, Phase.KEYED, "request access")
     assert user.reg_digest is not None and user.keys is not None
     user_id = user.credentials.user_id
-    q = access_query(user.reg_digest, user_id, user.keys.private_key, net.width)
+    q = access_query(user.reg_digest, user_id, user.keys.private_key)
     delivered = net.transmit(
         STAGE_ACCESS, user.name, cloud.name, PUBLIC, KIND_ACCESS_QUERY, {"user_id": user_id, "q": q}
     )
@@ -498,7 +492,7 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
         )
         user_id = user.credentials.user_id
         nonce = net.rng.take(width)
-        pair = validation_messages(
+        v1, v2 = validation_messages(
             user_id,
             user.session_key,
             user.params.s,
@@ -506,10 +500,9 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
             user.keys.private_key,
             user.params.m,
             user.keys.attribute,
-            width,
         )
         channel = PRIVATE
-        fields = {"user_id": user_id, "v1": pair.v1, "v2": pair.v2, "nonce": pair.nonce}
+        fields = {"user_id": user_id, "v1": v1, "v2": v2, "nonce": nonce}
         annotation = None
     delivered = net.transmit(
         STAGE_VALIDATION, user.name, cloud.name, channel, KIND_VALIDATE, fields, annotation
@@ -521,7 +514,7 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
         raise PhaseOrderError("validation arrived before any session grant")
     assert cloud.store.s is not None and cloud.store.m is not None
     assert slot.attribute is not None
-    expected = validation_messages(
+    expected_v1, expected_v2 = validation_messages(
         user_id,
         slot.session_key,
         cloud.store.s,
@@ -529,11 +522,10 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
         slot.private_key,
         cloud.store.m,
         slot.attribute,
-        width,
     )
     presented = {"v1": delivered.fields["v1"], "v2": delivered.fields["v2"]}
-    pair = {"v1": expected.v1, "v2": expected.v2}
-    if _decide(STAGE_VALIDATION, presented, pair, user, user.name, delivered.channel, net):
+    expected = {"v1": expected_v1, "v2": expected_v2}
+    if _decide(STAGE_VALIDATION, presented, expected, user, user.name, delivered.channel, net):
         user.phase = Phase.VERIFIED
 
 

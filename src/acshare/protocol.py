@@ -5,7 +5,8 @@ generation centre (KGC). All parties hold two secret system parameters
 ``s`` and ``m`` of width L bytes, distributed over ideal private
 channels. Every function below is pure: given the same inputs the
 user-side and server-side computations agree byte for byte, which is
-exactly what the server checks at each gate.
+exactly what the server checks at each gate. No derivation takes L as
+an argument: L is the width of its operands, which all share it.
 
 Shapes, for width L (H is SHA-256, SE the hash-counter stream cipher,
 ``||`` length-prefixed concatenation, integers big-endian):
@@ -40,7 +41,6 @@ from .primitives import (
     CounterStream,
     FramingError,
     Rng,
-    WidthMismatchError,
     digest,
     expand,
     frame_concat,
@@ -99,21 +99,6 @@ class KeyMaterial:
     private_key: bytes
 
 
-@dataclass(frozen=True)
-class CipherBundle:
-    """Owner-side encryption product for one payload."""
-
-    wrapped: bytes  # framed (encrypted, owner key) under the data key
-    payload_digest: bytes  # digest of the clear payload, checked on recovery
-
-
-@dataclass(frozen=True)
-class ValidationPair:
-    v1: bytes
-    v2: bytes
-    nonce: bytes
-
-
 def new_system_params(rng: Rng, width: int) -> SystemParams:
     """Sample distinct system parameters ``s`` and ``m`` at ``width``."""
     s = rng.take(width)
@@ -123,29 +108,22 @@ def new_system_params(rng: Rng, width: int) -> SystemParams:
     return SystemParams(s=s, m=m)
 
 
-def registration_digest(user_id: bytes, password: bytes, s: bytes, width: int) -> bytes:
+def registration_digest(user_id: bytes, password: bytes, s: bytes) -> bytes:
     """Digest binding a user's identity and password to parameter ``s``.
 
     The user submits this value at registration; the server recomputes
     it from the stored credentials. Neither direction reveals the
     password or ``s`` on its own.
     """
+    width = len(s)
     bound = expand(digest(frame_concat([user_id, s])), width)
     masked = expand(password, width)
     return xor_bytes(bound, masked)
 
 
-def derive_private_key(
-    m: bytes, public_param: bytes, s: bytes, attribute: bytes, width: int
-) -> bytes:
+def derive_private_key(m: bytes, public_param: bytes, s: bytes, attribute: bytes) -> bytes:
     """Private key: ``m`` reduced modulo the masked public parameter."""
-    if len(m) != width:
-        raise WidthMismatchError(f"m must be {width} bytes, got {len(m)}")
-    if len(public_param) != width:
-        raise WidthMismatchError(
-            f"public parameter must be {width} bytes, got {len(public_param)}"
-        )
-    mask = expand(frame_concat([s, attribute]), width)
+    mask = expand(frame_concat([s, attribute]), len(m))
     return mod_reduce(m, xor_bytes(public_param, mask))
 
 
@@ -154,13 +132,13 @@ def derive_data_key(m: bytes, s: bytes) -> bytes:
     return digest(frame_concat([m, s, DATA_KEY_LABEL]))
 
 
-def access_query(reg_digest: bytes, user_id: bytes, private_key: bytes, width: int) -> bytes:
+def access_query(reg_digest: bytes, user_id: bytes, private_key: bytes) -> bytes:
     """Access query: registration digest times a key-bound factor."""
-    factor = expand(digest(frame_concat([user_id, private_key])), width)
+    factor = expand(digest(frame_concat([user_id, private_key])), len(reg_digest))
     return mul_mod_width(reg_digest, factor)
 
 
-def derive_session_key(public_param: bytes, m: bytes, attribute: bytes, width: int) -> bytes:
+def derive_session_key(public_param: bytes, m: bytes, attribute: bytes) -> bytes:
     """Session key issued after a successful access query.
 
     Deterministic in (public parameter, m, attribute): re-issuing for
@@ -168,7 +146,7 @@ def derive_session_key(public_param: bytes, m: bytes, attribute: bytes, width: i
     """
     wrap_key = digest(frame_concat([m, SESSION_KEY_LABEL]))
     body = frame_concat([public_param, digest(frame_concat([m, attribute]))])
-    return expand(sym_encrypt(wrap_key, body), width)
+    return expand(sym_encrypt(wrap_key, body), len(m))
 
 
 def validation_messages(
@@ -179,21 +157,19 @@ def validation_messages(
     private_key: bytes,
     m: bytes,
     attribute: bytes,
-    width: int,
-) -> ValidationPair:
-    """Pair of check values the server recomputes from stored state.
+) -> tuple[bytes, bytes]:
+    """Pair ``(v1, v2)`` of check values the server recomputes from stored state.
 
     ``v1`` binds the session key and ``s`` under the round nonce;
     ``v2`` binds the private key and ``m`` under the attribute vector.
     """
-    if len(nonce) != width:
-        raise WidthMismatchError(f"nonce must be {width} bytes, got {len(nonce)}")
+    width = len(s)
     v1 = mod_reduce(expand(digest(frame_concat([user_id, session_key, s])), width), nonce)
     v2 = mod_reduce(
         expand(digest(frame_concat([user_id, private_key, m])), width),
         expand(attribute, width),
     )
-    return ValidationPair(v1=v1, v2=v2, nonce=nonce)
+    return v1, v2
 
 
 class CipherContext:
@@ -226,19 +202,21 @@ class CipherContext:
         return self._long_mask.take(length)
 
 
-def make_cipher_bundle(payload: bytes, cipher: CipherContext, owner_key: bytes) -> CipherBundle:
+def make_cipher_bundle(
+    payload: bytes, cipher: CipherContext, owner_key: bytes
+) -> tuple[bytes, bytes]:
     """Owner-side pipeline: encrypt, wrap, and fingerprint one payload.
 
-    Empty payloads are refused: a zero-length ciphertext would be
-    indistinguishable from a missing one. The wrapped ciphertext is 8
-    bytes (two length prefixes) longer than the payload and owner key
-    combined.
+    Returns ``(wrapped, payload_digest)``. Empty payloads are refused: a
+    zero-length ciphertext would be indistinguishable from a missing
+    one. The wrapped ciphertext is 8 bytes (two length prefixes) longer
+    than the payload and owner key combined.
     """
     if not payload:
         raise EmptyPayloadError("refusing to encrypt an empty payload")
     encrypted = xor_bytes(cipher.apply(payload), cipher.mask(len(payload)))
     wrapped = cipher.apply(frame_concat([encrypted, owner_key]))
-    return CipherBundle(wrapped=wrapped, payload_digest=digest(payload))
+    return wrapped, digest(payload)
 
 
 def recover_payload(wrapped: bytes, payload_digest: bytes, cipher: CipherContext) -> bytes:

@@ -112,7 +112,7 @@ class Transcript:
         self.messages: list[Message] = []
         self.outcomes: dict[str, Outcome] = {}
         self.world = None
-        self._jsonl = (0, "")  # (message count, JSON lines of that many messages)
+        self._jsonl = (0, b"")  # (message count, JSON lines of that many messages)
 
     def append(
         self,
@@ -131,20 +131,22 @@ class Transcript:
         self.messages.append(message)
         return message
 
-    def to_jsonl(self) -> str:
-        """JSON lines of every message, one per line.
+    def to_jsonl(self) -> bytes:
+        """JSON lines of every message, one per line, as ASCII bytes.
 
-        Messages are immutable once appended, so the text is kept and
-        only messages appended since the last call are rendered.
+        Messages are immutable once appended, so the bytes are kept and
+        only messages appended since the last call are rendered; hashing
+        and writing use the kept bytes without copying them.
         """
-        count, text = self._jsonl
+        count, data = self._jsonl
         if count < len(self.messages):
-            text += "".join(message.to_json() + "\n" for message in self.messages[count:])
-            self._jsonl = (len(self.messages), text)
-        return text
+            text = "".join(message.to_json() + "\n" for message in self.messages[count:])
+            data += text.encode("ascii")
+            self._jsonl = (len(self.messages), data)
+        return data
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.to_jsonl().encode("ascii")).hexdigest()
+        return hashlib.sha256(self.to_jsonl()).hexdigest()
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="ascii", newline="")
+        Path(path).write_bytes(self.to_jsonl())

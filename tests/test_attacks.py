@@ -62,12 +62,12 @@ def test_known_record_reveals_no_other_upload(data_dir):
 )
 def test_flipped_owner_key_frame_is_refused(sample_payload):
     params = new_system_params(Rng(7), 32)
-    bundle = make_cipher_bundle(
+    wrapped, payload_digest = make_cipher_bundle(
         sample_payload, CipherContext(params.s, params.m), owner_key=bytes(range(32))
     )
-    tampered = bundle.wrapped[:-1] + bytes([bundle.wrapped[-1] ^ 0x01])
+    tampered = wrapped[:-1] + bytes([wrapped[-1] ^ 0x01])
     try:
-        recover_payload(tampered, bundle.payload_digest, CipherContext(params.s, params.m))
+        recover_payload(tampered, payload_digest, CipherContext(params.s, params.m))
     except (CorruptCiphertextError, IntegrityError):
         return
     raise AssertionError("a bundle with a flipped owner-key frame still opened")

@@ -153,6 +153,18 @@ class TestRun:
         assert err.startswith("error[CONFIG]:") and "has no records" in err
         assert not out.exists()
 
+    def test_bad_out_path_fails_before_the_run(self, capsys, tmp_path, scenario_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the protocol ran before --out was opened")
+
+        monkeypatch.setattr("acshare.entities.run_protocol", no_run)
+        code, _, err = invoke(
+            capsys, "run", "--scenario", str(scenario_path),
+            "--out", str(tmp_path / "missing" / "x.jsonl"), "--data-dir", DATA_DIR,
+        )
+        assert code == 4
+        assert err.startswith("error[IO]:")
+
     def test_seed_override_out_of_range(self, capsys, tmp_path, scenario_path):
         code, _, err = invoke(
             capsys, "run", "--scenario", str(scenario_path), "--out", str(tmp_path / "x.jsonl"),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -149,8 +150,26 @@ class TestTranscriptSerialization:
         # since the first call
         assert rendered == list(range(half + 1, len(messages) + 1))
         monkeypatch.undo()
-        assert out.read_text(encoding="ascii") == grown.to_jsonl() == fresh.to_jsonl()
+        assert out.read_bytes() == grown.to_jsonl() == fresh.to_jsonl()
         assert fresh.to_jsonl().startswith(first)
+
+    def test_hash_and_write_copy_no_text(self, tmp_path):
+        transcript = Transcript()
+        for _ in range(2000):
+            transcript.append(
+                "sharing", "cloud", "user-000", PUBLIC, "DATA_SHARE", {"wrapped": bytes(300)}
+            )
+        size = len(transcript.to_jsonl())
+        assert size >= 1 << 20
+        tracemalloc.start()
+        try:
+            transcript.content_hash()
+            transcript.write(tmp_path / "t.jsonl")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # both read the kept render; neither makes a second copy of it
+        assert peak < size / 10
 
     @settings(max_examples=100, deadline=None)
     @given(

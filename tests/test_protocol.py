@@ -40,7 +40,7 @@ from reference import (
     ref_validation_pair,
 )
 
-widths = st.sampled_from((8, 16, 32, 64))
+widths = st.sampled_from((1, 8, 16, 32, 64))
 ids = st.binary(min_size=1, max_size=40)
 
 
@@ -58,7 +58,6 @@ GOLDEN_INPUT = dict(
     public_param=bytes.fromhex("0f1e2d3c4b5a69788796a5b4c3d2e1f0"),
     attribute=bytes.fromhex("a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5"),
     nonce=bytes.fromhex("1234567890abcdef1234567890abcdef"),
-    width=16,
 )
 GOLDEN_DIGEST = "cf1f8b10936e2a5a5edf8f0e738ed0c5"
 GOLDEN_PRIVATE_KEY = "0ab9c3888f5d700acf4f1e53d1772334"
@@ -71,29 +70,29 @@ GOLDEN_V2 = "121dcdb0c04e621ee9195c278eeb31c2"
 class TestGoldenVectors:
     def test_registration_digest(self):
         g = GOLDEN_INPUT
-        out = registration_digest(g["user_id"], g["password"], g["s"], g["width"])
+        out = registration_digest(g["user_id"], g["password"], g["s"])
         assert out.hex() == GOLDEN_DIGEST
 
     def test_private_key(self):
         g = GOLDEN_INPUT
-        out = derive_private_key(g["m"], g["public_param"], g["s"], g["attribute"], g["width"])
+        out = derive_private_key(g["m"], g["public_param"], g["s"], g["attribute"])
         assert out.hex() == GOLDEN_PRIVATE_KEY
 
     def test_access_query(self):
         g = GOLDEN_INPUT
         out = access_query(
-            bytes.fromhex(GOLDEN_DIGEST), g["user_id"], bytes.fromhex(GOLDEN_PRIVATE_KEY), g["width"]
+            bytes.fromhex(GOLDEN_DIGEST), g["user_id"], bytes.fromhex(GOLDEN_PRIVATE_KEY)
         )
         assert out.hex() == GOLDEN_QUERY
 
     def test_session_key(self):
         g = GOLDEN_INPUT
-        out = derive_session_key(g["public_param"], g["m"], g["attribute"], g["width"])
+        out = derive_session_key(g["public_param"], g["m"], g["attribute"])
         assert out.hex() == GOLDEN_SESSION_KEY
 
     def test_validation_pair(self):
         g = GOLDEN_INPUT
-        pair = validation_messages(
+        v1, v2 = validation_messages(
             g["user_id"],
             bytes.fromhex(GOLDEN_SESSION_KEY),
             g["s"],
@@ -101,10 +100,9 @@ class TestGoldenVectors:
             bytes.fromhex(GOLDEN_PRIVATE_KEY),
             g["m"],
             g["attribute"],
-            g["width"],
         )
-        assert pair.v1.hex() == GOLDEN_V1
-        assert pair.v2.hex() == GOLDEN_V2
+        assert v1.hex() == GOLDEN_V1
+        assert v2.hex() == GOLDEN_V2
 
 
 class TestOracleAgreement:
@@ -112,34 +110,33 @@ class TestOracleAgreement:
     def test_registration_digest(self, data, width, user_id):
         password = data.draw(fixed(width))
         s = data.draw(fixed(width))
-        assert registration_digest(user_id, password, s, width) == ref_registration_digest(
+        assert registration_digest(user_id, password, s) == ref_registration_digest(
             user_id, password, s, width
         )
 
     @given(st.data(), widths)
     def test_private_key(self, data, width):
         m, pp, s, a = (data.draw(fixed(width)) for _ in range(4))
-        assert derive_private_key(m, pp, s, a, width) == ref_private_key(m, pp, s, a, width)
+        assert derive_private_key(m, pp, s, a) == ref_private_key(m, pp, s, a, width)
 
     @given(st.data(), widths, ids)
     def test_access_query(self, data, width, user_id):
         reg_digest = data.draw(fixed(width))
         private_key = data.draw(fixed(width))
-        assert access_query(reg_digest, user_id, private_key, width) == ref_access_query(
+        assert access_query(reg_digest, user_id, private_key) == ref_access_query(
             reg_digest, user_id, private_key, width
         )
 
     @given(st.data(), widths)
     def test_session_key(self, data, width):
         pp, m, a = (data.draw(fixed(width)) for _ in range(3))
-        assert derive_session_key(pp, m, a, width) == ref_session_key(pp, m, a, width)
+        assert derive_session_key(pp, m, a) == ref_session_key(pp, m, a, width)
 
     @given(st.data(), widths, ids)
     def test_validation_pair(self, data, width, user_id):
         sk, s, nonce, pk, m, a = (data.draw(fixed(width)) for _ in range(6))
-        pair = validation_messages(user_id, sk, s, nonce, pk, m, a, width)
-        assert (pair.v1, pair.v2) == ref_validation_pair(user_id, sk, s, nonce, pk, m, a, width)
-        assert pair.nonce == nonce
+        pair = validation_messages(user_id, sk, s, nonce, pk, m, a)
+        assert pair == ref_validation_pair(user_id, sk, s, nonce, pk, m, a, width)
 
 
 class TestSystemParams:
@@ -154,9 +151,9 @@ class TestDataPipeline:
     @given(st.data(), widths, st.binary(min_size=1, max_size=400))
     def test_bundle_matches_oracle(self, data, width, payload):
         s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
-        bundle = make_cipher_bundle(payload, CipherContext(s, m), owner_key)
-        assert (bundle.wrapped, bundle.payload_digest) == ref_cipher_bundle(payload, s, m, owner_key)
-        assert recover_payload(bundle.wrapped, bundle.payload_digest, CipherContext(s, m)) == payload
+        wrapped, payload_digest = make_cipher_bundle(payload, CipherContext(s, m), owner_key)
+        assert (wrapped, payload_digest) == ref_cipher_bundle(payload, s, m, owner_key)
+        assert recover_payload(wrapped, payload_digest, CipherContext(s, m)) == payload
 
     @given(
         st.data(),
@@ -169,11 +166,9 @@ class TestDataPipeline:
         s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
         cipher = CipherContext(s, m)
         for payload in payloads:
-            bundle = make_cipher_bundle(payload, cipher, owner_key)
-            assert (bundle.wrapped, bundle.payload_digest) == ref_cipher_bundle(
-                payload, s, m, owner_key
-            )
-            assert recover_payload(bundle.wrapped, bundle.payload_digest, cipher) == payload
+            wrapped, payload_digest = make_cipher_bundle(payload, cipher, owner_key)
+            assert (wrapped, payload_digest) == ref_cipher_bundle(payload, s, m, owner_key)
+            assert recover_payload(wrapped, payload_digest, cipher) == payload
 
     def test_empty_payload_rejected(self):
         with pytest.raises(EmptyPayloadError):
@@ -189,7 +184,7 @@ class TestDataPipeline:
         rng = Rng(data.draw(st.integers(0, 2**32)))
         params = new_system_params(rng, width)
         owner_key = rng.take(width)
-        wrapped = make_cipher_bundle(payload, CipherContext(params.s, params.m), owner_key).wrapped
+        wrapped, _ = make_cipher_bundle(payload, CipherContext(params.s, params.m), owner_key)
         assert len(wrapped) == len(payload) + width + 8
         fields = frame_split(sym_encrypt(derive_data_key(params.m, params.s), wrapped))
         assert len(fields) == 2
@@ -209,9 +204,9 @@ class TestDataPipeline:
         params = new_system_params(rng, width)
         owner_key = rng.take(width)
         cipher = CipherContext(params.s, params.m)
-        bundle = make_cipher_bundle(payload, cipher, owner_key)
-        assert bundle.payload_digest == digest(payload)
-        assert recover_payload(bundle.wrapped, bundle.payload_digest, cipher) == payload
+        wrapped, payload_digest = make_cipher_bundle(payload, cipher, owner_key)
+        assert payload_digest == digest(payload)
+        assert recover_payload(wrapped, payload_digest, cipher) == payload
 
     @given(st.data(), st.binary(min_size=1, max_size=80))
     def test_flips_never_return_wrong_payload(self, data, payload):
@@ -219,24 +214,24 @@ class TestDataPipeline:
         rng = Rng(2024)
         params = new_system_params(rng, width)
         cipher = CipherContext(params.s, params.m)
-        bundle = make_cipher_bundle(payload, cipher, rng.take(width))
+        wrapped, payload_digest = make_cipher_bundle(payload, cipher, rng.take(width))
         # corrupt one byte anywhere in the data-bearing prefix
-        span = len(bundle.wrapped) - width - 4
+        span = len(wrapped) - width - 4
         index = data.draw(st.integers(0, span - 1))
         delta = data.draw(st.integers(1, 255))
-        corrupt = bytearray(bundle.wrapped)
+        corrupt = bytearray(wrapped)
         corrupt[index] ^= delta
         with pytest.raises((CorruptCiphertextError, IntegrityError)):
-            recover_payload(bytes(corrupt), bundle.payload_digest, cipher)
+            recover_payload(bytes(corrupt), payload_digest, cipher)
 
     def test_integrity_error_carries_both_digests(self):
         width = 16
         rng = Rng(5)
         params = new_system_params(rng, width)
         cipher = CipherContext(params.s, params.m)
-        bundle = make_cipher_bundle(b"payload", cipher, rng.take(width))
+        wrapped, _ = make_cipher_bundle(b"payload", cipher, rng.take(width))
         with pytest.raises(IntegrityError) as info:
-            recover_payload(bundle.wrapped, digest(b"other"), cipher)
+            recover_payload(wrapped, digest(b"other"), cipher)
         assert info.value.advertised == digest(b"other").hex()
         assert info.value.actual == digest(b"payload").hex()
 
@@ -253,8 +248,13 @@ class TestValidationMessages:
                 bytes.fromhex(GOLDEN_PRIVATE_KEY),
                 g["m"],
                 g["attribute"],
-                g["width"],
             )
+
+
+class TestPrivateKey:
+    def test_public_param_width_enforced(self):
+        with pytest.raises(WidthMismatchError):
+            derive_private_key(b"\x01" * 8, b"\x02" * 7, b"\x03" * 8, b"\x04" * 8)
 
 
 class TestDataKey:
