@@ -150,7 +150,7 @@ def expected_memory_bytes(config: ScenarioConfig, payload_sizes: Sequence[int]) 
     return total
 
 
-def run_sweep(
+def plan_sweep(
     datasets: Sequence[str],
     *,
     key_lengths: Sequence[int] = KEY_LENGTH_BITS,
@@ -159,11 +159,12 @@ def run_sweep(
     adversaries: Sequence[AdversarySpec] = (),
     max_records: int | None = None,
     data_dir: str | Path = "data",
-) -> list[BenchRow]:
-    """One protocol run per (dataset, key length, seed), in that order.
+) -> list[tuple[ScenarioConfig, list[bytes]]]:
+    """Every cell of a sweep with its payloads: one per (dataset, key length, seed), in that order.
 
     Every cell's configuration is built, and so checked, before any
-    dataset is read, and every dataset is read before the first run.
+    dataset is read, and every dataset is read before this returns, so
+    a bad sweep fails before its first run.
     """
     if n_genuine == 0:
         raise UndefinedRateError("no genuine principals in the scenario")
@@ -184,21 +185,32 @@ def run_sweep(
         for name, _ in sources
     ]
     payload_sets = [load_payloads(name, path, max_records) for name, path in sources]
+    return [
+        (config, payloads) for configs, payloads in zip(cells, payload_sets) for config in configs
+    ]
+
+
+def run_cells(cells: Sequence[tuple[ScenarioConfig, list[bytes]]]) -> list[BenchRow]:
+    """One protocol run and CSV row per planned cell, in order."""
     rows = []
-    for (name, _), configs, payloads in zip(sources, cells, payload_sets):
-        for config in configs:
-            transcript = run_protocol(config, payloads)
-            summary = summarize(transcript, config)
-            rows.append(
-                BenchRow(
-                    dataset=name,
-                    key_length_bits=config.key_length_bits,
-                    memory_bytes=measure_memory(config, transcript),
-                    genuine_detection_rate=genuine_detection_rate(summary),
-                    seed=config.seed,
-                )
+    for config, payloads in cells:
+        transcript = run_protocol(config, payloads)
+        summary = summarize(transcript, config)
+        rows.append(
+            BenchRow(
+                dataset=config.dataset,
+                key_length_bits=config.key_length_bits,
+                memory_bytes=measure_memory(config, transcript),
+                genuine_detection_rate=genuine_detection_rate(summary),
+                seed=config.seed,
             )
+        )
     return rows
+
+
+def run_sweep(datasets: Sequence[str], **options) -> list[BenchRow]:
+    """Plan a sweep with :func:`plan_sweep`, which takes ``options``, and run its cells."""
+    return run_cells(plan_sweep(datasets, **options))
 
 
 def render_csv(rows: Sequence[BenchRow]) -> str:

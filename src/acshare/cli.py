@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .bench import run_sweep, write_csv
+from .bench import plan_sweep, render_csv, run_cells
 from .dataset import (
     ATTRIBUTES,
     DatasetParseError,
@@ -135,9 +135,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     with out.open("wb") as sink:  # an unwritable path fails before the run
         transcript, summary = run_scenario(config, payloads=payloads)
-        sink.write(transcript.to_jsonl())
+        digest = transcript.to_jsonl(sink)
     print(f"wrote {len(transcript.messages)} messages to {out}")
-    print(f"transcript sha256: {transcript.content_hash()}")
+    print(f"transcript sha256: {digest}")
     for line in summary.format_lines():
         print(line)
     return EXIT_OK
@@ -146,7 +146,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     datasets = args.dataset or ["cleveland", "hungarian", "swiss"]
     adversaries = [_parse_adversary(token) for token in args.adversary]
-    rows = run_sweep(
+    cells = plan_sweep(
         datasets,
         key_lengths=args.key_length or KEY_LENGTH_BITS,
         seeds=args.seed or [0],
@@ -155,7 +155,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         max_records=args.max_records,
         data_dir=args.data_dir,
     )
-    write_csv(rows, args.out)
+    # an unwritable path fails before the sweep
+    with open(args.out, "w", encoding="ascii", newline="") as sink:
+        rows = run_cells(cells)
+        sink.write(render_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 

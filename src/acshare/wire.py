@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 PUBLIC = "PUBLIC"
 PRIVATE = "PRIVATE"
@@ -48,6 +49,9 @@ OUTCOME_STATUSES = (ACCEPTED, REJECTED, INTEGRITY_FAILURE)
 # JSON quoting of a name; the distinct names of a run are bounded by its roster
 _quote = functools.cache(json.dumps)
 _encode = json.JSONEncoder(separators=(",", ":")).encode
+
+#: messages rendered per write, which bounds the text a render holds at once
+RENDER_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,13 @@ class Outcome:
     recovered: int = 0
 
 
+class _Discard:
+    """A sink that keeps nothing, for a render that only hashes."""
+
+    def write(self, data: bytes) -> int:
+        return len(data)
+
+
 class Transcript:
     """Ordered message log plus per-principal outcomes.
 
@@ -112,7 +123,7 @@ class Transcript:
         self.messages: list[Message] = []
         self.outcomes: dict[str, Outcome] = {}
         self.world = None
-        self._jsonl = (0, b"")  # (message count, JSON lines of that many messages)
+        self._digest = (0, hashlib.sha256().hexdigest())  # (message count, sha256 of its lines)
 
     def append(
         self,
@@ -131,22 +142,31 @@ class Transcript:
         self.messages.append(message)
         return message
 
-    def to_jsonl(self) -> bytes:
-        """JSON lines of every message, one per line, as ASCII bytes.
+    def to_jsonl(self, sink: BinaryIO) -> str:
+        """Write the JSON lines of every message to ``sink``; return their sha256.
 
-        Messages are immutable once appended, so the bytes are kept and
-        only messages appended since the last call are rendered; hashing
-        and writing use the kept bytes without copying them.
+        The lines are rendered ``RENDER_CHUNK`` messages at a time, and
+        each chunk is written and hashed before the next is rendered, so
+        no text of the whole transcript is built or kept. The digest is
+        recorded for ``content_hash``.
         """
-        count, data = self._jsonl
-        if count < len(self.messages):
-            text = "".join(message.to_json() + "\n" for message in self.messages[count:])
-            data += text.encode("ascii")
-            self._jsonl = (len(self.messages), data)
-        return data
+        messages = self.messages
+        digest = hashlib.sha256()
+        for start in range(0, len(messages), RENDER_CHUNK):
+            lines = (message.to_json() + "\n" for message in messages[start : start + RENDER_CHUNK])
+            data = "".join(lines).encode("ascii")
+            sink.write(data)
+            digest.update(data)
+        self._digest = (len(messages), digest.hexdigest())
+        return self._digest[1]
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.to_jsonl()).hexdigest()
+        """sha256 of the JSON lines; rendered again only after an append."""
+        count, digest = self._digest
+        if count == len(self.messages):
+            return digest
+        return self.to_jsonl(_Discard())
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_jsonl())
+        with open(path, "wb") as sink:
+            self.to_jsonl(sink)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -100,7 +101,7 @@ class TestRun:
         )
         assert code_a == code_b == 0
         assert out_a.read_bytes() == out_b.read_bytes()
-        assert "transcript sha256:" in stdout_a
+        assert f"transcript sha256: {hashlib.sha256(out_a.read_bytes()).hexdigest()}\n" in stdout_a
         assert "FORGED_PRIVATE_KEY: REJECTED 1/1" in stdout_a
 
     def test_seed_override_changes_bytes(self, capsys, tmp_path, scenario_path):
@@ -191,12 +192,26 @@ class TestBench:
         assert lines[2].startswith("swiss,256,")
 
     def test_rejects_bad_key_length(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
         code, _, err = invoke(
-            capsys, "bench", "--out", str(tmp_path / "x.csv"), "--data-dir", DATA_DIR,
+            capsys, "bench", "--out", str(out), "--data-dir", DATA_DIR,
             "--dataset", "swiss", "--key-length", "100",
         )
         assert code == 2
         assert err.startswith("error[CONFIG]:")
+        assert not out.exists()
+
+    def test_bad_out_path_fails_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was opened")
+
+        monkeypatch.setattr("acshare.bench.run_protocol", no_run)
+        code, _, err = invoke(
+            capsys, "bench", "--out", str(tmp_path / "missing" / "x.csv"), "--data-dir", DATA_DIR,
+            "--dataset", "swiss", "--key-length", "64", "--max-records", "1",
+        )
+        assert code == 4
+        assert err.startswith("error[IO]:")
 
     def test_missing_data_dir_is_io_error(self, capsys, tmp_path):
         code, _, err = invoke(
@@ -229,12 +244,14 @@ class TestBench:
     def test_non_ascii_dataset_is_dataset_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"\xe9\n")
+        out = tmp_path / "x.csv"
+        out.write_text("kept\n")
         code, _, err = invoke(
-            capsys, "bench", "--out", str(tmp_path / "x.csv"), "--dataset", str(bad),
-            "--key-length", "64",
+            capsys, "bench", "--out", str(out), "--dataset", str(bad), "--key-length", "64",
         )
         assert code == 4
         assert err.startswith("error[DATASET]:") and "bad.csv:1:" in err
+        assert out.read_text() == "kept\n"  # not truncated
 
     def test_zero_genuine_is_config_error(self, capsys, tmp_path):
         code, _, err = invoke(

@@ -31,7 +31,7 @@ from acshare.entities import (
 from acshare.netsim import AdversaryClass, AdversarySpec, Network, ScenarioConfig
 from acshare.primitives import Rng
 from acshare.protocol import Credentials, new_system_params
-from acshare.wire import ACCEPTED, PUBLIC, Message, Transcript
+from acshare.wire import ACCEPTED, PUBLIC, RENDER_CHUNK, Message, Transcript
 
 from conftest import by_kind
 
@@ -43,6 +43,17 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
     max_leaves=8,
 )
+
+
+def share_transcript(count, width=2):
+    """A transcript of ``count`` DATA_SHARE messages, each with its own payload."""
+    transcript = Transcript()
+    for i in range(count):
+        wrapped = i.to_bytes(width, "big")
+        transcript.append(
+            "sharing", "cloud", "user-000", PUBLIC, "DATA_SHARE", {"wrapped": wrapped}
+        )
+    return transcript
 
 
 def fresh_net(width=8, seed=0):
@@ -137,7 +148,7 @@ class TestTranscriptSerialization:
         half = len(messages) // 2
         grown, fresh = Transcript(), Transcript()
         copy_into(grown, messages[:half])
-        first = grown.to_jsonl()
+        first = grown.content_hash()
         copy_into(grown, messages[half:])
         copy_into(fresh, messages)
         rendered = []
@@ -145,31 +156,45 @@ class TestTranscriptSerialization:
         monkeypatch.setattr(Message, "to_json", lambda m: rendered.append(m.step) or to_json(m))
         out = tmp_path / "t.jsonl"
         grown.write(out)
-        assert grown.content_hash() == hashlib.sha256(out.read_bytes()).hexdigest()
-        # write and content_hash share one render of the messages appended
-        # since the first call
-        assert rendered == list(range(half + 1, len(messages) + 1))
+        assert grown.content_hash() == hashlib.sha256(out.read_bytes()).hexdigest() != first
+        # write renders each message once, and content_hash reuses its digest
+        assert rendered == list(range(1, len(messages) + 1))
         monkeypatch.undo()
-        assert out.read_bytes() == grown.to_jsonl() == fresh.to_jsonl()
-        assert fresh.to_jsonl().startswith(first)
+        fresh.write(tmp_path / "fresh.jsonl")
+        assert out.read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
 
     def test_hash_and_write_copy_no_text(self, tmp_path):
-        transcript = Transcript()
-        for _ in range(2000):
-            transcript.append(
-                "sharing", "cloud", "user-000", PUBLIC, "DATA_SHARE", {"wrapped": bytes(300)}
-            )
-        size = len(transcript.to_jsonl())
-        assert size >= 1 << 20
+        # many chunks, so that one chunk's text is a small share of the file
+        transcript = share_transcript(64 * RENDER_CHUNK, width=64)
+        out = tmp_path / "t.jsonl"
         tracemalloc.start()
         try:
+            transcript.write(out)
             transcript.content_hash()
-            transcript.write(tmp_path / "t.jsonl")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # both read the kept render; neither makes a second copy of it
+        size = out.stat().st_size
+        assert size >= 1 << 20
+        # the first render holds one chunk of text at a time and keeps none
         assert peak < size / 10
+
+    @pytest.mark.parametrize("count", [0, 1, RENDER_CHUNK - 1, RENDER_CHUNK, RENDER_CHUNK + 1])
+    def test_render_across_chunk_edges(self, count, tmp_path):
+        transcript = share_transcript(count)
+        out = tmp_path / "t.jsonl"
+        transcript.write(out)
+        expected = "".join(m.to_json() + "\n" for m in transcript.messages).encode("ascii")
+        assert out.read_bytes() == expected  # empty for 0 messages
+        written = transcript.content_hash()
+        assert written == hashlib.sha256(expected).hexdigest()
+        wrapped = count.to_bytes(2, "big")
+        transcript.append(
+            "sharing", "cloud", "user-000", PUBLIC, "DATA_SHARE", {"wrapped": wrapped}
+        )
+        # an append makes the recorded digest stale
+        assert transcript.content_hash() != written
+        assert transcript.content_hash() == share_transcript(count + 1).content_hash()
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -484,12 +484,12 @@ class TestDeterminism:
         )
         first = run_protocol(config, [sample_payload])
         second = run_protocol(config, [sample_payload])
-        assert first.to_jsonl() == second.to_jsonl()
+        assert first.content_hash() == second.content_hash()
 
     def test_different_seed_different_bytes(self, sample_payload):
         first = run_protocol(scenario(seed=1), [sample_payload])
         second = run_protocol(scenario(seed=2), [sample_payload])
-        assert first.to_jsonl() != second.to_jsonl()
+        assert first.content_hash() != second.content_hash()
 
     @pytest.mark.parametrize("bits", KEY_LENGTH_BITS)
     def test_every_key_length_completes(self, bits, sample_payload):
