@@ -5,10 +5,9 @@ The three files mimic the shape of the classic heart-disease clinic
 collections: 303 records (cleveland), 294 (hungarian), and 123 (swiss),
 each with 14 comma-separated attributes and '?' for missing values.
 The values themselves are synthetic draws from plausible clinical
-ranges, seeded so the files are reproducible byte for byte. Replace
-them with the genuine collections via scripts/fetch_uci_datasets.py
-whenever network access is available; every test in this repository
-passes against either set.
+ranges, seeded so the files are reproducible byte for byte; the test
+suite checks that this script rewrites the committed files exactly,
+and its pinned hashes hold only for them.
 
 Usage:
     python3 scripts/make_fixture_datasets.py [--out-dir data]

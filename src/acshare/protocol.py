@@ -16,6 +16,7 @@ Shapes, for width L (H is SHA-256, SE the hash-counter stream cipher,
     data key             K_D  = H(m || s || "DATA")
     encrypted payload    D_E  = SE(K_D, D) xor expand(H(s || m), |D|)
     wrapped ciphertext   D_C  = SE(K_D, D_E || O_pk frame)
+                              = frame(D, O_pk) xor Q(T, n)
     access query         q    = M * expand(H(U_ID || U_pk), L)  mod 2^(8L)
     session key          U_sk = expand(SE(K_K, P || H(m || a) frame), L)
     validation           v1   = expand(H(U_ID || U_sk || s), L) mod r
@@ -25,11 +26,17 @@ where P is the per-principal public parameter, a the attribute vector,
 r a per-round nonce, O_pk the data owner's private key, and
 K_K = H(m || "KGC") the key the centre wraps session material under.
 
-The bundle format is two functions: the owner's encryption phase,
-:func:`make_cipher_bundle` (``D_E``, then ``D_C`` and the payload
-digest), and the user's data-sharing phase, :func:`recover_payload`
-(its inverse plus the digest check). Both take a :class:`CipherContext`,
-which holds ``K_D`` and the ``H(s || m)`` mask of one principal.
+The three XORs of ``D_C`` fold into one pad. With ``ks`` the stream of
+``K_D``, ``T = |D_C|`` and ``n = |D|``, both length prefixes stay
+under ``ks`` alone:
+
+    Q(T, n) = ks[:T] xor (0^4 || ks[:n] xor expand(H(s || m), n) || 0^(T-4-n))
+
+The bundle format is two functions, each one XOR with ``Q``: the
+owner's encryption phase, :func:`make_cipher_bundle` (``D_C`` and the
+payload digest), and the user's data-sharing phase,
+:func:`recover_payload` (its inverse plus the digest check). Both take
+a :class:`CipherContext`, which builds ``Q`` for one principal.
 """
 
 from __future__ import annotations
@@ -175,14 +182,12 @@ def validation_messages(
 class CipherContext:
     """One principal's data-key state, built once from ``s`` and ``m``.
 
-    Every payload of a run is sealed and opened under the same data key
-    ``K_D`` and the same ``H(s || m)`` mask seed, so both streams are
-    derived once and reused: a keystream or mask request returns a
-    prefix of the stream, grown only as far as the longest request.
-    ``mask(n)`` equals ``expand(H(s || m), n)``, whose first 32 bytes
-    are not a prefix of its longer outputs, so widths up to the digest
-    size are served from ``digest(H(s || m))`` and longer ones from the
-    counter stream.
+    A bundle is ``D_C = frame(D, O_pk) xor Q(T, n)``, and every bundle
+    of a run is sealed under the same ``K_D`` and ``H(s || m)`` mask
+    seed, so ``Q`` depends only on the two lengths: both streams are
+    derived once and only grown, and each ``Q(T, n)`` is built once and
+    kept as an integer. Masks up to the digest size are prefixes of
+    ``digest(H(s || m))``, longer ones of the counter stream.
     """
 
     def __init__(self, s: bytes, m: bytes) -> None:
@@ -190,16 +195,24 @@ class CipherContext:
         self._keystream = CounterStream(derive_data_key(m, s))
         self._short_mask = digest(mask_seed)
         self._long_mask = CounterStream(mask_seed)
+        self._pads: dict[tuple[int, int], int] = {}
+        self._prefix_key = int.from_bytes(self._keystream.take(4), "big")  # ks[:4]
 
-    def apply(self, data: bytes) -> bytes:
-        """``SE(K_D, data)``: XOR with the data key's stream (an involution)."""
-        return xor_bytes(data, self._keystream.take(len(data)))
-
-    def mask(self, length: int) -> bytes:
-        """``expand(H(s || m), length)``."""
-        if length <= DIGEST_WIDTH:
-            return self._short_mask[:length]
-        return self._long_mask.take(length)
+    def bundle_pad(self, total: int, length: int) -> int:
+        """``Q(total, length)`` as an integer; ``length <= total - 4``, or 0."""
+        pad = self._pads.get((total, length))
+        if pad is None:
+            stream = self._keystream.take(total)
+            pad = int.from_bytes(stream, "big")
+            if length:
+                if length <= DIGEST_WIDTH:
+                    mask = self._short_mask[:length]
+                else:
+                    mask = self._long_mask.take(length)
+                inner = int.from_bytes(stream[:length], "big") ^ int.from_bytes(mask, "big")
+                pad ^= inner << 8 * (total - 4 - length)
+            self._pads[total, length] = pad
+        return pad
 
 
 def make_cipher_bundle(
@@ -214,8 +227,10 @@ def make_cipher_bundle(
     """
     if not payload:
         raise EmptyPayloadError("refusing to encrypt an empty payload")
-    encrypted = xor_bytes(cipher.apply(payload), cipher.mask(len(payload)))
-    wrapped = cipher.apply(frame_concat([encrypted, owner_key]))
+    framed = frame_concat([payload, owner_key])
+    total = len(framed)
+    pad = cipher.bundle_pad(total, len(payload))
+    wrapped = (int.from_bytes(framed, "big") ^ pad).to_bytes(total, "big")
     return wrapped, digest(payload)
 
 
@@ -226,15 +241,25 @@ def recover_payload(wrapped: bytes, payload_digest: bytes, cipher: CipherContext
     ciphertext was corrupted, or the wrong key was used) and
     :class:`IntegrityError` when the digest check fails; a corrupted
     share can never come back as a silently wrong payload.
+
+    ``n`` is the first length prefix, clamped to ``T - 8`` (0 below 8
+    bytes), past which two fields cannot frame. ``Q(T, n')`` for
+    ``n' <= n`` leaves every length prefix under ``ks`` alone, so the
+    framing verdict and its message match those of ``SE(K_D, wrapped)``.
     """
+    total = len(wrapped)
+    length = 0
+    if total >= 8:
+        length = min(int.from_bytes(wrapped[:4], "big") ^ cipher._prefix_key, total - 8)
+    pad = cipher.bundle_pad(total, length)
+    plain = (int.from_bytes(wrapped, "big") ^ pad).to_bytes(total, "big")
     try:
-        fields = frame_split(cipher.apply(wrapped))
+        fields = frame_split(plain)
     except FramingError as exc:
         raise CorruptCiphertextError(str(exc)) from exc
     if len(fields) != 2:
         raise CorruptCiphertextError(f"expected 2 framed fields, found {len(fields)}")
-    encrypted = fields[0]
-    payload = cipher.apply(xor_bytes(encrypted, cipher.mask(len(encrypted))))
+    payload = fields[0]
     actual = digest(payload)
     if actual != payload_digest:
         raise IntegrityError(

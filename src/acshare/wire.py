@@ -54,7 +54,7 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 RENDER_CHUNK = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """One transmission, exactly as it crossed its channel.
 

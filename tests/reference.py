@@ -95,3 +95,37 @@ def ref_cipher_bundle(payload, s, m, owner_key):
     masked = _xor(_xor(payload, _stream(key, len(payload))), _grow(_h(_fr([s, m])), len(payload)))
     inner = _fr([masked, owner_key])
     return _xor(inner, _stream(key, len(inner))), _h(payload)
+
+
+def _split(framed):
+    # read length-prefixed fields back: (fields, None), or (None, the error)
+    fields = []
+    pos = 0
+    while pos < len(framed):
+        if len(framed) - pos < 4:
+            return None, f"truncated length prefix at offset {pos}"
+        (length,) = struct.unpack(">I", framed[pos : pos + 4])
+        pos += 4
+        if len(framed) - pos < length:
+            return None, f"field of {length} bytes overruns data at offset {pos}"
+        fields.append(framed[pos : pos + length])
+        pos += length
+    if not fields:
+        return None, "no framed fields present"
+    return fields, None
+
+
+def ref_recover_payload(wrapped, payload_digest, s, m):
+    # ("ok", payload), or (name of the error class, its message)
+    key = _h(_fr([m, s, b"DATA"]))
+    fields, error = _split(_xor(wrapped, _stream(key, len(wrapped))))
+    if error is not None:
+        return "CorruptCiphertextError", error
+    if len(fields) != 2:
+        return "CorruptCiphertextError", f"expected 2 framed fields, found {len(fields)}"
+    masked = fields[0]
+    encrypted = _xor(masked, _grow(_h(_fr([s, m])), len(masked)))
+    payload = _xor(encrypted, _stream(key, len(encrypted)))
+    if _h(payload) != payload_digest:
+        return "IntegrityError", "recovered payload does not match its advertised digest"
+    return "ok", payload

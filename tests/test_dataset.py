@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +18,8 @@ from acshare.dataset import (
     record_to_payload,
     resolve_dataset,
 )
+
+from conftest import REPO_ROOT
 
 # the classic first row of the cleveland collection, known by shape
 FIRST_ROW = "63.0,1.0,1.0,145.0,233.0,1.0,2.0,150.0,0.0,2.3,3.0,0.0,6.0,0"
@@ -146,3 +151,11 @@ class TestResolve:
         name, path = resolve_dataset("/tmp/custom.csv", data_dir)
         assert name == "custom"
         assert str(path) == "/tmp/custom.csv"
+
+
+def test_fixture_script_regenerates_data(tmp_path, data_dir):
+    script = REPO_ROOT / "scripts" / "make_fixture_datasets.py"
+    subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path)], check=True)
+    for name in ("cleveland", "hungarian", "swiss"):
+        csv = f"{name}.csv"
+        assert (tmp_path / csv).read_bytes() == (data_dir / csv).read_bytes(), csv

@@ -35,6 +35,7 @@ from reference import (
     ref_access_query,
     ref_cipher_bundle,
     ref_private_key,
+    ref_recover_payload,
     ref_registration_digest,
     ref_session_key,
     ref_validation_pair,
@@ -46,6 +47,24 @@ ids = st.binary(min_size=1, max_size=40)
 
 def fixed(width):
     return st.binary(min_size=width, max_size=width)
+
+
+@st.composite
+def mutated(draw, wrapped, length):
+    """``wrapped`` flipped (often in a length prefix), cut, extended or replaced."""
+    kind = draw(st.sampled_from(("flip", "truncate", "extend", "short")))
+    if kind == "truncate":
+        return wrapped[: draw(st.integers(0, len(wrapped) - 1))]
+    if kind == "extend":
+        return wrapped + draw(st.binary(min_size=1, max_size=12))
+    if kind == "short":
+        return draw(st.binary(max_size=7))
+    prefixes = [*range(4), *range(4 + length, 8 + length)]
+    corrupt = bytearray(wrapped)
+    for _ in range(draw(st.integers(1, 3))):
+        index = draw(st.sampled_from(prefixes) | st.integers(0, len(wrapped) - 1))
+        corrupt[index] ^= draw(st.integers(1, 255))
+    return bytes(corrupt)
 
 
 # one frozen tuple, all six derived values computed with the reference
@@ -169,6 +188,32 @@ class TestDataPipeline:
             wrapped, payload_digest = make_cipher_bundle(payload, cipher, owner_key)
             assert (wrapped, payload_digest) == ref_cipher_bundle(payload, s, m, owner_key)
             assert recover_payload(wrapped, payload_digest, cipher) == payload
+
+    @given(
+        st.data(),
+        widths,
+        st.lists(st.binary(min_size=1, max_size=80), min_size=1, max_size=4),
+    )
+    def test_mutated_open_matches_oracle(self, data, width, payloads):
+        # one context seals every payload, then opens each bundle as sent
+        # and once mutated; the oracle opens without a folded pad
+        s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
+        cipher = CipherContext(s, m)
+        bundles = [make_cipher_bundle(payload, cipher, owner_key) for payload in payloads]
+        sealed = {(len(wrapped), len(payload)) for (wrapped, _), payload in zip(bundles, payloads)}
+        assert set(cipher._pads) == sealed
+        handed = set()
+        for (wrapped, payload_digest), payload in zip(bundles, payloads):
+            assert recover_payload(wrapped, payload_digest, cipher) == payload
+            corrupt = data.draw(mutated(wrapped, len(payload)))
+            try:
+                opened = ("ok", recover_payload(corrupt, payload_digest, cipher))
+            except (CorruptCiphertextError, IntegrityError) as exc:
+                opened = (type(exc).__name__, str(exc))
+            assert opened == ref_recover_payload(corrupt, payload_digest, s, m)
+            handed.add(len(corrupt))
+        assert sealed <= set(cipher._pads)
+        assert {total for total, _ in cipher._pads} == handed | {total for total, _ in sealed}
 
     def test_empty_payload_rejected(self):
         with pytest.raises(EmptyPayloadError):
