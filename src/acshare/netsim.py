@@ -56,6 +56,8 @@ from .wire import (
 #: key lengths the benchmarks sweep, in bits
 KEY_LENGTH_BITS = (64, 128, 256, 512)
 
+MAX_FLIPS = 64  # each flip adds a note to its line's annotation
+
 GENUINE_LABEL = "genuine"
 
 
@@ -125,7 +127,7 @@ class ScenarioConfig:
             )
         if not 0 <= self.seed <= Rng.SEED_MASK:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if not isinstance(self.dataset, str) or not self.dataset:
+        if not isinstance(self.dataset, str) or not self.dataset or "\0" in self.dataset:
             raise ConfigError(f"dataset must be a non-empty name or path, got {self.dataset!r}")
         if self.max_records is not None and self.max_records < 1:
             raise ConfigError(f"max_records must be >= 1, got {self.max_records}")
@@ -134,11 +136,9 @@ class ScenarioConfig:
                 raise ConfigError("NONE is not an adversary entry; raise n_genuine instead")
             if spec.count < 0:
                 raise ConfigError(f"adversary count must be >= 0, got {spec.count}")
-            if spec.flips < 1:
-                raise ConfigError(f"flips must be >= 1, got {spec.flips}")
-        replaying = sum(
-            s.count for s in self.adversaries if s.cls is AdversaryClass.REPLAY_QUERY
-        )
+            if not 1 <= spec.flips <= MAX_FLIPS:
+                raise ConfigError(f"flips must be in 1..{MAX_FLIPS}, got {spec.flips}")
+        replaying = any(s.count for s in self.adversaries if s.cls is AdversaryClass.REPLAY_QUERY)
         if replaying and self.n_genuine < 1:
             raise ConfigError("REPLAY_QUERY adversaries need at least one genuine user to observe")
 
@@ -205,12 +205,13 @@ def principal_roster(config: ScenarioConfig) -> list[tuple[str, AdversaryClass, 
 
     Genuine users come first, then adversaries grouped in configuration
     order. Names are fixed-format so closed-form accounting can predict
-    their byte lengths.
+    their byte lengths. A class listed twice numbers on, so names are distinct.
     """
     roster = [(f"user-{i:03d}", AdversaryClass.NONE, 1) for i in range(config.n_genuine)]
-    for spec in config.adversaries:
+    for i, spec in enumerate(config.adversaries):
         token = spec.cls.name.lower()
-        for j in range(spec.count):
+        first = sum(earlier.count for earlier in config.adversaries[:i] if earlier.cls is spec.cls)
+        for j in range(first, first + spec.count):
             roster.append((f"adv-{token}-{j:03d}", spec.cls, spec.flips))
     return roster
 

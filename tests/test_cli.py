@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acshare.cli import main
+from acshare.netsim import KEY_LENGTH_BITS, MAX_FLIPS, AdversaryClass
 
 from conftest import REPO_ROOT
 
@@ -134,6 +139,18 @@ class TestRun:
             assert code == 2, content[:20]
             assert err.startswith("error[CONFIG]:")
 
+    def test_nul_in_dataset_is_config_error(self, capsys, tmp_path, scenario_path):
+        # no file name holds a NUL, and opening one raises ValueError
+        doc = json.loads(scenario_path.read_text())
+        scenario_path.write_text(json.dumps({**doc, "dataset": "a\0b"}))
+        out = tmp_path / "x.jsonl"
+        code, _, err = invoke(
+            capsys, "run", "--scenario", str(scenario_path), "--out", str(out), "--data-dir", DATA_DIR
+        )
+        assert code == 2
+        assert err.startswith("error[CONFIG]:")
+        assert not out.exists()
+
     def test_non_ascii_dataset_is_dataset_error(self, capsys, tmp_path, scenario_path):
         (tmp_path / "swiss.csv").write_bytes(b"63,1,1,145,233,1,2,150,0,2.3,3,0,6,0\n\xe9\n")
         code, _, err = invoke(
@@ -166,6 +183,31 @@ class TestRun:
         assert code == 4
         assert err.startswith("error[IO]:")
 
+    @pytest.mark.parametrize("cls", ["WRONG_PASSWORD", "REPLAY_QUERY"])
+    def test_repeated_adversary_class_runs_each_principal(self, capsys, tmp_path, cls):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "n_genuine": 1,
+                    "adversaries": [{"class": cls, "count": 1}, {"class": cls, "count": 1}],
+                    "dataset": "swiss",
+                    "key_length_bits": 64,
+                    "seed": 0,
+                    "max_records": 1,
+                }
+            )
+        )
+        out = tmp_path / "x.jsonl"
+        code, stdout, _ = invoke(
+            capsys, "run", "--scenario", str(scenario), "--out", str(out), "--data-dir", DATA_DIR
+        )
+        assert code == 0
+        assert f"{cls}: REJECTED 2/2" in stdout
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        principals = {line["from"] for line in lines} | {line["to"] for line in lines}
+        assert {f"adv-{cls.lower()}-000", f"adv-{cls.lower()}-001"} <= principals
+
     def test_seed_override_out_of_range(self, capsys, tmp_path, scenario_path):
         code, _, err = invoke(
             capsys, "run", "--scenario", str(scenario_path), "--out", str(tmp_path / "x.jsonl"),
@@ -173,6 +215,101 @@ class TestRun:
         )
         assert code == 2
         assert err.startswith("error[CONFIG]:")
+
+
+def nested(text: str, depth: int) -> str:
+    return "[" * depth + text + "]" * depth
+
+
+#: JSON text of a value of the wrong type, or buried in nesting near the
+#: parser's recursion limit
+wrong_types = st.one_of(
+    st.sampled_from(["true", "false", "1.5", "-0.0", "1e400", "NaN", '"2"', "{}", '{"a": 1}']),
+    st.builds(json.dumps, st.text(max_size=6)),
+    st.builds(nested, st.sampled_from(["", "1", '"cleveland"', "{}"]), st.integers(1, 3000)),
+)
+huge_ints = st.one_of(st.integers(min_value=2**64), st.integers(max_value=-(2**64))).map(str)
+negative_ints = st.integers(max_value=-1).map(str)
+not_positive = st.integers(max_value=0).map(str)
+
+
+def ints(low: int, high: int) -> st.SearchStrategy[str]:
+    return st.integers(low, high).map(str)
+
+
+def json_object(pairs: dict) -> str:
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in pairs.items()) + "}"
+
+
+@st.composite
+def fields(draw, valid: dict, invalid: dict) -> str:
+    """A JSON object of ``valid`` values with up to two replaced by ``invalid`` ones.
+
+    A replaced key may also be dropped, or an unknown key added.
+    """
+    broken = draw(st.sets(st.sampled_from(sorted(valid)), max_size=2))
+    doc = {key: draw(invalid[key] if key in broken else valid[key]) for key in valid}
+    if broken and draw(st.booleans()):
+        del doc[min(broken)]
+    if draw(st.integers(0, 9)) == 0:
+        doc["unknown"] = "0"
+    return json_object(doc)
+
+
+ADVERSARY_NAMES = [cls.name for cls in AdversaryClass if cls is not AdversaryClass.NONE]
+
+#: n_genuine, counts and max_records stay at most 2, so that a valid
+#: scenario runs in milliseconds
+adversary_entries = fields(
+    valid={
+        "class": st.sampled_from(ADVERSARY_NAMES).map(json.dumps),
+        "count": ints(0, 2),
+        "flips": ints(1, 3),
+    },
+    invalid={
+        "class": st.one_of(
+            st.sampled_from(["NONE", "GREMLIN", "", " replay_query "]).map(json.dumps), wrong_types
+        ),
+        "count": st.one_of(negative_ints, wrong_types),
+        # above the cap, but small enough to run in a second should it go
+        "flips": st.one_of(ints(MAX_FLIPS + 1, 10**4), not_positive, wrong_types),
+    },
+)
+scenario_documents = fields(
+    valid={
+        "n_genuine": ints(0, 2),
+        "adversaries": st.lists(adversary_entries, max_size=3).map(lambda items: f"[{', '.join(items)}]"),
+        "dataset": st.sampled_from(["cleveland", "swiss", "hungarian"]).map(json.dumps),
+        "key_length_bits": st.sampled_from(KEY_LENGTH_BITS).map(str),
+        "seed": st.integers(0, 2**64 - 1).map(str),
+        "max_records": ints(1, 2),
+    },
+    invalid={
+        "n_genuine": st.one_of(negative_ints, wrong_types),
+        "adversaries": wrong_types,
+        "dataset": st.one_of(
+            st.sampled_from(["", "SWISS ", "sample", "x=", "=", "absent.csv", "tests", "a\x00b"]),
+            st.text(alphabet="abc.=\x00\u00e9 ", max_size=6),
+        ).map(json.dumps)
+        | wrong_types,
+        "key_length_bits": st.one_of(huge_ints, ints(-512, 1024), wrong_types),
+        "seed": st.one_of(huge_ints, negative_ints, wrong_types),
+        "max_records": st.one_of(not_positive, wrong_types),
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario_documents)
+def test_run_survives_any_scenario_document(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(document, encoding="utf-8")
+        out = Path(tmp) / "out.jsonl"
+        code = main(["run", "--scenario", str(scenario), "--out", str(out), "--data-dir", DATA_DIR])
+        assert code in (0, 2, 3, 4)
+        if code in (2, 4):
+            assert not out.exists()
 
 
 class TestBench:

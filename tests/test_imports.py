@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: the package's ``__init__`` imports names to re-export them
+#: the package's ``__init__`` imports ``Transcript`` only for the benchmark's tracer
 SCANNED = sorted(
     path
     for path in [*(REPO_ROOT / "src" / "acshare").glob("*.py"), *(REPO_ROOT / "tests").glob("*.py")]
@@ -38,3 +40,15 @@ def test_every_imported_name_is_used():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def test_dataset_import_loads_no_protocol_module():
+    # the benchmark's set-up probe imports acshare.dataset in a fresh interpreter
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(REPO_ROOT / 'src')!r})\n"
+        "import acshare.dataset\n"
+        "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'acshare'))\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["acshare", "acshare.dataset", "acshare.primitives", "acshare.wire"]

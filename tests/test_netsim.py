@@ -11,6 +11,7 @@ from acshare.netsim import (
     AdversarySpec,
     ConfigError,
     KEY_LENGTH_BITS,
+    MAX_FLIPS,
     Network,
     ScenarioConfig,
     apply_adversary,
@@ -152,6 +153,17 @@ class TestScenarioConfig:
                 )
             )
 
+    def test_flip_budget_bounded(self):
+        # each flip adds a note to its line, so a budget of 10**12 would
+        # not finish and would exhaust memory on the way
+        def tamperer(flips):
+            return (AdversarySpec(cls=AdversaryClass.TAMPER_CIPHERTEXT, count=1, flips=flips),)
+
+        for flips in (MAX_FLIPS + 1, 10**12):
+            with pytest.raises(ConfigError):
+                scenario(adversaries=tamperer(flips))
+        scenario(adversaries=tamperer(MAX_FLIPS))
+
     def test_from_json_round_trip(self):
         doc = {
             "n_genuine": 2,
@@ -218,6 +230,21 @@ class TestScenarioConfig:
             "user-001",
             "adv-wrong_password-000",
             "adv-wrong_password-001",
+        ]
+
+    def test_roster_numbers_a_repeated_class_on(self):
+        config = scenario(
+            adversaries=(
+                AdversarySpec(cls=AdversaryClass.TAMPER_VALIDATION, count=1),
+                AdversarySpec(cls=AdversaryClass.WRONG_PASSWORD, count=1),
+                AdversarySpec(cls=AdversaryClass.TAMPER_VALIDATION, count=2, flips=2),
+            ),
+        )
+        assert principal_roster(config)[1:] == [
+            ("adv-tamper_validation-000", AdversaryClass.TAMPER_VALIDATION, 1),
+            ("adv-wrong_password-000", AdversaryClass.WRONG_PASSWORD, 1),
+            ("adv-tamper_validation-001", AdversaryClass.TAMPER_VALIDATION, 2),
+            ("adv-tamper_validation-002", AdversaryClass.TAMPER_VALIDATION, 2),
         ]
 
 
