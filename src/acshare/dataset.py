@@ -19,20 +19,16 @@ and distinct records always produce distinct payloads.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 from .primitives import FramingError, frame_concat, frame_split
 
 MISSING = "?"
 
-#: file names the named variants resolve to inside a data directory
-VARIANT_FILES = {
-    "cleveland": "cleveland.csv",
-    "hungarian": "hungarian.csv",
-    "swiss": "swiss.csv",
-}
+#: named variants; each resolves to ``<name>.csv`` inside a data directory
+VARIANTS = ("cleveland", "hungarian", "swiss")
 
 
 class DatasetParseError(ValueError):
@@ -54,8 +50,7 @@ class DatasetParseError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclasses.dataclass(frozen=True)
-class HeartRecord:
+class HeartRecord(NamedTuple):
     """One row of a heart-disease table; None marks a missing value."""
 
     age: float | None
@@ -73,17 +68,16 @@ class HeartRecord:
     thal: float | None
     num: float | None
 
-    def values(self) -> tuple[float | None, ...]:
-        return tuple(getattr(self, name) for name in ATTRIBUTES)
 
-
-ATTRIBUTES = tuple(field.name for field in dataclasses.fields(HeartRecord))
+ATTRIBUTES = HeartRecord._fields
 
 
 def _parse_token(token: str) -> float | None:
     token = token.strip()
     if token == MISSING:
         return None
+    if "_" in token:  # float() reads "1_0" as 10.0
+        raise ValueError(f"not a decimal number {token!r}")
     value = float(token)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {token!r}")
@@ -145,7 +139,7 @@ def _render(value: float | None) -> str:
 
 def record_to_payload(record: HeartRecord) -> bytes:
     """Canonical byte serialization of one record."""
-    return frame_concat([_render(v).encode("ascii") for v in record.values()])
+    return frame_concat([_render(v).encode("ascii") for v in record])
 
 
 def payload_to_record(payload: bytes) -> HeartRecord:
@@ -171,7 +165,7 @@ def missing_counts(records: list[HeartRecord]) -> dict[str, int]:
     """Per-attribute tally of missing values."""
     counts = dict.fromkeys(ATTRIBUTES, 0)
     for record in records:
-        for name, value in zip(ATTRIBUTES, record.values()):
+        for name, value in zip(ATTRIBUTES, record):
             if value is None:
                 counts[name] += 1
     return counts
@@ -188,8 +182,8 @@ def resolve_dataset(spec: str, data_dir: str | Path) -> tuple[str, Path]:
         name = name.strip().lower()
         return name or Path(raw_path).stem, Path(raw_path)
     lowered = spec.strip().lower()
-    if lowered in VARIANT_FILES:
-        return lowered, Path(data_dir) / VARIANT_FILES[lowered]
+    if lowered in VARIANTS:
+        return lowered, Path(data_dir) / f"{lowered}.csv"
     return Path(spec).stem, Path(spec)
 
 

@@ -179,9 +179,6 @@ class CloudStore:
         except KeyError:
             raise UnknownPrincipalError(f"no registered user with id {user_id!r}") from None
 
-    def add_bundle(self, wrapped: bytes, payload_digest: bytes) -> None:
-        self.bundles.append((wrapped, payload_digest))
-
     def accounted_bytes(self) -> int:
         total = 0
         if self.s is not None:
@@ -368,8 +365,8 @@ def encryption_phase(
             STAGE_ENCRYPTION, owner.name, cloud.name, PUBLIC, KIND_CIPHER_UPLOAD,
             {"wrapped": wrapped, "payload_digest": payload_digest},
         )
-        cloud.store.add_bundle(
-            delivered.fields["wrapped"], delivered.fields["payload_digest"]
+        cloud.store.bundles.append(
+            (delivered.fields["wrapped"], delivered.fields["payload_digest"])
         )
 
 
@@ -449,9 +446,9 @@ def replay_access(
 ) -> None:
     """An unregistered outsider re-injects an observed access query."""
     _require_phase(replayer, Phase.INIT, "replay")
-    if not net.observed_queries:
+    source = net.observed_query
+    if source is None:
         raise PhaseOrderError("no access query was observed, nothing to replay")
-    source = net.observed_queries[0]
     replay_note = {
         "adversary": AdversaryClass.REPLAY_QUERY.name,
         "replayed_from_step": source.step,
@@ -468,10 +465,10 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
     """Session-key proof: the user presents its validation pair."""
     _require_phase(user, Phase.ACCESS_GRANTED, "validate")
     width = net.width
-    hijacked = user.adversary is AdversaryClass.REPLAY_QUERY and user.session_key is None
-    if hijacked:
-        # the injector holds no secrets for the identity it claimed; the
-        # best it can do from outside is guess, on the open channel
+    if user.adversary is AdversaryClass.REPLAY_QUERY:
+        # the grant's session key went to the identity's holder, so the
+        # injector holds no secrets for the identity it claimed; the best
+        # it can do from outside is guess, on the open channel
         assert user.claimed_id is not None
         channel = PUBLIC
         fields = {
@@ -572,11 +569,10 @@ def run_protocol(config: ScenarioConfig, payloads: Sequence[bytes]) -> Transcrip
     """
     width = config.width
     rng = Rng(config.seed)
-    transcript = Transcript()
     roster = principal_roster(config)
     # each adversary's (class, flip budget), which Network applies
     adversaries = {row[0]: row[1:] for row in roster if row[1] is not AdversaryClass.NONE}
-    net = Network(transcript=transcript, rng=rng, adversaries=adversaries, width=width)
+    net = Network(rng, adversaries, width)
 
     kgc = KgcAgent()
     cloud = CloudAgent()
@@ -617,9 +613,9 @@ def run_protocol(config: ScenarioConfig, payloads: Sequence[bytes]) -> Transcrip
             data_sharing_phase(cloud, user, net)
 
     for user in users:
-        if user.name not in transcript.outcomes:
+        if user.name not in net.transcript.outcomes:
             raise PhaseOrderError(
                 f"{user.name} finished in phase {user.phase.name} without an outcome"
             )
-    transcript.world = World(kgc=kgc, cloud=cloud, owner=owner, users=users)
-    return transcript
+    net.transcript.world = World(kgc=kgc, cloud=cloud, owner=owner, users=users)
+    return net.transcript

@@ -19,13 +19,13 @@ Adversarial principals each carry exactly one behaviour class:
     NONE                genuine principal, no interference
 
 The table ``CORRUPTS`` is the one place a class is tied to the message
-kind it corrupts, and ``Network.transmit`` applies it to every message
-sent from or to an adversarial principal. On PRIVATE, the adversarial
-end's value is recorded as sent: what it emits, or what it holds. On
-PUBLIC, the message is tampered in flight: the original line stays in
-the transcript marked as tampered, immediately followed by the
-delivered copy. A replay resends a whole observed message, so it is
-not in the table.
+kind and the fields it corrupts, and ``Network.transmit`` applies it to
+every message sent from or to an adversarial principal. On PRIVATE,
+the adversarial end's value is recorded as sent: what it emits, or what
+it holds. On PUBLIC, the message is tampered in flight: the original
+line stays in the transcript marked as tampered, immediately followed
+by the delivered copy. A replay resends the first observed access
+query whole, so it is not in the table.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .wire import (
 KEY_LENGTH_BITS = (64, 128, 256, 512)
 
 MAX_FLIPS = 64  # each flip adds a note to its line's annotation
+MAX_PRINCIPALS = 10_000  # the roster is built whole, before any stage runs
 
 GENUINE_LABEL = "genuine"
 
@@ -81,15 +82,15 @@ class AdversaryClass(Enum):
             raise ConfigError(f"unknown adversary class {token!r}") from None
 
 
-#: the one message kind each corrupting class alters, sent from or to
-#: the adversarial principal
+#: (kind, fields) per corrupting class: the one message kind it alters,
+#: sent from or to the adversarial principal, and the fields it alters
 CORRUPTS = {
-    AdversaryClass.WRONG_PASSWORD: KIND_REGISTER,
+    AdversaryClass.WRONG_PASSWORD: (KIND_REGISTER, ("password",)),
     # the principal throws the issued key away on receipt and keeps a
     # fabricated one; the transcript line shows what it holds
-    AdversaryClass.FORGED_PRIVATE_KEY: KIND_KEY_ISSUE,
-    AdversaryClass.TAMPER_VALIDATION: KIND_VALIDATE,
-    AdversaryClass.TAMPER_CIPHERTEXT: KIND_DATA_SHARE,
+    AdversaryClass.FORGED_PRIVATE_KEY: (KIND_KEY_ISSUE, ("private_key",)),
+    AdversaryClass.TAMPER_VALIDATION: (KIND_VALIDATE, ("v1", "v2")),
+    AdversaryClass.TAMPER_CIPHERTEXT: (KIND_DATA_SHARE, ("wrapped",)),
 }
 
 
@@ -138,6 +139,9 @@ class ScenarioConfig:
                 raise ConfigError(f"adversary count must be >= 0, got {spec.count}")
             if not 1 <= spec.flips <= MAX_FLIPS:
                 raise ConfigError(f"flips must be in 1..{MAX_FLIPS}, got {spec.flips}")
+        population = self.n_genuine + sum(spec.count for spec in self.adversaries)
+        if population > MAX_PRINCIPALS:
+            raise ConfigError(f"at most {MAX_PRINCIPALS} principals, got {population}")
         replaying = any(s.count for s in self.adversaries if s.cls is AdversaryClass.REPLAY_QUERY)
         if replaying and self.n_genuine < 1:
             raise ConfigError("REPLAY_QUERY adversaries need at least one genuine user to observe")
@@ -262,35 +266,27 @@ def apply_adversary(
     The input dict is never mutated; the annotation describes what
     happened. Its only caller is ``Network.transmit``, on the kind
     ``CORRUPTS`` names for ``cls``, just before the altered line is
-    recorded. A replay acts on a whole observed message, so it is not
-    handled here.
+    recorded; the row's fields are the ones altered. A replay acts on a
+    whole observed message, so it is not handled here.
     """
     if cls is AdversaryClass.NONE:
         return fields, None
+    _, names = CORRUPTS[cls]
     fields = dict(fields)
-    if cls is AdversaryClass.WRONG_PASSWORD:
-        notes = _flip_into(fields, ("password",), rng, None, flips)
-        return fields, {"adversary": cls.name, "flips": notes}
     if cls is AdversaryClass.FORGED_PRIVATE_KEY:
-        fields["private_key"] = rng.take(width)
-        return fields, {
-            "adversary": cls.name,
-            "note": "issued key discarded, random key fabricated",
-        }
-    if cls is AdversaryClass.TAMPER_VALIDATION:
-        notes = _flip_into(fields, ("v1", "v2"), rng, None, flips)
-        return fields, {"adversary": cls.name, "flips": notes}
+        fields.update((name, rng.take(width)) for name in names)
+        return fields, {"adversary": cls.name, "note": "issued key discarded, random key fabricated"}
+    span = None
     if cls is AdversaryClass.TAMPER_CIPHERTEXT:
         # the trailing frame holds the stripped owner key, which is not
         # integrity-bound; the adversary aims at the data-bearing prefix
-        span = max(1, len(fields["wrapped"]) - (width + 4))
-        notes = _flip_into(fields, ("wrapped",), rng, span, flips)
-        return fields, {"adversary": cls.name, "flips": notes}
-    raise ConfigError(f"unhandled adversary class {cls}")
+        span = max(1, sum(len(fields[name]) for name in names) - (width + 4))
+    notes = _flip_into(fields, names, rng, span, flips)
+    return fields, {"adversary": cls.name, "flips": notes}
 
 
 class Network:
-    """Immediate delivery over PUBLIC and PRIVATE channels into a transcript.
+    """Immediate delivery over PUBLIC and PRIVATE channels into its own transcript.
 
     ``transmit`` records a message the moment it is sent and returns it
     as delivered; nothing is ever queued. ``adversaries`` maps each
@@ -303,20 +299,16 @@ class Network:
     """
 
     def __init__(
-        self,
-        transcript: Transcript,
-        rng: Rng,
-        adversaries: Mapping[str, tuple[AdversaryClass, int]],
-        width: int,
+        self, rng: Rng, adversaries: Mapping[str, tuple[AdversaryClass, int]], width: int
     ) -> None:
-        self.transcript = transcript
+        self.transcript = Transcript()
         self.rng = rng
         self.width = width
         self.adversaries = adversaries
         self.replayers = [
             name for name, (cls, _) in adversaries.items() if cls is AdversaryClass.REPLAY_QUERY
         ]
-        self.observed_queries: list[Message] = []
+        self.observed_query: Message | None = None  # the one a replay resends
 
     def transmit(
         self,
@@ -334,7 +326,7 @@ class Network:
         # a principal only ever talks to the cloud or the kgc, so at
         # most one end of a message is adversarial
         cls, flips = self.adversaries.get(sender) or self.adversaries.get(recipient) or (None, 0)
-        if CORRUPTS.get(cls) == kind:
+        if (row := CORRUPTS.get(cls)) and row[0] == kind:
             if channel == PUBLIC:
                 marked = {**(annotation or {}), "tampered_in_flight": True}
                 original = append(stage, sender, recipient, channel, kind, fields, marked)
@@ -345,7 +337,7 @@ class Network:
             message = append(
                 stage, sender, recipient, channel, kind, fields, {"observed_by": self.replayers}
             )
-            self.observed_queries.append(message)
+            self.observed_query = self.observed_query or message
             return message
         return append(stage, sender, recipient, channel, kind, fields, annotation)
 

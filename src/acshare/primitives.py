@@ -128,10 +128,7 @@ def xor_bytes(x: bytes, y: bytes) -> bytes:
     """Bytewise XOR of two equal-width strings."""
     if len(x) != len(y):
         raise WidthMismatchError(f"xor operands differ in width: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n == 0:
-        return b""
-    return (int.from_bytes(x, "big") ^ int.from_bytes(y, "big")).to_bytes(n, "big")
+    return (int.from_bytes(x, "big") ^ int.from_bytes(y, "big")).to_bytes(len(x), "big")
 
 
 def to_int(data: bytes) -> int:

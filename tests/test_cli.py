@@ -6,11 +6,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from acshare.cli import main
-from acshare.netsim import KEY_LENGTH_BITS, MAX_FLIPS, AdversaryClass
+from acshare.netsim import KEY_LENGTH_BITS, MAX_FLIPS, MAX_PRINCIPALS, AdversaryClass
 
 from conftest import REPO_ROOT
 
@@ -231,6 +231,8 @@ wrong_types = st.one_of(
 huge_ints = st.one_of(st.integers(min_value=2**64), st.integers(max_value=-(2**64))).map(str)
 negative_ints = st.integers(max_value=-1).map(str)
 not_positive = st.integers(max_value=0).map(str)
+#: a population above the cap; the config check rejects it before any roster is built
+overpopulated = st.integers(min_value=MAX_PRINCIPALS + 1).map(str)
 
 
 def ints(low: int, high: int) -> st.SearchStrategy[str]:
@@ -270,7 +272,7 @@ adversary_entries = fields(
         "class": st.one_of(
             st.sampled_from(["NONE", "GREMLIN", "", " replay_query "]).map(json.dumps), wrong_types
         ),
-        "count": st.one_of(negative_ints, wrong_types),
+        "count": st.one_of(negative_ints, overpopulated, wrong_types),
         # above the cap, but small enough to run in a second should it go
         "flips": st.one_of(ints(MAX_FLIPS + 1, 10**4), not_positive, wrong_types),
     },
@@ -285,7 +287,7 @@ scenario_documents = fields(
         "max_records": ints(1, 2),
     },
     invalid={
-        "n_genuine": st.one_of(negative_ints, wrong_types),
+        "n_genuine": st.one_of(negative_ints, overpopulated, wrong_types),
         "adversaries": wrong_types,
         "dataset": st.one_of(
             st.sampled_from(["", "SWISS ", "sample", "x=", "=", "absent.csv", "tests", "a\x00b"]),
@@ -310,6 +312,138 @@ def test_run_survives_any_scenario_document(document):
         assert code in (0, 2, 3, 4)
         if code in (2, 4):
             assert not out.exists()
+
+
+#: in an argv, stands for the example's directory, which holds the
+#: generated dataset ``swiss.csv``
+HERE = "@dir"
+
+#: command-line text; a real command line carries neither a NUL nor a
+#: lone surrogate, so neither is drawn
+arg_text = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\0"), max_size=8)
+not_integers = st.one_of(
+    st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--", "1" * 5000]), huge_ints, arg_text
+)
+bad_classes = st.sampled_from(["NONE", "GREMLIN", "", "=", " replay_query "]) | arg_text
+good_classes = st.sampled_from(ADVERSARY_NAMES)
+bad_counts = st.one_of(negative_ints, overpopulated, not_integers)
+bad_adversaries = st.one_of(
+    bad_classes,
+    st.builds("{}={}".format, bad_classes, ints(0, 2)),
+    st.builds("{}={}".format, good_classes, bad_counts),
+)
+good_datasets = st.sampled_from(
+    ["cleveland", "swiss", "SWISS ", f"{HERE}/swiss.csv", f"mine={HERE}/swiss.csv"]
+)
+bad_datasets = st.one_of(
+    st.sampled_from(["sample", "absent.csv", "x=", "=", "tests", f"{HERE}/absent.csv", HERE]),
+    arg_text,
+)
+good_data_dirs = st.sampled_from([DATA_DIR, HERE])
+bad_key_lengths = st.sampled_from(["100", "-64", "0"]) | not_integers
+
+
+def once(values):
+    return st.lists(values, min_size=1, max_size=1)
+
+
+def up_to(n, values):
+    return st.lists(values, max_size=n)
+
+
+STRAY = "stray"
+
+
+@st.composite
+def command_lines(draw, command: str, valid: dict, invalid: dict) -> list[str]:
+    """``command`` with ``valid`` flag values, up to two of them broken.
+
+    Each strategy draws the list of values its flag is given, one
+    ``--flag value`` pair each. A broken flag draws from ``invalid``; a
+    broken ``STRAY`` adds a stray token.
+    """
+    broken = draw(st.sets(st.sampled_from([STRAY, *valid]), max_size=2))
+    argv = [command]
+    for name in valid:
+        for value in draw(invalid[name] if name in broken else valid[name]):
+            argv += [name, value]
+    if STRAY in broken:
+        argv.insert(draw(st.integers(1, len(argv))), draw(arg_text))
+    return argv
+
+
+#: successful runs stay small: 64- or 128-bit keys, at most 2 records
+#: and 2 genuine users
+argvs = st.one_of(
+    command_lines(
+        "demo",
+        valid={
+            "--seed": up_to(1, ints(0, 2**64 - 1)),
+            "--key-length": st.just(["64"]),
+            "--adversary": up_to(1, good_classes | good_classes.map("{}=1".format)),
+        },
+        invalid={
+            "--seed": once(st.one_of(negative_ints, huge_ints, not_integers)),
+            "--key-length": once(bad_key_lengths),
+            "--adversary": st.lists(bad_adversaries | good_classes, min_size=1, max_size=2),
+        },
+    ),
+    command_lines(
+        "bench",
+        valid={
+            "--dataset": up_to(2, good_datasets),
+            "--data-dir": once(good_data_dirs),
+            "--key-length": st.lists(st.sampled_from(["64", "128"]), min_size=1, max_size=2),
+            "--seed": up_to(2, ints(0, 9)),
+            "--genuine": up_to(1, ints(1, 2)),
+            "--adversary": up_to(2, st.builds("{}={}".format, good_classes, ints(0, 2))),
+            "--max-records": once(ints(1, 2)),
+            "--out": st.just([f"{HERE}/out.csv"]),
+        },
+        invalid={
+            "--dataset": st.lists(bad_datasets | good_datasets, min_size=1, max_size=2),
+            "--data-dir": once(st.just(f"{HERE}/absent")),
+            "--key-length": st.lists(bad_key_lengths, min_size=1, max_size=2),
+            "--seed": once(st.one_of(negative_ints, huge_ints, not_integers)),
+            "--genuine": once(st.just("0") | bad_counts),
+            "--adversary": st.lists(bad_adversaries, min_size=1, max_size=2),
+            "--max-records": once(not_positive | not_integers),
+            "--out": st.just([f"{HERE}/missing/out.csv"]),
+        },
+    ),
+    command_lines(
+        "parse-dataset",
+        valid={"--dataset": once(good_datasets), "--data-dir": once(good_data_dirs)},
+        invalid={"--dataset": up_to(1, bad_datasets), "--data-dir": once(st.just(f"{HERE}/absent"))},
+    ),
+)
+
+VALID_ROW = "63,1,1,145,233,1,2,150,0,2.3,3,0,6,0"
+tokens = st.sampled_from(["63", "0", "2.3", " 1 ", "?", "??", "", "nan", "inf", "-inf", "1e400", "1_0", "\u00e9"])
+rows = st.one_of(
+    st.just(VALID_ROW),
+    st.just(",".join("?" * 14)),
+    st.lists(tokens, max_size=16).map(",".join),
+)
+#: short rows, runs of "?", non-finite and non-ASCII values, empty files, CRLF
+dataset_files = st.one_of(
+    st.lists(st.tuples(rows, st.sampled_from(["\n", "\r\n", "\r"])), max_size=3).map(
+        lambda lines: "".join(row + end for row, end in lines).encode("utf-8")
+    ),
+    st.binary(max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs, dataset_files)
+def test_cli_survives_any_argv(argv, dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "swiss.csv").write_bytes(dataset)
+        code = main([arg.replace(HERE, tmp) for arg in argv])
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 2, 3, 4)
+        if code in (2, 4):
+            assert sorted(path.name for path in Path(tmp).iterdir()) == ["swiss.csv"]
 
 
 class TestBench:

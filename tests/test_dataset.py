@@ -18,6 +18,7 @@ from acshare.dataset import (
     record_to_payload,
     resolve_dataset,
 )
+from acshare.primitives import frame_concat
 
 from conftest import REPO_ROOT
 
@@ -60,9 +61,18 @@ class TestParsing:
         with pytest.raises(DatasetParseError):
             parse_line(FIRST_ROW.replace("63.0", "nan"))
 
+    @pytest.mark.parametrize("token", ["1_0", "6_3.0", "0.0_1"])
+    def test_digit_separator_rejected(self, token):
+        # float() reads Python literals, where "_" groups digits; no table value holds one
+        row = FIRST_ROW.replace("63.0", token, 1)
+        with pytest.raises(DatasetParseError, match="not a decimal number"):
+            parse_line(row)
+        with pytest.raises(DatasetParseError, match="not a decimal number"):
+            payload_to_record(frame_concat([value.encode() for value in row.split(",")]))
+
     def test_zero_is_not_missing(self):
         record = parse_line("0,0,0,0,0,0,0,0,0,0,0,0,0,0")
-        assert all(value == 0.0 for value in record.values())
+        assert all(value == 0.0 for value in record)
 
 
 class TestPayloadCodec:

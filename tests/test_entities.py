@@ -57,7 +57,7 @@ def share_transcript(count, width=2):
 
 
 def fresh_net(width=8, seed=0):
-    return Network(transcript=Transcript(), rng=Rng(seed), adversaries={}, width=width)
+    return Network(rng=Rng(seed), adversaries={}, width=width)
 
 
 def fresh_user(name="user-000", width=8, adversary=AdversaryClass.NONE):
@@ -242,7 +242,7 @@ class TestCloudStore:
         store.register(b"uid", bytes(8))
         store.slot(b"uid").private_key = bytes(8)
         store.slot(b"uid").session_key = bytes(8)
-        store.add_bundle(b"w" * 20, b"d" * 32)
+        store.bundles.append((b"w" * 20, b"d" * 32))
         assert store.accounted_bytes() == 8 + (3 + 8) + 8 + 8 + 20 + 32
 
 

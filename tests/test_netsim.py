@@ -12,6 +12,7 @@ from acshare.netsim import (
     ConfigError,
     KEY_LENGTH_BITS,
     MAX_FLIPS,
+    MAX_PRINCIPALS,
     Network,
     ScenarioConfig,
     apply_adversary,
@@ -31,7 +32,6 @@ from acshare.wire import (
     PRIVATE,
     PUBLIC,
     REJECTED,
-    Transcript,
 )
 
 from conftest import by_kind
@@ -91,7 +91,7 @@ class TestChannel:
                 SENDS[KIND_DATA_SHARE][3],
             ),
         ):
-            net = Network(transcript=Transcript(), rng=Rng(0), adversaries=adversaries, width=8)
+            net = Network(rng=Rng(0), adversaries=adversaries, width=8)
             with pytest.raises(ValueError):
                 net.transmit("access", sender, recipient, "CARRIER_PIGEON", kind, fields)
             assert net.transcript.messages == []
@@ -101,12 +101,14 @@ class TestChannel:
 class TestCorrupts:
     @pytest.mark.parametrize("cls", list(CORRUPTS), ids=lambda cls: cls.name)
     def test_class_corrupts_only_its_kind(self, cls):
-        kind = CORRUPTS[cls]
-        net = Network(transcript=Transcript(), rng=Rng(0), adversaries={"adv-x": (cls, 1)}, width=8)
+        kind, names = CORRUPTS[cls]
+        net = Network(rng=Rng(0), adversaries={"adv-x": (cls, 1)}, width=8)
         _, _, channel, sent = SENDS[kind]
         delivered = send(net, kind)
         lines = list(net.transcript.messages)
         assert delivered is lines[-1] and delivered.fields != sent
+        assert delivered.fields.keys() == sent.keys()
+        assert {name for name in sent if delivered.fields[name] != sent[name]} <= set(names)
         assert delivered.annotation["adversary"] == cls.name
         if channel == PRIVATE:
             assert len(lines) == 1
@@ -163,6 +165,20 @@ class TestScenarioConfig:
             with pytest.raises(ConfigError):
                 scenario(adversaries=tamperer(flips))
         scenario(adversaries=tamperer(MAX_FLIPS))
+
+    def test_population_bounded(self):
+        # the roster is built whole, so an unbounded population would
+        # allocate until memory runs out instead of failing as config
+        adversaries = (AdversarySpec(cls=AdversaryClass.WRONG_PASSWORD, count=1),)
+        scenario(n_genuine=MAX_PRINCIPALS - 1, adversaries=adversaries)
+        for n_genuine, adversaries in (
+            (MAX_PRINCIPALS + 1, ()),
+            (MAX_PRINCIPALS, adversaries),
+            (10**12, ()),
+            (1, (AdversarySpec(cls=AdversaryClass.TAMPER_CIPHERTEXT, count=10**12),)),
+        ):
+            with pytest.raises(ConfigError, match="principals"):
+                scenario(n_genuine=n_genuine, adversaries=adversaries)
 
     def test_from_json_round_trip(self):
         doc = {
@@ -500,6 +516,29 @@ class TestReplayFlow:
         grants = by_kind(transcript, "ACCESS_ACCEPTED")
         assert len(grants) == 2
         assert grants[1].annotation == {"granted_for_replay_of_step": observed.step}
+
+    def test_every_replayer_resends_the_first_query(self, sample_payload):
+        config = scenario(
+            n_genuine=2,
+            adversaries=(AdversarySpec(cls=AdversaryClass.REPLAY_QUERY, count=2),),
+            key_length_bits=64,
+        )
+        transcript = run_protocol(config, [sample_payload])
+        first = by_kind(transcript, "ACCESS_QUERY")[0]
+        assert first.sender == "user-000"
+        injected = [
+            m for m in by_kind(transcript, "ACCESS_QUERY") if m.annotation.get("adversary")
+        ]
+        assert [m.annotation["injected_by"] for m in injected] == [
+            "adv-replay_query-000",
+            "adv-replay_query-001",
+        ]
+        for message in injected:
+            assert message.annotation["replayed_from_step"] == first.step
+            assert (message.stage, message.sender, message.recipient, message.channel) == (
+                first.stage, first.sender, first.recipient, first.channel
+            )
+            assert message.fields == first.fields
 
 
 class TestDeterminism:
