@@ -18,6 +18,7 @@ clock or the process, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -58,6 +59,16 @@ _PREVIEW_HEX = 16
 def _fail(token: str, message: object, code: int) -> int:
     print(f"error[{token}]: {message}", file=sys.stderr)
     return code
+
+
+def _path(text: str) -> str:
+    """``text`` if it can name a file: the OS can encode it, and it holds no NUL."""
+    try:
+        if b"\0" not in os.fsencode(text):
+            return text
+    except UnicodeEncodeError:
+        pass
+    raise argparse.ArgumentTypeError(f"cannot name a file: {text!r}")
 
 
 def _parse_adversary(token: str) -> AdversarySpec:
@@ -199,18 +210,19 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(func=cmd_demo)
 
     run = sub.add_parser("run", help="execute a scenario file")
-    run.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    run.add_argument("--out", default="transcript.jsonl", help="transcript output path")
-    run.add_argument("--data-dir", default="data", help="directory holding dataset files")
+    run.add_argument("--scenario", required=True, type=_path, help="path to a scenario JSON file")
+    run.add_argument("--out", default="transcript.jsonl", type=_path, help="transcript output path")
+    run.add_argument("--data-dir", default="data", type=_path, help="directory holding dataset files")
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run.set_defaults(func=cmd_run)
 
     bench = sub.add_parser("bench", help="sweep datasets and key lengths into a CSV")
-    bench.add_argument("--out", default="bench.csv", help="CSV output path")
-    bench.add_argument("--data-dir", default="data", help="directory holding dataset files")
+    bench.add_argument("--out", default="bench.csv", type=_path, help="CSV output path")
+    bench.add_argument("--data-dir", default="data", type=_path, help="directory holding dataset files")
     bench.add_argument(
         "--dataset",
         action="append",
+        type=_path,
         default=[],
         metavar="NAME",
         help="dataset name, path, or name=path (repeatable; default: all three variants)",
@@ -240,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_bench)
 
     parse = sub.add_parser("parse-dataset", help="load a dataset file and report counts")
-    parse.add_argument("--dataset", required=True, help="dataset name, path, or name=path")
-    parse.add_argument("--data-dir", default="data", help="directory holding dataset files")
+    parse.add_argument("--dataset", required=True, type=_path, help="dataset name, path, or name=path")
+    parse.add_argument("--data-dir", default="data", type=_path, help="directory holding dataset files")
     parse.set_defaults(func=cmd_parse_dataset)
 
     return parser

@@ -108,26 +108,28 @@ def load_dataset(path: str | Path, variant: str | None = None) -> list[HeartReco
     """Read every record of a heart-disease file.
 
     ``variant`` is a label for error messages and reports; all variants
-    share one format, so it does not change parsing. Blank lines are
+    share one format, so it does not change parsing. Lines end at LF,
+    CRLF or CR, as ``bytes.splitlines`` splits them. Blank lines are
     skipped, anything else must parse.
     """
     path = Path(path)
     label = f"{variant} dataset at {path}" if variant else str(path)
     try:
-        text = path.read_bytes().decode("ascii")
+        raw = path.read_bytes()
+        raw.decode("ascii")
     except OSError as exc:
         raise OSError(f"cannot read {label}: {exc}") from exc
     except UnicodeDecodeError as exc:
         # every byte before the bad one is ASCII; "?" stands in for it
-        line_no = len((exc.object[: exc.start].decode("ascii") + "?").splitlines())
+        line_no = len((raw[: exc.start] + b"?").splitlines())
         raise DatasetParseError(
-            f"non-ASCII byte {exc.object[exc.start]:#04x}", path=str(path), line_no=line_no
+            f"non-ASCII byte {raw[exc.start]:#04x}", path=str(path), line_no=line_no
         ) from exc
     records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        records.append(parse_line(line, path=str(path), line_no=line_no))
+    for line_no, line in enumerate(raw.splitlines(), start=1):
+        text = line.decode("ascii")
+        if text.strip():
+            records.append(parse_line(text, path=str(path), line_no=line_no))
     return records
 
 

@@ -24,7 +24,6 @@ from typing import Sequence
 from .netsim import AdversaryClass, Network, ScenarioConfig, principal_roster
 from .primitives import Rng
 from .protocol import (
-    CipherContext,
     CorruptCiphertextError,
     Credentials,
     IntegrityError,
@@ -358,9 +357,8 @@ def encryption_phase(
     """The owner encrypts every payload and uploads the bundles."""
     _require_phase(owner, Phase.KEYED, "encrypt")
     assert owner.params is not None and owner.keys is not None
-    cipher = CipherContext(owner.params.s, owner.params.m)
     for payload in payloads:
-        wrapped, payload_digest = make_cipher_bundle(payload, cipher, owner.keys.private_key)
+        wrapped, payload_digest = make_cipher_bundle(payload, owner.params.cipher, owner.keys.private_key)
         delivered = net.transmit(
             STAGE_ENCRYPTION, owner.name, cloud.name, PUBLIC, KIND_CIPHER_UPLOAD,
             {"wrapped": wrapped, "payload_digest": payload_digest},
@@ -534,7 +532,6 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
         STAGE_SHARING, user.name, cloud.name, PUBLIC, KIND_DATA_REQUEST,
         {"user_id": user.credentials.user_id},
     )
-    cipher = CipherContext(user.params.s, user.params.m)
     recovered: list[bytes] = []
     for wrapped, payload_digest in cloud.store.bundles:
         delivered = net.transmit(
@@ -543,7 +540,7 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
         )
         try:
             payload = recover_payload(
-                delivered.fields["wrapped"], delivered.fields["payload_digest"], cipher
+                delivered.fields["wrapped"], delivered.fields["payload_digest"], user.params.cipher
             )
         except (CorruptCiphertextError, IntegrityError) as exc:
             # loud failure: nothing recovered so far is kept, and the

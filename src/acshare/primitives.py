@@ -82,32 +82,20 @@ def frame_split(framed: bytes) -> list[bytes]:
     return fields
 
 
-class CounterStream:
-    """Digests of ``(data, 0)``, ``(data, 1)``, ... frames as one byte stream.
+def _counter_blocks(data: bytes, length: int) -> bytes:
+    """First ``length`` bytes of the digests of ``(data, 0)``, ``(data, 1)``, ... frames.
 
     The frames share every byte but the trailing counter, so the SHA-256
     state over that common prefix is taken once and copied for each
-    block. Blocks are kept, and the stream grows only when a request
-    reaches past what is already computed: every :meth:`take` returns a
-    prefix of the same stream.
+    block.
     """
-
-    def __init__(self, data: bytes) -> None:
-        self._prefix_state = hashlib.sha256(frame_concat([data, _counter(0)])[:-4])
-        self._blocks = b""
-
-    def take(self, length: int) -> bytes:
-        """First ``length`` bytes of the stream."""
-        if len(self._blocks) < length:
-            first = len(self._blocks) // DIGEST_WIDTH
-            last = -(-length // DIGEST_WIDTH)
-            self._blocks += b"".join(self._block(i) for i in range(first, last))
-        return self._blocks[:length]
-
-    def _block(self, i: int) -> bytes:
-        state = self._prefix_state.copy()
+    prefix = hashlib.sha256(frame_concat([data, _counter(0)])[:-4])
+    blocks = []
+    for i in range(-(-length // DIGEST_WIDTH)):
+        state = prefix.copy()
         state.update(_counter(i))
-        return state.digest()
+        blocks.append(state.digest())
+    return b"".join(blocks)[:length]
 
 
 def expand(data: bytes, width: int) -> bytes:
@@ -121,7 +109,7 @@ def expand(data: bytes, width: int) -> bytes:
         raise InvalidWidthError(f"target width must be >= 1, got {width}")
     if width <= DIGEST_WIDTH:
         return digest(data)[:width]
-    return CounterStream(data).take(width)
+    return _counter_blocks(data, width)
 
 
 def xor_bytes(x: bytes, y: bytes) -> bytes:
@@ -201,7 +189,7 @@ def keystream(key: bytes, length: int) -> bytes:
         raise InvalidWidthError("keystream needs a non-empty key")
     if length < 0:
         raise InvalidWidthError("keystream length must be >= 0")
-    return CounterStream(key).take(length)
+    return _counter_blocks(key, length)
 
 
 def sym_encrypt(key: bytes, plaintext: bytes) -> bytes:

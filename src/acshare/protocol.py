@@ -36,22 +36,23 @@ The bundle format is two functions, each one XOR with ``Q``: the
 owner's encryption phase, :func:`make_cipher_bundle` (``D_C`` and the
 payload digest), and the user's data-sharing phase,
 :func:`recover_payload` (its inverse plus the digest check). Both take
-a :class:`CipherContext`, which builds ``Q`` for one principal.
+a :class:`CipherContext`; every principal of a run uses the one its
+shared ``SystemParams.cipher`` holds, so each ``Q`` is built once a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .primitives import (
-    DIGEST_WIDTH,
-    CounterStream,
     FramingError,
     Rng,
     digest,
     expand,
     frame_concat,
     frame_split,
+    keystream,
     mod_reduce,
     mul_mod_width,
     sym_encrypt,
@@ -89,6 +90,11 @@ class SystemParams:
 
     s: bytes
     m: bytes
+
+    @cached_property
+    def cipher(self) -> CipherContext:
+        """The data-key context of ``s`` and ``m``, built on first use."""
+        return CipherContext(self.s, self.m)
 
 
 @dataclass(frozen=True)
@@ -180,35 +186,29 @@ def validation_messages(
 
 
 class CipherContext:
-    """One principal's data-key state, built once from ``s`` and ``m``.
+    """Data-key state of one ``(s, m)`` pair, shared by every principal of a run.
 
     A bundle is ``D_C = frame(D, O_pk) xor Q(T, n)``, and every bundle
     of a run is sealed under the same ``K_D`` and ``H(s || m)`` mask
-    seed, so ``Q`` depends only on the two lengths: both streams are
-    derived once and only grown, and each ``Q(T, n)`` is built once and
-    kept as an integer. Masks up to the digest size are prefixes of
-    ``digest(H(s || m))``, longer ones of the counter stream.
+    seed, so ``Q`` depends only on the two lengths: each ``Q(T, n)`` is
+    built once, from ``keystream(K_D, T)`` and ``expand(H(s || m), n)``,
+    and kept as an integer. ``prefix_key`` is ``ks[:4]`` as an integer.
     """
 
     def __init__(self, s: bytes, m: bytes) -> None:
-        mask_seed = digest(frame_concat([s, m]))
-        self._keystream = CounterStream(derive_data_key(m, s))
-        self._short_mask = digest(mask_seed)
-        self._long_mask = CounterStream(mask_seed)
+        self._data_key = derive_data_key(m, s)
+        self._mask_seed = digest(frame_concat([s, m]))
         self._pads: dict[tuple[int, int], int] = {}
-        self._prefix_key = int.from_bytes(self._keystream.take(4), "big")  # ks[:4]
+        self.prefix_key = int.from_bytes(keystream(self._data_key, 4), "big")
 
     def bundle_pad(self, total: int, length: int) -> int:
         """``Q(total, length)`` as an integer; ``length <= total - 4``, or 0."""
         pad = self._pads.get((total, length))
         if pad is None:
-            stream = self._keystream.take(total)
+            stream = keystream(self._data_key, total)
             pad = int.from_bytes(stream, "big")
             if length:
-                if length <= DIGEST_WIDTH:
-                    mask = self._short_mask[:length]
-                else:
-                    mask = self._long_mask.take(length)
+                mask = expand(self._mask_seed, length)
                 inner = int.from_bytes(stream[:length], "big") ^ int.from_bytes(mask, "big")
                 pad ^= inner << 8 * (total - 4 - length)
             self._pads[total, length] = pad
@@ -250,7 +250,7 @@ def recover_payload(wrapped: bytes, payload_digest: bytes, cipher: CipherContext
     total = len(wrapped)
     length = 0
     if total >= 8:
-        length = min(int.from_bytes(wrapped[:4], "big") ^ cipher._prefix_key, total - 8)
+        length = min(int.from_bytes(wrapped[:4], "big") ^ cipher.prefix_key, total - 8)
     pad = cipher.bundle_pad(total, length)
     plain = (int.from_bytes(wrapped, "big") ^ pad).to_bytes(total, "big")
     try:

@@ -321,6 +321,8 @@ HERE = "@dir"
 #: command-line text; a real command line carries neither a NUL nor a
 #: lone surrogate, so neither is drawn
 arg_text = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\0"), max_size=8)
+#: paths only an in-process caller can pass: no file name holds either
+unnameable = st.builds("{}{}{}".format, arg_text, st.sampled_from(["\0", "\ud800", "\udfff"]), arg_text)
 not_integers = st.one_of(
     st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--", "1" * 5000]), huge_ints, arg_text
 )
@@ -338,6 +340,8 @@ good_datasets = st.sampled_from(
 bad_datasets = st.one_of(
     st.sampled_from(["sample", "absent.csv", "x=", "=", "tests", f"{HERE}/absent.csv", HERE]),
     arg_text,
+    unnameable,
+    unnameable.map("x={}".format),
 )
 good_data_dirs = st.sampled_from([DATA_DIR, HERE])
 bad_key_lengths = st.sampled_from(["100", "-64", "0"]) | not_integers
@@ -349,6 +353,9 @@ def once(values):
 
 def up_to(n, values):
     return st.lists(values, max_size=n)
+
+
+bad_data_dirs = once(st.just(f"{HERE}/absent") | unnameable)
 
 
 STRAY = "stray"
@@ -402,19 +409,19 @@ argvs = st.one_of(
         },
         invalid={
             "--dataset": st.lists(bad_datasets | good_datasets, min_size=1, max_size=2),
-            "--data-dir": once(st.just(f"{HERE}/absent")),
+            "--data-dir": bad_data_dirs,
             "--key-length": st.lists(bad_key_lengths, min_size=1, max_size=2),
             "--seed": once(st.one_of(negative_ints, huge_ints, not_integers)),
             "--genuine": once(st.just("0") | bad_counts),
             "--adversary": st.lists(bad_adversaries, min_size=1, max_size=2),
             "--max-records": once(not_positive | not_integers),
-            "--out": st.just([f"{HERE}/missing/out.csv"]),
+            "--out": once(st.just(f"{HERE}/missing/out.csv") | unnameable),
         },
     ),
     command_lines(
         "parse-dataset",
         valid={"--dataset": once(good_datasets), "--data-dir": once(good_data_dirs)},
-        invalid={"--dataset": up_to(1, bad_datasets), "--data-dir": once(st.just(f"{HERE}/absent"))},
+        invalid={"--dataset": up_to(1, bad_datasets), "--data-dir": bad_data_dirs},
     ),
 )
 
@@ -444,6 +451,38 @@ def test_cli_survives_any_argv(argv, dataset):
         assert code in (0, 2, 3, 4)
         if code in (2, 4):
             assert sorted(path.name for path in Path(tmp).iterdir()) == ["swiss.csv"]
+
+
+#: one argv per path-taking flag; BAD marks the path no file can have
+PATH_ARGVS = [
+    ["run", "--scenario", "BAD", "--out", "OUT"],
+    ["run", "--scenario", "SCENARIO", "--out", "BAD"],
+    ["run", "--scenario", "SCENARIO", "--out", "OUT", "--data-dir", "BAD"],
+    ["bench", "--out", "BAD", "--dataset", "swiss"],
+    ["bench", "--out", "OUT", "--data-dir", "BAD"],
+    ["bench", "--out", "OUT", "--dataset", "x=BAD"],
+    ["parse-dataset", "--dataset", "BAD"],
+    ["parse-dataset", "--dataset", "swiss", "--data-dir", "BAD"],
+]
+
+
+def flag_of(argv):
+    """``command--flag`` for the flag given BAD."""
+    return argv[0] + next(flag for flag, value in zip(argv, argv[1:]) if "BAD" in value)
+
+
+@pytest.mark.parametrize("path", ["a\0b", "\ud800.csv"], ids=["nul", "surrogate"])
+@pytest.mark.parametrize("argv", PATH_ARGVS, ids=flag_of)
+def test_unencodable_path_argument_exits_2(capsys, tmp_path, argv, path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"n_genuine": 1, "dataset": "swiss", "key_length_bits": 64, "seed": 0}')
+    values = {"BAD": path, "OUT": str(tmp_path / "out"), "SCENARIO": str(scenario)}
+    for name, value in values.items():
+        argv = [arg.replace(name, value) for arg in argv]
+    code, _, err = invoke(capsys, *argv)
+    assert code == 2
+    assert "cannot name a file" in err
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == ["scenario.json"]
 
 
 class TestBench:

@@ -74,6 +74,13 @@ class TestParsing:
         record = parse_line("0,0,0,0,0,0,0,0,0,0,0,0,0,0")
         assert all(value == 0.0 for value in record)
 
+    def test_form_feed_does_not_end_a_line(self, tmp_path):
+        # str.splitlines would also break at \x0b, \x0c and \x1c-\x1e
+        path = tmp_path / "ff.csv"
+        path.write_bytes(FIRST_ROW.encode("ascii") + b"\x0c\n1,2\n")
+        with pytest.raises(DatasetParseError, match=r":2: expected 14"):
+            load_dataset(path)
+
 
 class TestPayloadCodec:
     def test_golden_payload(self):

@@ -28,7 +28,7 @@ from acshare.entities import (
     setup_phase,
     validation_phase,
 )
-from acshare.netsim import AdversaryClass, AdversarySpec, Network, ScenarioConfig
+from acshare.netsim import AdversaryClass, AdversarySpec, Network, ScenarioConfig, load_payloads
 from acshare.primitives import Rng
 from acshare.protocol import Credentials, new_system_params
 from acshare.wire import ACCEPTED, PUBLIC, RENDER_CHUNK, Message, Transcript
@@ -102,6 +102,19 @@ class TestHonestRun:
     def test_world_lookup_unknown_name(self, honest_transcript):
         with pytest.raises(UnknownPrincipalError):
             honest_transcript.world.user("nobody")
+
+    def test_one_cipher_context_per_run(self, data_dir):
+        config = ScenarioConfig(
+            n_genuine=3, adversaries=(), dataset="cleveland", key_length_bits=256, seed=0
+        )
+        payloads = load_payloads("cleveland", data_dir / "cleveland.csv", None)
+        world = run_protocol(config, payloads).world
+        cipher = world.owner.params.cipher
+        assert all(user.params.cipher is cipher for user in world.users)
+        # the owner's seals and every user's opens share one pad per length pair
+        pads = {(len(payload) + config.width + 8, len(payload)) for payload in payloads}
+        assert set(cipher._pads) == pads
+        assert len(pads) == 4
 
 
 class TestTranscriptSerialization:

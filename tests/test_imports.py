@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -13,6 +15,14 @@ SCANNED = sorted(
     for path in [*(REPO_ROOT / "src" / "acshare").glob("*.py"), *(REPO_ROOT / "tests").glob("*.py")]
     if path.name != "__init__.py"
 )
+
+#: every file that may use what ``src/acshare`` defines
+REFERRERS = sorted(
+    path for folder in ("src", "tests", "perfbench", "scripts") for path in (REPO_ROOT / folder).rglob("*.py")
+)
+
+SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,3 +62,79 @@ def test_dataset_import_loads_no_protocol_module():
     )
     done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["acshare", "acshare.dataset", "acshare.primitives", "acshare.wire"]
+
+
+def references(tree: ast.AST) -> Counter:
+    """Names, attributes, imported names and words of non-docstring strings in ``tree``.
+
+    A string counts because ``perfbench/tracer.py`` names what it wraps
+    as text, such as ``"Network.transmit"``.
+    """
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, SCOPES) and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            found.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return found
+
+
+def definitions(tree: ast.Module) -> list[ast.AST]:
+    """Module-level functions and classes, and each method not named ``__*__``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            found.append(node)
+        if isinstance(node, ast.ClassDef):
+            found += [
+                item
+                for item in node.body
+                if isinstance(item, FUNCTIONS) and not re.fullmatch(r"__\w+__", item.name)
+            ]
+    return found
+
+
+def unreferenced(source: str, referenced: Counter) -> list[str]:
+    """Definitions in ``source`` that ``referenced`` counts only inside themselves."""
+    return [
+        node.name
+        for node in definitions(ast.parse(source))
+        if referenced[node.name] == references(node)[node.name]
+    ]
+
+
+def test_unreferenced_definitions_are_found():
+    source = (
+        "class A:\n"
+        '    """Mentions b and d."""\n'
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def b(self):\n"
+        "        return self.b()\n"
+        "    def c(self):\n"
+        "        pass\n"
+        "def d():\n"
+        '    return "A.c"\n'
+    )
+    assert unreferenced(source, references(ast.parse(source))) == ["b", "d"]
+
+
+def test_every_definition_is_referenced():
+    referenced: Counter = Counter()
+    for path in REFERRERS:
+        referenced += references(ast.parse(path.read_text(encoding="utf-8")))
+    unused = [
+        f"{path.relative_to(REPO_ROOT)}: {name}"
+        for path in sorted((REPO_ROOT / "src" / "acshare").glob("*.py"))
+        for name in unreferenced(path.read_text(encoding="utf-8"), referenced)
+    ]
+    assert unused == []

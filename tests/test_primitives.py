@@ -114,14 +114,21 @@ class TestCounterBlocks:
     # lengths straddle the 32-byte digest size and span several blocks
 
     @given(nonempty_bytes, st.integers(1, 300))
+    @example(b"x", 31)
     @example(b"x", 32)
     @example(b"x", 33)
+    @example(b"x", 64)
+    @example(b"x", 65)
     def test_expand_matches_oracle(self, data, width):
         assert expand(data, width) == _grow(data, width)
 
     @given(nonempty_bytes, st.integers(1, 300))
+    @example(b"k", 0)
+    @example(b"k", 31)
     @example(b"k", 32)
     @example(b"k", 33)
+    @example(b"k", 64)
+    @example(b"k", 65)
     def test_keystream_matches_oracle(self, key, length):
         assert keystream(key, length) == _stream(key, length)
 

@@ -180,8 +180,8 @@ class TestDataPipeline:
         st.lists(st.binary(min_size=1, max_size=400), min_size=1, max_size=12),
     )
     def test_reused_context_matches_oracle(self, data, width, payloads):
-        # one context seals and opens every payload in drawn order, so its
-        # streams grow from short and long requests alike
+        # one context seals and opens every payload in drawn order, so
+        # pads built for short and long masks alike serve later payloads
         s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
         cipher = CipherContext(s, m)
         for payload in payloads:
