@@ -14,9 +14,8 @@ digest). Working copies held only to recompute checks are not counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dataset import resolve_dataset
 from .entities import CLOUD_NAME, run_protocol
@@ -40,8 +39,6 @@ from .wire import (
     Transcript,
 )
 
-HEADER = "dataset,key_length_bits,memory_bytes,genuine_detection_rate,seed"
-
 #: digest width produced by the payload integrity hash
 PAYLOAD_DIGEST_BYTES = 32
 
@@ -57,8 +54,7 @@ class UndefinedRateError(ConfigError):
     """
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     dataset: str
     key_length_bits: int
     memory_bytes: int
@@ -70,6 +66,9 @@ class BenchRow:
             f"{self.dataset},{self.key_length_bits},{self.memory_bytes},"
             f"{self.genuine_detection_rate:.4f},{self.seed}"
         )
+
+
+HEADER = ",".join(BenchRow._fields)
 
 
 def genuine_detection_rate(summary: OutcomeSummary) -> float:

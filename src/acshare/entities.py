@@ -158,14 +158,15 @@ class CloudStore:
     credentials, stored private and session keys, and uploaded bundles
     (wrapped ciphertext plus payload digest). Working values the server
     merely needs to recompute checks, the parameter ``m`` and per-user
-    attributes, stay outside the accounted set.
+    attributes, stay outside the accounted set. A bundle is the delivered
+    upload's ``fields`` dict; shares resend it, as no code mutates one.
     """
 
     def __init__(self) -> None:
         self.s: bytes | None = None
         self.m: bytes | None = None
         self.users: dict[bytes, UserSlot] = {}
-        self.bundles: list[tuple[bytes, bytes]] = []
+        self.bundles: list[dict[str, bytes]] = []
 
     def register(self, user_id: bytes, password: bytes) -> None:
         if user_id in self.users:
@@ -188,9 +189,7 @@ class CloudStore:
                 total += len(slot.private_key)
             if slot.session_key is not None:
                 total += len(slot.session_key)
-        for wrapped, payload_digest in self.bundles:
-            total += len(wrapped) + len(payload_digest)
-        return total
+        return total + sum(len(value) for bundle in self.bundles for value in bundle.values())
 
 
 @dataclass
@@ -363,9 +362,7 @@ def encryption_phase(
             STAGE_ENCRYPTION, owner.name, cloud.name, PUBLIC, KIND_CIPHER_UPLOAD,
             {"wrapped": wrapped, "payload_digest": payload_digest},
         )
-        cloud.store.bundles.append(
-            (delivered.fields["wrapped"], delivered.fields["payload_digest"])
-        )
+        cloud.store.bundles.append(delivered.fields)
 
 
 def _serve_access(
@@ -533,11 +530,8 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
         {"user_id": user.credentials.user_id},
     )
     recovered: list[bytes] = []
-    for wrapped, payload_digest in cloud.store.bundles:
-        delivered = net.transmit(
-            STAGE_SHARING, cloud.name, user.name, PUBLIC, KIND_DATA_SHARE,
-            {"wrapped": wrapped, "payload_digest": payload_digest},
-        )
+    for bundle in cloud.store.bundles:
+        delivered = net.transmit(STAGE_SHARING, cloud.name, user.name, PUBLIC, KIND_DATA_SHARE, bundle)
         try:
             payload = recover_payload(
                 delivered.fields["wrapped"], delivered.fields["payload_digest"], user.params.cipher

@@ -11,8 +11,8 @@ Adversarial principals each carry exactly one behaviour class:
                         digest it later presents cannot match the store
     FORGED_PRIVATE_KEY  discards its issued private key and fabricates
                         a random one, corrupting its access query
-    TAMPER_VALIDATION   flips a byte of its own validation pair before
-                        sending (it does not hold the genuine secrets)
+    TAMPER_VALIDATION   computes its validation pair from its own
+                        granted session key; the pair is flipped as sent
     TAMPER_CIPHERTEXT   has its data share flipped on the public channel
     REPLAY_QUERY        registers nothing; re-injects an access query it
                         observed on the public channel
@@ -76,6 +76,8 @@ class AdversaryClass(Enum):
 
     @classmethod
     def parse(cls, token: str) -> "AdversaryClass":
+        if not isinstance(token, str):  # a scenario file can hold any JSON value
+            raise ConfigError(f"adversary class must be a string, got {token!r}")
         try:
             return cls[token.strip().upper()]
         except KeyError:
@@ -173,7 +175,7 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown adversary keys: {sorted(extra)}")
             adversaries.append(
                 AdversarySpec(
-                    cls=AdversaryClass.parse(str(entry["class"])),
+                    cls=AdversaryClass.parse(entry["class"]),
                     count=_as_int(entry["count"], "count"),
                     flips=_as_int(entry.get("flips", 1), "flips"),
                 )
@@ -355,7 +357,7 @@ class OutcomeSummary:
         for label, counts in self.per_class.items():
             total = sum(counts.values())
             parts = [f"{status} {counts[status]}/{total}" for status in OUTCOME_STATUSES if counts[status]]
-            lines.append(f"{label}: " + (", ".join(parts) if parts else "0 principals"))
+            lines.append(f"{label}: " + ", ".join(parts))
         if self.genuine_total:
             rate = self.genuine_complete / self.genuine_total
             lines.append(

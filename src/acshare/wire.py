@@ -60,7 +60,9 @@ class Message:
 
     ``step`` is the message's 1-based position in its transcript.
     ``fields`` maps field names to raw byte values; the JSON form
-    renders them as lowercase hex.
+    renders them as lowercase hex. No code mutates a delivered
+    ``fields`` dict (an adversary alters a copy), so a receiver may
+    keep it and send it on, as the cloud does with each upload.
     """
 
     step: int

@@ -255,7 +255,7 @@ class TestCloudStore:
         store.register(b"uid", bytes(8))
         store.slot(b"uid").private_key = bytes(8)
         store.slot(b"uid").session_key = bytes(8)
-        store.bundles.append((b"w" * 20, b"d" * 32))
+        store.bundles.append({"wrapped": b"w" * 20, "payload_digest": b"d" * 32})
         assert store.accounted_bytes() == 8 + (3 + 8) + 8 + 8 + 20 + 32
 
 
@@ -359,7 +359,7 @@ class TestAccounting:
             + len(slot.password)
             + len(slot.private_key)
             + len(slot.session_key)
-            + sum(len(w) + len(d) for w, d in store.bundles)
+            + sum(len(b["wrapped"]) + len(b["payload_digest"]) for b in store.bundles)
         )
         assert store.accounted_bytes() == expected
 

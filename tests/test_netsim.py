@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -16,11 +17,13 @@ from acshare.netsim import (
     Network,
     ScenarioConfig,
     apply_adversary,
+    load_payloads,
     principal_roster,
     run_scenario,
     summarize,
 )
 from acshare.primitives import Rng
+from acshare.protocol import make_cipher_bundle
 from acshare.wire import (
     ACCEPTED,
     INTEGRITY_FAILURE,
@@ -196,6 +199,19 @@ class TestScenarioConfig:
         )
         assert config.max_records == 10
         assert config.width == 8
+
+    def test_non_string_class_rejected(self):
+        for value in (None, True, 5, ["WRONG_PASSWORD"]):
+            doc = {
+                "n_genuine": 1,
+                "adversaries": [{"class": value, "count": 1}],
+                "dataset": "swiss",
+                "key_length_bits": 64,
+                "seed": 0,
+            }
+            message = f"^adversary class must be a string, got {re.escape(repr(value))}$"
+            with pytest.raises(ConfigError, match=message):
+                ScenarioConfig.from_json(doc)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -493,6 +509,35 @@ class TestTamperedDeliveryLogging:
         # the honest user's share stayed untouched
         honest = [m for m in by_kind(transcript, "DATA_SHARE") if m.recipient == "user-000"]
         assert all(m.annotation is None for m in honest)
+
+    def test_shares_resend_the_stored_upload(self, data_dir):
+        payloads = load_payloads("cleveland", data_dir / "cleveland.csv", 4)
+        config = scenario(
+            n_genuine=3,
+            adversaries=(AdversarySpec(cls=AdversaryClass.TAMPER_CIPHERTEXT, count=2, flips=2),),
+            key_length_bits=64,
+        )
+        transcript = run_protocol(config, payloads)
+        world = transcript.world
+        bundles = world.cloud.store.bundles
+        uploads = by_kind(transcript, "CIPHER_UPLOAD")
+        assert len(bundles) == len(uploads) == 4
+        assert all(bundle is upload.fields for bundle, upload in zip(bundles, uploads))
+
+        shares = by_kind(transcript, "DATA_SHARE")
+        copies = [m for m in shares if "tampered_copy_of_step" in (m.annotation or {})]
+        originals = [m for m in shares if "tampered_copy_of_step" not in (m.annotation or {})]
+        assert len(copies) == 2  # each tamperer stops at its first altered share
+        for name, _, _ in principal_roster(config):
+            sent = [m for m in originals if m.recipient == name]
+            assert len(sent) == (4 if name.startswith("user-") else 1)
+            assert all(m.fields is bundle for m, bundle in zip(sent, bundles))
+        assert all(m.fields is not bundle for m in copies for bundle in bundles)
+
+        owner = world.owner
+        for bundle, payload in zip(bundles, payloads, strict=True):
+            sealed = make_cipher_bundle(payload, owner.params.cipher, owner.keys.private_key)
+            assert (bundle["wrapped"], bundle["payload_digest"]) == sealed
 
 
 class TestReplayFlow:

@@ -2,9 +2,11 @@
 
 Each drawn scenario has every adversary class in a small roster, a flip
 budget of 1-3 per class, one of the four key lengths and 1-3 Cleveland
-records. Three invariants must hold for all of them: one outcome per
-principal, ACCEPTED exactly for the genuine ones, and one memory figure
-from the closed form, the transcript and the store ledger.
+records. Four invariants must hold for all of them: one outcome per
+principal, ACCEPTED exactly for the genuine ones, one memory figure
+from the closed form, the transcript and the store ledger, and each
+stored bundle still the owner's seal of its payload, so no tamperer
+alters what later users receive.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from acshare.netsim import (
     load_payloads,
     principal_roster,
 )
+from acshare.protocol import make_cipher_bundle
 from acshare.wire import ACCEPTED
 
 from conftest import REPO_ROOT
@@ -62,3 +65,8 @@ def test_generated_scenario_invariants(scenario):
     measured = measure_memory(config, transcript)
     assert measured == expected_memory_bytes(config, [len(p) for p in payloads])
     assert measured == store.accounted_bytes() + 2 * config.width
+
+    owner = transcript.world.owner
+    for bundle, payload in zip(store.bundles, payloads, strict=True):
+        sealed = make_cipher_bundle(payload, owner.params.cipher, owner.keys.private_key)
+        assert (bundle["wrapped"], bundle["payload_digest"]) == sealed
