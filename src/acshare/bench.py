@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .dataset import resolve_dataset
-from .entities import CLOUD_NAME, run_protocol
+from .entities import CLOUD_NAME
 from .netsim import (
     KEY_LENGTH_BITS,
     AdversaryClass,
@@ -28,7 +28,7 @@ from .netsim import (
     ScenarioConfig,
     load_payloads,
     principal_roster,
-    summarize,
+    run_scenario,
 )
 from .wire import (
     KIND_CIPHER_UPLOAD,
@@ -193,8 +193,7 @@ def run_cells(cells: Sequence[tuple[ScenarioConfig, list[bytes]]]) -> list[Bench
     """One protocol run and CSV row per planned cell, in order."""
     rows = []
     for config, payloads in cells:
-        transcript = run_protocol(config, payloads)
-        summary = summarize(transcript, config)
+        transcript, summary = run_scenario(config, payloads)
         rows.append(
             BenchRow(
                 dataset=config.dataset,

@@ -42,7 +42,6 @@ from .netsim import (
     ConfigError,
     ScenarioConfig,
     load_payloads,
-    principal_roster,
     run_scenario,
 )
 from .protocol import EmptyPayloadError
@@ -126,14 +125,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
     transcript = run_protocol(config, payloads)
     _print_transcript(transcript)
     all_accepted = True
-    for name, _, _ in principal_roster(config):
-        outcome = transcript.outcomes[name]
+    for user in transcript.world.users:
+        outcome = transcript.outcomes[user.name]
         if outcome.status == ACCEPTED:
             noun = "payload" if outcome.recovered == 1 else "payloads"
-            print(f"outcome[{name}]: ACCEPTED ({outcome.recovered} {noun} recovered)")
+            print(f"outcome[{user.name}]: ACCEPTED ({outcome.recovered} {noun} recovered)")
         else:
             all_accepted = False
-            print(f"outcome[{name}]: {outcome.status} at {outcome.stage} ({outcome.reason})")
+            print(f"outcome[{user.name}]: {outcome.status} at {outcome.stage} ({outcome.reason})")
     return EXIT_OK if all_accepted else EXIT_PROTOCOL
 
 
@@ -145,7 +144,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     payloads = load_payloads(name, path, config.max_records)
     out = Path(args.out)
     with out.open("wb") as sink:  # an unwritable path fails before the run
-        transcript, summary = run_scenario(config, payloads=payloads)
+        transcript, summary = run_scenario(config, payloads)
         digest = transcript.to_jsonl(sink)
     print(f"wrote {len(transcript.messages)} messages to {out}")
     print(f"transcript sha256: {digest}")

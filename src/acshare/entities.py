@@ -372,8 +372,9 @@ def _serve_access(
     cloud: CloudAgent,
     kgc: KgcAgent,
     net: Network,
+    replayed_from: int | None = None,
 ) -> None:
-    """Server side of one access query, replayed or genuine.
+    """Server side of one access query, genuine or replayed from step ``replayed_from``.
 
     The server recomputes the expected query from stored values only.
     On a grant the generation centre derives the session key and sends
@@ -386,8 +387,7 @@ def _serve_access(
     expected_digest = registration_digest(user_id, slot.password, cloud.store.s)
     expected_q = access_query(expected_digest, user_id, slot.private_key)
     holder = users_by_id[user_id]  # every stored id belongs to a roster user
-    replayed = query.annotation is not None and "replayed_from_step" in query.annotation
-    accept_note = {"granted_for_replay_of_step": query.annotation["replayed_from_step"]} if replayed else None
+    accept_note = None if replayed_from is None else {"granted_for_replay_of_step": replayed_from}
     if not _decide(
         STAGE_ACCESS, {"q": query.fields["q"]}, {"q": expected_q}, requester, holder.name,
         PUBLIC, net, accept_fields={"user_id": user_id}, annotation=accept_note,
@@ -453,7 +453,7 @@ def replay_access(
         source.stage, source.sender, source.recipient, source.channel, source.kind,
         source.fields, replay_note,
     )
-    _serve_access(delivered, replayer, users_by_id, cloud, kgc, net)
+    _serve_access(delivered, replayer, users_by_id, cloud, kgc, net, replayed_from=source.step)
 
 
 def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:

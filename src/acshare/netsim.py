@@ -26,6 +26,9 @@ it holds. On PUBLIC, the message is tampered in flight: the original
 line stays in the transcript marked as tampered, immediately followed
 by the delivered copy. A replay resends the first observed access
 query whole, so it is not in the table.
+
+``run_scenario(config, payloads)`` runs the protocol and summarises it;
+``summarize`` reads the run's own principals, ``transcript.world.users``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .dataset import load_dataset, record_to_payload, resolve_dataset
+from .dataset import load_dataset, record_to_payload
 from .primitives import Rng, to_int
 from .wire import (
     ACCEPTED,
@@ -271,8 +274,6 @@ def apply_adversary(
     recorded; the row's fields are the ones altered. A replay acts on a
     whole observed message, so it is not handled here.
     """
-    if cls is AdversaryClass.NONE:
-        return fields, None
     _, names = CORRUPTS[cls]
     fields = dict(fields)
     if cls is AdversaryClass.FORGED_PRIVATE_KEY:
@@ -349,8 +350,14 @@ class OutcomeSummary:
     """Outcome counts per principal class for one scenario run."""
 
     per_class: dict[str, dict[str, int]]
-    genuine_total: int
-    genuine_complete: int
+
+    @property
+    def genuine_total(self) -> int:
+        return sum(self.per_class.get(GENUINE_LABEL, {}).values())
+
+    @property
+    def genuine_complete(self) -> int:
+        return self.per_class.get(GENUINE_LABEL, {}).get(ACCEPTED, 0)
 
     def format_lines(self) -> list[str]:
         lines = []
@@ -366,22 +373,14 @@ class OutcomeSummary:
         return lines
 
 
-def summarize(transcript: Transcript, config: ScenarioConfig) -> OutcomeSummary:
-    """Partition per-principal outcomes by adversary class."""
+def summarize(transcript: Transcript) -> OutcomeSummary:
+    """Partition outcomes by adversary class over the run's own principals, in roster order."""
     per_class: dict[str, dict[str, int]] = {}
-    for name, cls, _ in principal_roster(config):
-        label = GENUINE_LABEL if cls is AdversaryClass.NONE else cls.name
+    for user in transcript.world.users:
+        label = GENUINE_LABEL if user.adversary is AdversaryClass.NONE else user.adversary.name
         bucket = per_class.setdefault(label, {status: 0 for status in OUTCOME_STATUSES})
-        outcome = transcript.outcomes[name]
-        if outcome.status not in bucket:
-            raise ValueError(f"unknown outcome status {outcome.status!r} for {name}")
-        bucket[outcome.status] += 1
-    complete = per_class.get(GENUINE_LABEL, {}).get(ACCEPTED, 0)
-    return OutcomeSummary(
-        per_class=per_class,
-        genuine_total=config.n_genuine,
-        genuine_complete=complete,
-    )
+        bucket[transcript.outcomes[user.name].status] += 1
+    return OutcomeSummary(per_class)
 
 
 def load_payloads(name: str, path: str | Path, max_records: int | None) -> list[bytes]:
@@ -396,21 +395,9 @@ def load_payloads(name: str, path: str | Path, max_records: int | None) -> list[
     return [record_to_payload(record) for record in records]
 
 
-def run_scenario(
-    config: ScenarioConfig,
-    *,
-    data_dir: str | Path = "data",
-    payloads: Sequence[bytes] | None = None,
-):
-    """Load payloads, run the protocol, and aggregate outcomes.
-
-    Returns ``(transcript, summary)``. ``payloads`` overrides dataset
-    loading when the caller already holds serialized records.
-    """
-    if payloads is None:
-        name, path = resolve_dataset(config.dataset, data_dir)
-        payloads = load_payloads(name, path, config.max_records)
+def run_scenario(config: ScenarioConfig, payloads: Sequence[bytes]):
+    """Run the protocol over ``payloads`` and summarise it: ``(transcript, summary)``."""
     from .entities import run_protocol  # late import; entities builds on this module
 
     transcript = run_protocol(config, payloads)
-    return transcript, summarize(transcript, config)
+    return transcript, summarize(transcript)

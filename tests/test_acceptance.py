@@ -63,7 +63,7 @@ def test_criterion_2_honest_completeness_across_twenty_seeds(sample_payload):
             n_genuine=3, adversaries=(), dataset="sample", key_length_bits=128, seed=seed
         )
         transcript = run_protocol(config, [sample_payload])
-        rate = genuine_detection_rate(summarize(transcript, config))
+        rate = genuine_detection_rate(summarize(transcript))
         assert rate == 1.0
     print("PASS criterion 2: rate == 1.0 exactly on all 20 adversary-free seeds")
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
+
 import pytest
 
-from acshare import bench
 from acshare.bench import (
     BenchRow,
     HEADER,
@@ -21,10 +24,12 @@ from acshare.netsim import (
     AdversarySpec,
     ConfigError,
     ScenarioConfig,
+    load_payloads,
+    run_scenario,
     summarize,
 )
 
-from conftest import by_kind
+from conftest import REPO_ROOT, by_kind
 
 MIXED = tuple(
     AdversarySpec(cls=cls, count=1)
@@ -50,13 +55,13 @@ def config_for(bits, adversaries=(), n_genuine=1, seed=0):
 
 class TestRate:
     def test_honest_rate_is_one(self, honest_transcript, honest_config):
-        summary = summarize(honest_transcript, honest_config)
+        summary = summarize(honest_transcript)
         assert genuine_detection_rate(summary) == 1.0
 
     def test_zero_genuine_is_undefined(self, sample_payload):
         config = config_for(128, n_genuine=0)
         transcript = run_protocol(config, [sample_payload])
-        summary = summarize(transcript, config)
+        summary = summarize(transcript)
         with pytest.raises(UndefinedRateError):
             genuine_detection_rate(summary)
 
@@ -134,7 +139,7 @@ class TestSweep:
         def no_run(*_args):
             raise AssertionError("a protocol run started")
 
-        monkeypatch.setattr(bench, "run_protocol", no_run)
+        monkeypatch.setattr("acshare.entities.run_protocol", no_run)
         with pytest.raises(ConfigError, match="has no records"):
             run_sweep(["swiss", str(empty)], key_lengths=(64,), data_dir=data_dir)
 
@@ -158,3 +163,19 @@ class TestSweep:
         first = run_sweep(["swiss"], key_lengths=(64,), data_dir=data_dir, max_records=2)
         second = run_sweep(["swiss"], key_lengths=(64,), data_dir=data_dir, max_records=2)
         assert render_csv(first) == render_csv(second)
+
+
+def test_scale_probe_counts_the_run(data_dir):
+    script = REPO_ROOT / "scripts" / "scale_probe.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--users", "2", "--bits", "64"],
+        capture_output=True, text=True, check=True,
+    )
+    report = json.loads(done.stdout)
+    assert set(report) == {"users", "bits", "messages", "run_s", "hash_s", "peak_rss_mib"}
+    assert (report["users"], report["bits"]) == (2, 64)
+    config = ScenarioConfig(
+        n_genuine=2, adversaries=(), dataset="cleveland", key_length_bits=64, seed=1
+    )
+    transcript, _ = run_scenario(config, load_payloads("cleveland", data_dir / "cleveland.csv", None))
+    assert report["messages"] == len(transcript.messages)

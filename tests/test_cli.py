@@ -515,7 +515,7 @@ class TestBench:
         def no_run(*args, **kwargs):
             raise AssertionError("the sweep ran before --out was opened")
 
-        monkeypatch.setattr("acshare.bench.run_protocol", no_run)
+        monkeypatch.setattr("acshare.entities.run_protocol", no_run)
         code, _, err = invoke(
             capsys, "bench", "--out", str(tmp_path / "missing" / "x.csv"), "--data-dir", DATA_DIR,
             "--dataset", "swiss", "--key-length", "64", "--max-records", "1",

@@ -281,11 +281,6 @@ class TestScenarioConfig:
 
 
 class TestApplyAdversary:
-    def test_none_is_identity(self):
-        fields = {"user_id": b"user-000", "q": bytes(16)}
-        mutated, annotation = apply_adversary(AdversaryClass.NONE, fields, Rng(0), width=16)
-        assert mutated is fields and annotation is None
-
     def test_wrong_password_flips_one_byte(self):
         fields = {"user_id": b"u", "password": bytes(16)}
         mutated, annotation = apply_adversary(
@@ -402,7 +397,7 @@ class TestPopulationOutcomes:
             seed=33,
         )
         transcript = run_protocol(config, [sample_payload])
-        summary = summarize(transcript, config)
+        summary = summarize(transcript)
         assert summary.per_class["genuine"][ACCEPTED] == 10
         assert summary.per_class["WRONG_PASSWORD"][REJECTED] == 5
         assert summary.genuine_complete == 10
@@ -617,7 +612,8 @@ class TestRunScenario:
 
     def test_loads_dataset_files(self, data_dir):
         config = scenario(dataset="swiss", seed=2, max_records=4)
-        transcript, summary = run_scenario(config, data_dir=data_dir)
+        payloads = load_payloads("swiss", data_dir / "swiss.csv", config.max_records)
+        transcript, summary = run_scenario(config, payloads)
         assert len(by_kind(transcript, "CIPHER_UPLOAD")) == 4
         assert summary.genuine_complete == 1
 

@@ -14,7 +14,7 @@ import pytest
 
 from acshare.bench import render_csv, run_sweep
 from acshare.cli import main as cli_main
-from acshare.netsim import KEY_LENGTH_BITS, AdversaryClass, AdversarySpec, ScenarioConfig, run_scenario
+from acshare.netsim import KEY_LENGTH_BITS, AdversaryClass, AdversarySpec, ScenarioConfig, load_payloads, run_scenario
 
 from conftest import REPO_ROOT
 
@@ -97,7 +97,7 @@ def test_transcript(population, bits):
         seed=bits + 11,
         max_records=4,
     )
-    transcript, _ = run_scenario(config, data_dir=DATA_DIR)
+    transcript, _ = run_scenario(config, load_payloads("cleveland", DATA_DIR / "cleveland.csv", 4))
     assert transcript.content_hash() == TRANSCRIPT_SHA256[f"{population}-{bits}"]
 
 
@@ -105,7 +105,7 @@ def test_full_cleveland_transcript():
     config = ScenarioConfig(
         n_genuine=1, adversaries=(), dataset="cleveland", key_length_bits=256, seed=303
     )
-    transcript, _ = run_scenario(config, data_dir=DATA_DIR)
+    transcript, _ = run_scenario(config, load_payloads("cleveland", DATA_DIR / "cleveland.csv", None))
     assert len(transcript.world.user("user-000").recovered) == 303
     assert transcript.content_hash() == CLEVELAND_FULL_SHA256
 

@@ -2,11 +2,12 @@
 
 Each drawn scenario has every adversary class in a small roster, a flip
 budget of 1-3 per class, one of the four key lengths and 1-3 Cleveland
-records. Four invariants must hold for all of them: one outcome per
-principal, ACCEPTED exactly for the genuine ones, one memory figure
-from the closed form, the transcript and the store ledger, and each
-stored bundle still the owner's seal of its payload, so no tamperer
-alters what later users receive.
+records. Five invariants must hold for all of them: one outcome per
+principal, ACCEPTED exactly for the genuine ones, a summary of the
+run's own principals whose buckets match the configured counts, one
+memory figure from the closed form, the transcript and the store
+ledger, and each stored bundle still the owner's seal of its payload,
+so no tamperer alters what later users receive.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from acshare.netsim import (
     ScenarioConfig,
     load_payloads,
     principal_roster,
+    summarize,
 )
 from acshare.protocol import make_cipher_bundle
 from acshare.wire import ACCEPTED
@@ -60,6 +62,14 @@ def test_generated_scenario_invariants(scenario):
     for name, cls, _ in roster:
         accepted = transcript.outcomes[name].status == ACCEPTED
         assert accepted == (cls is AdversaryClass.NONE), (name, transcript.outcomes[name])
+
+    # the summary reads the run's principals, which must be the configured roster
+    assert [user.name for user in transcript.world.users] == [name for name, _, _ in roster]
+    summary = summarize(transcript)
+    assert summary.genuine_total == config.n_genuine
+    for cls in CLASSES:
+        configured = sum(spec.count for spec in config.adversaries if spec.cls is cls)
+        assert sum(summary.per_class[cls.name].values()) == configured, cls
 
     store = transcript.world.cloud.store
     measured = measure_memory(config, transcript)
