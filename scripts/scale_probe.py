@@ -2,7 +2,7 @@
 """Time one genuine-only Cleveland run and report its peak memory.
 
 Runs ``run_scenario`` once over all 303 Cleveland records with ``--users``
-genuine principals at ``--bits``, then hashes the transcript with
+genuine principals at ``--bits`` and seed 1, then hashes the transcript with
 ``content_hash``. Prints one JSON line: ``users``, ``bits``,
 ``messages``, ``run_s`` and ``hash_s`` (wall seconds of the run and of
 the hash) and ``peak_rss_mib`` (``ru_maxrss`` of this process, which ran
@@ -11,7 +11,7 @@ timing gate.
 
 Usage, from any directory:
 
-    python3 scripts/scale_probe.py --users 1000 --bits 64 [--seed 1]
+    python3 scripts/scale_probe.py --users 1000 --bits 64
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--users", type=int, required=True, help="genuine principals")
     parser.add_argument("--bits", type=int, required=True, choices=KEY_LENGTH_BITS)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     try:
         config = ScenarioConfig(
             n_genuine=args.users, adversaries=(), dataset="cleveland",
-            key_length_bits=args.bits, seed=args.seed,
+            key_length_bits=args.bits, seed=1,
         )
     except ConfigError as exc:
         parser.error(str(exc))
