@@ -1,10 +1,10 @@
 """Benchmarks: stored-byte accounting and detection-rate sweeps.
 
 The memory figure is the canonical stored state after a run, measured
-two independent ways. ``measure_memory`` walks the transcript and adds
-up what actually landed in the stores; ``expected_memory_bytes`` is a
-closed form over the scenario alone. The two must agree exactly, which
-pins down both the protocol's storage behaviour and the accounting.
+three independent ways that must agree exactly: ``measure_memory``
+walks the transcript, ``expected_memory_bytes`` is a closed form over
+the scenario alone, and ``CloudStore.accounted_bytes`` is the server's
+own ledger, to which the centre's parameter pair is added.
 
 Accounted state: the generation centre's parameter pair, the server's
 provisioned parameter, registered credentials, stored private and

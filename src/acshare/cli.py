@@ -29,6 +29,7 @@ from .dataset import (
     ATTRIBUTES,
     DatasetParseError,
     SAMPLE_RECORD,
+    VARIANTS,
     load_dataset,
     missing_counts,
     record_to_payload,
@@ -154,7 +155,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    datasets = args.dataset or ["cleveland", "hungarian", "swiss"]
+    datasets = args.dataset or list(VARIANTS)
     adversaries = [_parse_adversary(token) for token in args.adversary]
     cells = plan_sweep(
         datasets,

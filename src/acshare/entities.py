@@ -128,7 +128,6 @@ class UserAgent:
     keys: KeyMaterial | None = None
     reg_digest: bytes | None = None
     session_key: bytes | None = None
-    claimed_id: bytes | None = None
     recovered: list[bytes] = field(default_factory=list)
 
 
@@ -194,13 +193,11 @@ class CloudStore:
 
 @dataclass
 class CloudAgent:
-    name: str = CLOUD_NAME
     store: CloudStore = field(default_factory=CloudStore)
 
 
 @dataclass
 class KgcAgent:
-    name: str = KGC_NAME
     params: SystemParams | None = None
     issued: dict[bytes, tuple[bytes, bytes]] = field(default_factory=dict)  # (public_param, attribute)
 
@@ -209,7 +206,6 @@ class KgcAgent:
 class World:
     """Final agent states, attached to the transcript after a run."""
 
-    kgc: KgcAgent
     cloud: CloudAgent
     owner: OwnerAgent
     users: list[UserAgent]
@@ -237,22 +233,23 @@ def _reject(
 
 
 def _decide(
-    stage: str, presented: dict[str, bytes], expected: dict[str, bytes], requester: UserAgent,
-    recipient: str, channel: str, net: Network,
+    stage: str, message: Message, expected: dict[str, bytes], requester: UserAgent, net: Network,
     accept_fields: dict[str, bytes] | None = None, annotation: dict | None = None,
 ) -> bool:
-    """Run the server's ``stage`` gate and send its verdict to ``recipient``.
+    """Judge the delivered ``message`` at the server's ``stage`` gate.
 
-    The accept reply carries ``accept_fields`` and then the presented
-    values, with ``annotation``. The reject reply sets each presented
-    value beside its expected one, under ``expected`` for a one-value
-    gate and ``<name>_expected`` otherwise, and ``requester`` is
-    rejected with the first differing pair.
+    The gate compares the message's fields that ``expected`` names and
+    answers its sender on its channel. Accepting sends ``accept_fields``
+    and the presented values, with ``annotation``; rejecting sends each
+    presented value beside its expected one (under ``expected`` for a
+    one-value gate, ``<name>_expected`` otherwise) and rejects
+    ``requester`` with the first differing pair.
     """
     accept_kind, reject_kind, reason = GATES[stage]
+    presented = {name: message.fields[name] for name in expected}
     if presented == expected:
         net.transmit(
-            stage, CLOUD_NAME, recipient, channel, accept_kind,
+            stage, CLOUD_NAME, message.sender, message.channel, accept_kind,
             {**(accept_fields or {}), **presented}, annotation,
         )
         return True
@@ -260,7 +257,7 @@ def _decide(
     for name, value in presented.items():
         fields[name] = value
         fields["expected" if len(presented) == 1 else f"{name}_expected"] = expected[name]
-    net.transmit(stage, CLOUD_NAME, recipient, channel, reject_kind, fields)
+    net.transmit(stage, CLOUD_NAME, message.sender, message.channel, reject_kind, fields)
     name = next(name for name, value in presented.items() if value != expected[name])
     _reject(requester, net, stage, reason, (presented[name].hex(), expected[name].hex()))
     return False
@@ -275,7 +272,7 @@ def _require_phase(agent: UserAgent | OwnerAgent, phase: Phase, action: str) -> 
 def _provision(kgc: KgcAgent, recipient: str, net: Network, stage: str) -> Message:
     """Send the system parameters to ``recipient`` over a private channel."""
     return net.transmit(
-        stage, kgc.name, recipient, PRIVATE, KIND_PROVISION, {"s": kgc.params.s, "m": kgc.params.m}
+        stage, KGC_NAME, recipient, PRIVATE, KIND_PROVISION, {"s": kgc.params.s, "m": kgc.params.m}
     )
 
 
@@ -287,7 +284,7 @@ def setup_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network)
     params = kgc.params
     if cloud.store.s is None:
         # the first registration provisions the server
-        provisioned = _provision(kgc, cloud.name, net, STAGE_SETUP)
+        provisioned = _provision(kgc, CLOUD_NAME, net, STAGE_SETUP)
         cloud.store.s = provisioned.fields["s"]
         cloud.store.m = provisioned.fields["m"]
     _provision(kgc, user.name, net, STAGE_SETUP)
@@ -295,7 +292,7 @@ def setup_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network)
 
     creds = user.credentials
     delivered = net.transmit(
-        STAGE_SETUP, user.name, cloud.name, PRIVATE, KIND_REGISTER,
+        STAGE_SETUP, user.name, CLOUD_NAME, PRIVATE, KIND_REGISTER,
         {"user_id": creds.user_id, "password": creds.password},
     )
     cloud.store.register(delivered.fields["user_id"], delivered.fields["password"])
@@ -303,13 +300,12 @@ def setup_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network)
     # the user derives its digest from the credentials it believes in
     user.reg_digest = registration_digest(creds.user_id, creds.password, params.s)
     digest_msg = net.transmit(
-        STAGE_SETUP, user.name, cloud.name, PUBLIC, KIND_REGISTER_DIGEST,
+        STAGE_SETUP, user.name, CLOUD_NAME, PUBLIC, KIND_REGISTER_DIGEST,
         {"user_id": creds.user_id, "digest": user.reg_digest},
     )
     slot = cloud.store.slot(digest_msg.fields["user_id"])
     expected = registration_digest(digest_msg.fields["user_id"], slot.password, cloud.store.s)
-    presented = {"digest": digest_msg.fields["digest"]}
-    if _decide(STAGE_SETUP, presented, {"digest": expected}, user, user.name, PUBLIC, net):
+    if _decide(STAGE_SETUP, digest_msg, {"digest": expected}, user, net):
         user.phase = Phase.REGISTERED
 
 
@@ -329,19 +325,15 @@ def keygen_phase(
     attribute = net.rng.take(net.width)
     private_key = derive_private_key(kgc.params.m, public_param, kgc.params.s, attribute)
     delivered = net.transmit(
-        STAGE_KEYGEN, kgc.name, principal.name, PRIVATE, KIND_KEY_ISSUE,
+        STAGE_KEYGEN, KGC_NAME, principal.name, PRIVATE, KIND_KEY_ISSUE,
         {"public_param": public_param, "attribute": attribute, "private_key": private_key},
     )
-    principal.keys = KeyMaterial(
-        public_param=public_param,
-        attribute=attribute,
-        private_key=delivered.fields["private_key"],
-    )
+    principal.keys = KeyMaterial(attribute=attribute, private_key=delivered.fields["private_key"])
     if not is_owner:
         user_id = principal.credentials.user_id
         kgc.issued[user_id] = (public_param, attribute)
         stored = net.transmit(
-            STAGE_KEYGEN, kgc.name, cloud.name, PRIVATE, KIND_KEY_STORE,
+            STAGE_KEYGEN, KGC_NAME, CLOUD_NAME, PRIVATE, KIND_KEY_STORE,
             {"user_id": user_id, "private_key": private_key, "attribute": attribute},
         )
         slot = cloud.store.slot(stored.fields["user_id"])
@@ -359,7 +351,7 @@ def encryption_phase(
     for payload in payloads:
         wrapped, payload_digest = make_cipher_bundle(payload, owner.params.cipher, owner.keys.private_key)
         delivered = net.transmit(
-            STAGE_ENCRYPTION, owner.name, cloud.name, PUBLIC, KIND_CIPHER_UPLOAD,
+            STAGE_ENCRYPTION, owner.name, CLOUD_NAME, PUBLIC, KIND_CIPHER_UPLOAD,
             {"wrapped": wrapped, "payload_digest": payload_digest},
         )
         cloud.store.bundles.append(delivered.fields)
@@ -368,7 +360,6 @@ def encryption_phase(
 def _serve_access(
     query: Message,
     requester: UserAgent,
-    users_by_id: dict[bytes, UserAgent],
     cloud: CloudAgent,
     kgc: KgcAgent,
     net: Network,
@@ -377,68 +368,53 @@ def _serve_access(
     """Server side of one access query, genuine or replayed from step ``replayed_from``.
 
     The server recomputes the expected query from stored values only.
-    On a grant the generation centre derives the session key and sends
-    it to the identity's registered holder, which on a replayed query
-    is the victim, never the injector.
+    On a grant the generation centre sends the session key to the query's
+    sender. Only a genuine grant writes it into the requester; a replay's
+    re-issue goes to the victim, who already holds the same bytes.
     """
     user_id = query.fields["user_id"]
     slot = cloud.store.slot(user_id)
     assert cloud.store.s is not None and slot.private_key is not None
     expected_digest = registration_digest(user_id, slot.password, cloud.store.s)
     expected_q = access_query(expected_digest, user_id, slot.private_key)
-    holder = users_by_id[user_id]  # every stored id belongs to a roster user
     accept_note = None if replayed_from is None else {"granted_for_replay_of_step": replayed_from}
     if not _decide(
-        STAGE_ACCESS, {"q": query.fields["q"]}, {"q": expected_q}, requester, holder.name,
-        PUBLIC, net, accept_fields={"user_id": user_id}, annotation=accept_note,
+        STAGE_ACCESS, query, {"q": expected_q}, requester, net,
+        accept_fields={"user_id": user_id}, annotation=accept_note,
     ):
         return
     net.transmit(
-        STAGE_ACCESS, cloud.name, kgc.name, PRIVATE, KIND_SESSION_REQUEST, {"user_id": user_id}
+        STAGE_ACCESS, CLOUD_NAME, KGC_NAME, PRIVATE, KIND_SESSION_REQUEST, {"user_id": user_id}
     )
     public_param, attribute = kgc.issued[user_id]
     session_key = derive_session_key(public_param, kgc.params.m, attribute)
     delivered = net.transmit(
-        STAGE_ACCESS, kgc.name, holder.name, PRIVATE, KIND_SESSION_KEY,
+        STAGE_ACCESS, KGC_NAME, query.sender, PRIVATE, KIND_SESSION_KEY,
         {"session_key": session_key},
     )
-    # deterministic derivation: a replay-triggered re-issue hands the
-    # holder the same bytes it already has, so nothing desynchronizes
-    holder.session_key = delivered.fields["session_key"]
+    if replayed_from is None:
+        requester.session_key = delivered.fields["session_key"]
     stored = net.transmit(
-        STAGE_ACCESS, kgc.name, cloud.name, PRIVATE, KIND_SESSION_STORE,
+        STAGE_ACCESS, KGC_NAME, CLOUD_NAME, PRIVATE, KIND_SESSION_STORE,
         {"user_id": user_id, "session_key": session_key},
     )
     slot.session_key = stored.fields["session_key"]
     requester.phase = Phase.ACCESS_GRANTED
-    requester.claimed_id = user_id
 
 
-def access_control_phase(
-    user: UserAgent,
-    users_by_id: dict[bytes, UserAgent],
-    cloud: CloudAgent,
-    kgc: KgcAgent,
-    net: Network,
-) -> None:
+def access_control_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network) -> None:
     """A keyed user presents its access query."""
     _require_phase(user, Phase.KEYED, "request access")
     assert user.reg_digest is not None and user.keys is not None
     user_id = user.credentials.user_id
     q = access_query(user.reg_digest, user_id, user.keys.private_key)
     delivered = net.transmit(
-        STAGE_ACCESS, user.name, cloud.name, PUBLIC, KIND_ACCESS_QUERY, {"user_id": user_id, "q": q}
+        STAGE_ACCESS, user.name, CLOUD_NAME, PUBLIC, KIND_ACCESS_QUERY, {"user_id": user_id, "q": q}
     )
-    _serve_access(delivered, user, users_by_id, cloud, kgc, net)
+    _serve_access(delivered, user, cloud, kgc, net)
 
 
-def replay_access(
-    replayer: UserAgent,
-    users_by_id: dict[bytes, UserAgent],
-    cloud: CloudAgent,
-    kgc: KgcAgent,
-    net: Network,
-) -> None:
+def replay_access(replayer: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network) -> None:
     """An unregistered outsider re-injects an observed access query."""
     _require_phase(replayer, Phase.INIT, "replay")
     source = net.observed_query
@@ -453,7 +429,7 @@ def replay_access(
         source.stage, source.sender, source.recipient, source.channel, source.kind,
         source.fields, replay_note,
     )
-    _serve_access(delivered, replayer, users_by_id, cloud, kgc, net, replayed_from=source.step)
+    _serve_access(delivered, replayer, cloud, kgc, net, replayed_from=source.step)
 
 
 def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
@@ -461,13 +437,12 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
     _require_phase(user, Phase.ACCESS_GRANTED, "validate")
     width = net.width
     if user.adversary is AdversaryClass.REPLAY_QUERY:
-        # the grant's session key went to the identity's holder, so the
-        # injector holds no secrets for the identity it claimed; the best
-        # it can do from outside is guess, on the open channel
-        assert user.claimed_id is not None
+        # the grant's session key went to the replayed query's sender, so
+        # the injector holds no secrets for the identity it resent; the
+        # best it can do from outside is guess, on the open channel
         channel = PUBLIC
         fields = {
-            "user_id": user.claimed_id,
+            "user_id": net.observed_query.fields["user_id"],
             "v1": net.rng.take(width),
             "v2": net.rng.take(width),
             "nonce": net.rng.take(width),
@@ -497,7 +472,7 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
         fields = {"user_id": user_id, "v1": v1, "v2": v2, "nonce": nonce}
         annotation = None
     delivered = net.transmit(
-        STAGE_VALIDATION, user.name, cloud.name, channel, KIND_VALIDATE, fields, annotation
+        STAGE_VALIDATION, user.name, CLOUD_NAME, channel, KIND_VALIDATE, fields, annotation
     )
 
     user_id = delivered.fields["user_id"]
@@ -515,9 +490,8 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
         cloud.store.m,
         slot.attribute,
     )
-    presented = {"v1": delivered.fields["v1"], "v2": delivered.fields["v2"]}
     expected = {"v1": expected_v1, "v2": expected_v2}
-    if _decide(STAGE_VALIDATION, presented, expected, user, user.name, delivered.channel, net):
+    if _decide(STAGE_VALIDATION, delivered, expected, user, net):
         user.phase = Phase.VERIFIED
 
 
@@ -526,12 +500,12 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
     _require_phase(user, Phase.VERIFIED, "receive data")
     assert user.params is not None
     net.transmit(
-        STAGE_SHARING, user.name, cloud.name, PUBLIC, KIND_DATA_REQUEST,
+        STAGE_SHARING, user.name, CLOUD_NAME, PUBLIC, KIND_DATA_REQUEST,
         {"user_id": user.credentials.user_id},
     )
     recovered: list[bytes] = []
     for bundle in cloud.store.bundles:
-        delivered = net.transmit(STAGE_SHARING, cloud.name, user.name, PUBLIC, KIND_DATA_SHARE, bundle)
+        delivered = net.transmit(STAGE_SHARING, CLOUD_NAME, user.name, PUBLIC, KIND_DATA_SHARE, bundle)
         try:
             payload = recover_payload(
                 delivered.fields["wrapped"], delivered.fields["payload_digest"], user.params.cipher
@@ -575,7 +549,6 @@ def run_protocol(config: ScenarioConfig, payloads: Sequence[bytes]) -> Transcrip
             user_id=name.encode("ascii"), password=rng.take(width)
         )
         users.append(UserAgent(name=name, credentials=credentials, adversary=cls))
-    users_by_id = {user.credentials.user_id: user for user in users}
 
     for user in users:
         if user.adversary is AdversaryClass.REPLAY_QUERY:
@@ -591,9 +564,9 @@ def run_protocol(config: ScenarioConfig, payloads: Sequence[bytes]) -> Transcrip
 
     for user in users:
         if user.adversary is AdversaryClass.REPLAY_QUERY:
-            replay_access(user, users_by_id, cloud, kgc, net)
+            replay_access(user, cloud, kgc, net)
         elif user.phase is Phase.KEYED:
-            access_control_phase(user, users_by_id, cloud, kgc, net)
+            access_control_phase(user, cloud, kgc, net)
 
     for user in users:
         if user.phase is Phase.ACCESS_GRANTED:
@@ -608,5 +581,5 @@ def run_protocol(config: ScenarioConfig, payloads: Sequence[bytes]) -> Transcrip
             raise PhaseOrderError(
                 f"{user.name} finished in phase {user.phase.name} without an outcome"
             )
-    net.transcript.world = World(kgc=kgc, cloud=cloud, owner=owner, users=users)
+    net.transcript.world = World(cloud=cloud, owner=owner, users=users)
     return net.transcript

@@ -107,7 +107,6 @@ class Credentials:
 class KeyMaterial:
     """Per-principal key material issued by the generation centre."""
 
-    public_param: bytes
     attribute: bytes
     private_key: bytes
 

@@ -310,7 +310,7 @@ class TestPhaseOrder:
         with pytest.raises(
             PhaseOrderError, match="^user-000 cannot request access from phase INIT$"
         ):
-            access_control_phase(fresh_user(), {}, CloudAgent(), KgcAgent(), fresh_net())
+            access_control_phase(fresh_user(), CloudAgent(), KgcAgent(), fresh_net())
 
     def test_replay_only_from_outside(self):
         replayer = fresh_user("adv-replay_query-000", adversary=AdversaryClass.REPLAY_QUERY)
@@ -318,14 +318,14 @@ class TestPhaseOrder:
         with pytest.raises(
             PhaseOrderError, match="^adv-replay_query-000 cannot replay from phase REGISTERED$"
         ):
-            replay_access(replayer, {}, CloudAgent(), KgcAgent(), fresh_net())
+            replay_access(replayer, CloudAgent(), KgcAgent(), fresh_net())
 
     def test_replay_needs_an_observed_query(self):
         replayer = fresh_user("adv-replay_query-000", adversary=AdversaryClass.REPLAY_QUERY)
         with pytest.raises(
             PhaseOrderError, match="^no access query was observed, nothing to replay$"
         ):
-            replay_access(replayer, {}, CloudAgent(), KgcAgent(), fresh_net())
+            replay_access(replayer, CloudAgent(), KgcAgent(), fresh_net())
 
     def test_validation_requires_grant(self):
         with pytest.raises(PhaseOrderError, match="^user-000 cannot validate from phase INIT$"):
@@ -382,7 +382,11 @@ class TestReplaySideEffects:
         assert victim.phase is Phase.COMPLETE
         assert injector.session_key is None
         assert injector.phase is Phase.REJECTED
-        assert injector.claimed_id == b"user-000"
+        # the injector claims the identity of the query it resent
+        (guess,) = [m for m in by_kind(transcript, "VALIDATE") if m.sender == injector.name]
+        assert guess.fields["user_id"] == b"user-000"
+        # the replay's re-issue leaves the victim's key as first granted
+        assert victim.session_key is by_kind(transcript, "SESSION_KEY")[0].fields["session_key"]
         # the grant was re-stored once per query, same bytes both times
         grants = by_kind(transcript, "SESSION_STORE")
         assert len(grants) == 2

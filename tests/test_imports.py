@@ -138,3 +138,49 @@ def test_every_definition_is_referenced():
         for name in unreferenced(path.read_text(encoding="utf-8"), referenced)
     ]
     assert unused == []
+
+
+def loaded_attributes(tree: ast.AST) -> set[str]:
+    """Every attribute name that ``tree`` reads, as in ``x.name`` outside an assignment target."""
+    return {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_fields(source: str, loaded: set[str]) -> list[str]:
+    """``Class.field`` for each field of a ``@dataclass`` in ``source`` that ``loaded`` lacks."""
+    return [
+        f"{node.name}.{item.target.id}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(getattr(mark, "func", mark)) == "dataclass" for mark in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and item.target.id not in loaded
+    ]
+
+
+def test_unread_dataclass_fields_are_found():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "class B:\n"
+        "    z: int\n"
+        "def f(a):\n"
+        "    a.y = a.x\n"
+    )
+    assert unread_fields(source, loaded_attributes(ast.parse(source))) == ["A.y"]
+
+
+def test_every_dataclass_field_is_read():
+    loaded: set[str] = set()
+    for path in REFERRERS:
+        loaded |= loaded_attributes(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [
+        f"{path.relative_to(REPO_ROOT)}: {name}"
+        for path in sorted((REPO_ROOT / "src" / "acshare").glob("*.py"))
+        for name in unread_fields(path.read_text(encoding="utf-8"), loaded)
+    ]
+    assert unread == []

@@ -2,12 +2,14 @@
 
 Each drawn scenario has every adversary class in a small roster, a flip
 budget of 1-3 per class, one of the four key lengths and 1-3 Cleveland
-records. Five invariants must hold for all of them: one outcome per
+records. Six invariants must hold for all of them: one outcome per
 principal, ACCEPTED exactly for the genuine ones, a summary of the
-run's own principals whose buckets match the configured counts, one
-memory figure from the closed form, the transcript and the store
-ledger, and each stored bundle still the owner's seal of its payload,
-so no tamperer alters what later users receive.
+run's own principals whose buckets match the configured counts, each
+gate verdict sent by the cloud to the sender of the message it judges
+on that message's channel, one memory figure from the closed form, the
+transcript and the store ledger, and each stored bundle still the
+owner's seal of its payload, so no tamperer alters what later users
+receive.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acshare.bench import expected_memory_bytes, measure_memory
-from acshare.entities import run_protocol
+from acshare.entities import CLOUD_NAME, run_protocol
 from acshare.netsim import (
     KEY_LENGTH_BITS,
     AdversaryClass,
@@ -70,6 +72,14 @@ def test_generated_scenario_invariants(scenario):
     for cls in CLASSES:
         configured = sum(spec.count for spec in config.adversaries if spec.cls is cls)
         assert sum(summary.per_class[cls.name].values()) == configured, cls
+
+    # a verdict answers the line just before it: the message the gate judged
+    messages = transcript.messages
+    for judged, verdict in zip(messages, messages[1:]):
+        if verdict.kind.endswith(("_ACCEPTED", "_REJECTED")):
+            assert (verdict.sender, verdict.recipient, verdict.channel) == (
+                CLOUD_NAME, judged.sender, judged.channel
+            ), verdict
 
     store = transcript.world.cloud.store
     measured = measure_memory(config, transcript)
