@@ -2,9 +2,9 @@
 
 The memory figure is the canonical stored state after a run, measured
 three independent ways that must agree exactly: ``measure_memory``
-walks the transcript, ``expected_memory_bytes`` is a closed form over
-the scenario alone, and ``CloudStore.accounted_bytes`` is the server's
-own ledger, to which the centre's parameter pair is added.
+applies ``PERSISTED`` to the transcript, ``expected_memory_bytes``
+applies ``STORED_KEYS`` to the scenario, and ``CloudStore.accounted_bytes``
+is the server's own ledger, to which the centre's parameter pair is added.
 
 Accounted state: the generation centre's parameter pair, the server's
 provisioned parameter, registered credentials, stored private and
@@ -78,72 +78,63 @@ def genuine_detection_rate(summary: OutcomeSummary) -> float:
     return summary.genuine_complete / summary.genuine_total
 
 
+#: the fields the server stores from each message kind it keeps, per user id
+PERSISTED = {
+    KIND_PROVISION: ("s",),
+    KIND_REGISTER: ("user_id", "password"),
+    KIND_KEY_STORE: ("private_key",),
+    KIND_SESSION_STORE: ("session_key",),
+}
+
+#: width-sized keys the server ends up holding for each class that registers
+STORED_KEYS = {
+    AdversaryClass.NONE: 2,  # private key at keygen, session key at grant
+    AdversaryClass.TAMPER_VALIDATION: 2,
+    AdversaryClass.TAMPER_CIPHERTEXT: 2,
+    AdversaryClass.FORGED_PRIVATE_KEY: 1,  # its query never matches, so no grant
+    AdversaryClass.WRONG_PASSWORD: 0,  # it never passes registration
+}
+
+
 def measure_memory(config: ScenarioConfig, transcript: Transcript) -> int:
     """Accounted stored bytes, reconstructed from the transcript.
 
-    Only messages the server actually received count; session grants
-    overwrite rather than accumulate, mirroring the store.
+    Only messages the server received count: each ``PERSISTED`` kind is
+    kept per user id, a later one overwriting the earlier as the store
+    does, and every uploaded bundle adds to the total.
     """
-    width = config.width
-    total = 2 * width  # the generation centre holds its parameter pair
-    provisioned = False
-    credentials: dict[bytes, int] = {}
-    private_keys: dict[bytes, int] = {}
-    session_keys: dict[bytes, int] = {}
+    stored: dict[tuple[str, bytes | None], int] = {}
     bundle_bytes = 0
     for message in transcript.messages:
         if message.recipient != CLOUD_NAME:
             continue
-        if message.kind == KIND_PROVISION:
-            provisioned = True
-        elif message.kind == KIND_REGISTER:
-            user_id = message.fields["user_id"]
-            credentials[user_id] = len(user_id) + len(message.fields["password"])
-        elif message.kind == KIND_KEY_STORE:
-            private_keys[message.fields["user_id"]] = len(message.fields["private_key"])
-        elif message.kind == KIND_SESSION_STORE:
-            session_keys[message.fields["user_id"]] = len(message.fields["session_key"])
-        elif message.kind == KIND_CIPHER_UPLOAD:
-            bundle_bytes += len(message.fields["wrapped"]) + len(
-                message.fields["payload_digest"]
-            )
-    if provisioned:
-        total += width  # the server keeps the provisioned parameter
-    total += sum(credentials.values())
-    total += sum(private_keys.values())
-    total += sum(session_keys.values())
-    total += bundle_bytes
-    return total
+        fields = message.fields
+        if message.kind == KIND_CIPHER_UPLOAD:
+            bundle_bytes += len(fields["wrapped"]) + len(fields["payload_digest"])
+        elif message.kind in PERSISTED:
+            kept = map(fields.__getitem__, PERSISTED[message.kind])
+            stored[message.kind, fields.get("user_id")] = sum(map(len, kept))
+    # the generation centre holds its parameter pair
+    return 2 * config.width + sum(stored.values()) + bundle_bytes
 
 
 def expected_memory_bytes(config: ScenarioConfig, payload_sizes: Sequence[int]) -> int:
     """Closed-form prediction of ``measure_memory`` for a scenario.
 
-    Per registering principal: its id and password; plus a private and
-    a session key when it reaches a grant (genuine, validation- and
-    ciphertext-tampering classes), only the private key when its query
-    is refused (forged keys), and nothing further when registration
-    itself fails (wrong passwords). Replaying outsiders never register.
-    Each bundle stores the payload, the stripped owner key, two length
-    prefixes, and the payload digest.
+    Per registering principal: its id and password, plus the
+    ``STORED_KEYS`` count of width-sized keys for its class; a class
+    missing from that table raises ``KeyError``. Replaying outsiders
+    never register. Each bundle stores the payload, the stripped owner
+    key, two length prefixes, and the payload digest.
     """
     width = config.width
     total = 2 * width
     roster = principal_roster(config)
     registering = [entry for entry in roster if entry[1] is not AdversaryClass.REPLAY_QUERY]
     if registering:
-        total += width
+        total += width  # the server keeps the provisioned parameter
     for name, cls, _ in registering:
-        total += len(name.encode("ascii")) + width
-        if cls in (
-            AdversaryClass.NONE,
-            AdversaryClass.TAMPER_VALIDATION,
-            AdversaryClass.TAMPER_CIPHERTEXT,
-        ):
-            total += 2 * width  # private key stored at keygen, session key at grant
-        elif cls is AdversaryClass.FORGED_PRIVATE_KEY:
-            total += width  # private key stored, but the query never matches
-        # WRONG_PASSWORD never passes registration, so no keys are stored
+        total += len(name.encode("ascii")) + width * (1 + STORED_KEYS[cls])
     for size in payload_sizes:
         total += size + width + WRAP_OVERHEAD_BYTES + PAYLOAD_DIGEST_BYTES
     return total

@@ -73,12 +73,10 @@ def _path(text: str) -> str:
 
 def _parse_adversary(token: str) -> AdversarySpec:
     """Parse CLASS or CLASS=COUNT into a spec with one flip."""
-    name, _, count_text = token.partition("=")
+    name, separator, count_text = token.partition("=")
     cls = AdversaryClass.parse(name)
-    if not count_text:
-        return AdversarySpec(cls=cls, count=1)
     try:
-        count = int(count_text)
+        count = int(count_text) if separator else 1
     except ValueError:
         raise ConfigError(f"adversary count must be an integer, got {count_text!r}") from None
     return AdversarySpec(cls=cls, count=count)

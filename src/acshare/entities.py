@@ -198,7 +198,7 @@ class CloudAgent:
 
 @dataclass
 class KgcAgent:
-    params: SystemParams | None = None
+    params: SystemParams
     issued: dict[bytes, tuple[bytes, bytes]] = field(default_factory=dict)  # (public_param, attribute)
 
 
@@ -278,8 +278,6 @@ def _provision(kgc: KgcAgent, recipient: str, net: Network, stage: str) -> Messa
 
 def setup_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network) -> None:
     """Registration: provision, credential deposit, digest check."""
-    if kgc.params is None:
-        raise PhaseOrderError("system parameters must exist before registration")
     _require_phase(user, Phase.INIT, "register")
     params = kgc.params
     if cloud.store.s is None:
@@ -313,8 +311,6 @@ def keygen_phase(
     kgc: KgcAgent, cloud: CloudAgent, principal: UserAgent | OwnerAgent, net: Network
 ) -> None:
     """Key issuance for one principal; user keys are mirrored to the server."""
-    if kgc.params is None:
-        raise PhaseOrderError("system parameters must exist before key issuance")
     is_owner = isinstance(principal, OwnerAgent)
     _require_phase(principal, Phase.INIT if is_owner else Phase.REGISTERED, "receive keys")
     if is_owner:  # the owner never registers, so it is provisioned here
@@ -539,10 +535,9 @@ def run_protocol(config: ScenarioConfig, payloads: Sequence[bytes]) -> Transcrip
     adversaries = {row[0]: row[1:] for row in roster if row[1] is not AdversaryClass.NONE}
     net = Network(rng, adversaries, width)
 
-    kgc = KgcAgent()
+    kgc = KgcAgent(new_system_params(rng, width))
     cloud = CloudAgent()
     owner = OwnerAgent()
-    kgc.params = new_system_params(rng, width)
     users = []
     for name, cls, _ in roster:
         credentials = Credentials(

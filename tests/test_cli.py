@@ -53,7 +53,13 @@ class TestDemo:
         assert (code_a, out_a) == (code_b, out_b)
 
     def test_adversary_count_other_than_one_is_config_error(self, capsys):
-        for argv in (("WRONG_PASSWORD=0",), ("WRONG_PASSWORD=2",), ("TAMPER_VALIDATION", "REPLAY_QUERY")):
+        for argv in (
+            ("WRONG_PASSWORD=0",),
+            ("WRONG_PASSWORD=2",),
+            ("WRONG_PASSWORD=",),
+            ("WRONG_PASSWORD=x",),
+            ("TAMPER_VALIDATION", "REPLAY_QUERY"),
+        ):
             flags = [arg for token in argv for arg in ("--adversary", token)]
             code, out, err = invoke(capsys, "demo", *flags)
             assert code == 2, argv
@@ -128,12 +134,13 @@ class TestRun:
         path = tmp_path / "broken.json"
         # bad JSON, a file that is not UTF-8, nesting deeper than the parser
         # recurses, an integer longer than int() converts, a dataset that is
-        # not a string
+        # not a string, a document that is not an object
         dataset_list = (
             b'{"n_genuine": 1, "adversaries": [], "dataset": ["x"], '
             b'"key_length_bits": 64, "seed": 0}'
         )
-        for content in (b"{not json", b'{"seed": "\xff"}', b"[" * 100000, b"1" * 5000, dataset_list):
+        contents = (b"{not json", b'{"seed": "\xff"}', b"[" * 100000, b"1" * 5000, dataset_list, b"[]")
+        for content in contents:
             path.write_bytes(content)
             code, _, err = invoke(capsys, "run", "--scenario", str(path))
             assert code == 2, content[:20]

@@ -60,6 +60,10 @@ def fresh_net(width=8, seed=0):
     return Network(rng=Rng(seed), adversaries={}, width=width)
 
 
+def fresh_kgc(net):
+    return KgcAgent(new_system_params(net.rng, net.width))
+
+
 def fresh_user(name="user-000", width=8, adversary=AdversaryClass.NONE):
     creds = Credentials(user_id=name.encode("ascii"), password=bytes(width))
     return UserAgent(name=name, credentials=creds, adversary=adversary)
@@ -260,17 +264,9 @@ class TestCloudStore:
 
 
 class TestPhaseOrder:
-    def test_registration_needs_system_params(self):
-        net = fresh_net()
-        with pytest.raises(
-            PhaseOrderError, match="^system parameters must exist before registration$"
-        ):
-            setup_phase(fresh_user(), CloudAgent(), KgcAgent(), net)
-
     def test_registration_runs_once(self):
         net = fresh_net()
-        kgc = KgcAgent()
-        kgc.params = new_system_params(net.rng, 8)
+        kgc = fresh_kgc(net)
         cloud = CloudAgent()
         user = fresh_user()
         setup_phase(user, cloud, kgc, net)
@@ -282,8 +278,7 @@ class TestPhaseOrder:
 
     def test_user_keygen_needs_registration(self):
         net = fresh_net()
-        kgc = KgcAgent()
-        kgc.params = new_system_params(net.rng, 8)
+        kgc = fresh_kgc(net)
         with pytest.raises(
             PhaseOrderError, match="^user-000 cannot receive keys from phase INIT$"
         ):
@@ -291,8 +286,7 @@ class TestPhaseOrder:
 
     def test_owner_keygen_runs_once(self):
         net = fresh_net()
-        kgc = KgcAgent()
-        kgc.params = new_system_params(net.rng, 8)
+        kgc = fresh_kgc(net)
         owner = OwnerAgent()
         keygen_phase(kgc, CloudAgent(), owner, net)
         assert owner.phase is Phase.KEYED
@@ -307,25 +301,28 @@ class TestPhaseOrder:
             encryption_phase(owner, CloudAgent(), [b"x"], fresh_net())
 
     def test_access_requires_keys(self):
+        net = fresh_net()
         with pytest.raises(
             PhaseOrderError, match="^user-000 cannot request access from phase INIT$"
         ):
-            access_control_phase(fresh_user(), CloudAgent(), KgcAgent(), fresh_net())
+            access_control_phase(fresh_user(), CloudAgent(), fresh_kgc(net), net)
 
     def test_replay_only_from_outside(self):
         replayer = fresh_user("adv-replay_query-000", adversary=AdversaryClass.REPLAY_QUERY)
         replayer.phase = Phase.REGISTERED
+        net = fresh_net()
         with pytest.raises(
             PhaseOrderError, match="^adv-replay_query-000 cannot replay from phase REGISTERED$"
         ):
-            replay_access(replayer, CloudAgent(), KgcAgent(), fresh_net())
+            replay_access(replayer, CloudAgent(), fresh_kgc(net), net)
 
     def test_replay_needs_an_observed_query(self):
         replayer = fresh_user("adv-replay_query-000", adversary=AdversaryClass.REPLAY_QUERY)
+        net = fresh_net()
         with pytest.raises(
             PhaseOrderError, match="^no access query was observed, nothing to replay$"
         ):
-            replay_access(replayer, CloudAgent(), KgcAgent(), fresh_net())
+            replay_access(replayer, CloudAgent(), fresh_kgc(net), net)
 
     def test_validation_requires_grant(self):
         with pytest.raises(PhaseOrderError, match="^user-000 cannot validate from phase INIT$"):

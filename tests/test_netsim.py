@@ -132,8 +132,10 @@ class TestScenarioConfig:
             scenario(key_length_bits=100)
 
     def test_negative_population_checked(self):
-        with pytest.raises(ConfigError):
-            scenario(n_genuine=-1)
+        negative_adversaries = (AdversarySpec(cls=AdversaryClass.WRONG_PASSWORD, count=-1),)
+        for overrides in ({"n_genuine": -1}, {"adversaries": negative_adversaries}):
+            with pytest.raises(ConfigError, match=">= 0"):
+                scenario(**overrides)
 
     def test_seed_range_checked(self):
         with pytest.raises(ConfigError):
