@@ -159,6 +159,12 @@ def plan_sweep(
     if n_genuine == 0:
         raise UndefinedRateError("no genuine principals in the scenario")
     sources = [resolve_dataset(spec, data_dir) for spec in datasets]
+    for name, _ in sources:  # each name is written unquoted into the ASCII CSV's dataset column
+        if not name.isascii() or set(name) & set(',"\r\n'):
+            raise ConfigError(
+                f"dataset name {name!r} must be ASCII with no comma, quote or line break; "
+                "pass NAME=PATH instead"
+            )
     cells = [
         [
             ScenarioConfig(

@@ -69,6 +69,12 @@ class ConfigError(ValueError):
     """A scenario or command configuration is invalid."""
 
 
+def _as_int(value, label: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{label} must be an integer, got {value!r}")
+    return value
+
+
 class AdversaryClass(Enum):
     NONE = "NONE"
     WRONG_PASSWORD = "WRONG_PASSWORD"
@@ -107,6 +113,14 @@ class AdversarySpec:
     count: int
     flips: int = 1
 
+    def __post_init__(self) -> None:
+        if self.cls is AdversaryClass.NONE:
+            raise ConfigError("NONE is not an adversary entry; raise n_genuine instead")
+        if _as_int(self.count, "count") < 0:
+            raise ConfigError(f"adversary count must be >= 0, got {self.count}")
+        if not 1 <= _as_int(self.flips, "flips") <= MAX_FLIPS:
+            raise ConfigError(f"flips must be in 1..{MAX_FLIPS}, got {self.flips}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -125,25 +139,18 @@ class ScenarioConfig:
     max_records: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n_genuine < 0:
+        if _as_int(self.n_genuine, "n_genuine") < 0:
             raise ConfigError(f"n_genuine must be >= 0, got {self.n_genuine}")
-        if self.key_length_bits not in KEY_LENGTH_BITS:
+        if _as_int(self.key_length_bits, "key_length_bits") not in KEY_LENGTH_BITS:
             raise ConfigError(
                 f"key_length_bits must be one of {KEY_LENGTH_BITS}, got {self.key_length_bits}"
             )
-        if not 0 <= self.seed <= Rng.SEED_MASK:
+        if not 0 <= _as_int(self.seed, "seed") <= Rng.SEED_MASK:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if not isinstance(self.dataset, str) or not self.dataset or "\0" in self.dataset:
             raise ConfigError(f"dataset must be a non-empty name or path, got {self.dataset!r}")
-        if self.max_records is not None and self.max_records < 1:
+        if self.max_records is not None and _as_int(self.max_records, "max_records") < 1:
             raise ConfigError(f"max_records must be >= 1, got {self.max_records}")
-        for spec in self.adversaries:
-            if spec.cls is AdversaryClass.NONE:
-                raise ConfigError("NONE is not an adversary entry; raise n_genuine instead")
-            if spec.count < 0:
-                raise ConfigError(f"adversary count must be >= 0, got {spec.count}")
-            if not 1 <= spec.flips <= MAX_FLIPS:
-                raise ConfigError(f"flips must be in 1..{MAX_FLIPS}, got {spec.flips}")
         population = self.n_genuine + sum(spec.count for spec in self.adversaries)
         if population > MAX_PRINCIPALS:
             raise ConfigError(f"at most {MAX_PRINCIPALS} principals, got {population}")
@@ -176,23 +183,9 @@ class ScenarioConfig:
             extra = set(entry) - {"class", "count", "flips"}
             if extra:
                 raise ConfigError(f"unknown adversary keys: {sorted(extra)}")
-            adversaries.append(
-                AdversarySpec(
-                    cls=AdversaryClass.parse(entry["class"]),
-                    count=_as_int(entry["count"], "count"),
-                    flips=_as_int(entry.get("flips", 1), "flips"),
-                )
-            )
-        return cls(
-            n_genuine=_as_int(doc["n_genuine"], "n_genuine"),
-            adversaries=tuple(adversaries),
-            dataset=doc["dataset"],
-            key_length_bits=_as_int(doc["key_length_bits"], "key_length_bits"),
-            seed=_as_int(doc["seed"], "seed"),
-            max_records=(
-                None if doc.get("max_records") is None else _as_int(doc["max_records"], "max_records")
-            ),
-        )
+            kind = AdversaryClass.parse(entry["class"])
+            adversaries.append(AdversarySpec(kind, entry["count"], entry.get("flips", 1)))
+        return cls(**{**doc, "adversaries": tuple(adversaries)})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
@@ -203,12 +196,6 @@ class ScenarioConfig:
         return cls.from_json(doc)
 
 
-def _as_int(value, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{label} must be an integer, got {value!r}")
-    return value
-
-
 def principal_roster(config: ScenarioConfig) -> list[tuple[str, AdversaryClass, int]]:
     """Deterministic (name, class, flips) list for a scenario.
 
@@ -217,9 +204,11 @@ def principal_roster(config: ScenarioConfig) -> list[tuple[str, AdversaryClass, 
     their byte lengths. A class listed twice numbers on, so names are distinct.
     """
     roster = [(f"user-{i:03d}", AdversaryClass.NONE, 1) for i in range(config.n_genuine)]
-    for i, spec in enumerate(config.adversaries):
+    numbered = dict.fromkeys(AdversaryClass, 0)  # principals of each class so far
+    for spec in config.adversaries:
         token = spec.cls.name.lower()
-        first = sum(earlier.count for earlier in config.adversaries[:i] if earlier.cls is spec.cls)
+        first = numbered[spec.cls]
+        numbered[spec.cls] += spec.count
         for j in range(first, first + spec.count):
             roster.append((f"adv-{token}-{j:03d}", spec.cls, spec.flips))
     return roster

@@ -10,6 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from acshare.cli import main
+from acshare.entities import PhaseOrderError
 from acshare.netsim import KEY_LENGTH_BITS, MAX_FLIPS, MAX_PRINCIPALS, AdversaryClass
 
 from conftest import REPO_ROOT
@@ -134,12 +135,20 @@ class TestRun:
         path = tmp_path / "broken.json"
         # bad JSON, a file that is not UTF-8, nesting deeper than the parser
         # recurses, an integer longer than int() converts, a dataset that is
-        # not a string, a document that is not an object
+        # not a string, a document that is not an object, and adversaries
+        # given as one object or as a string instead of a list
         dataset_list = (
             b'{"n_genuine": 1, "adversaries": [], "dataset": ["x"], '
             b'"key_length_bits": 64, "seed": 0}'
         )
-        contents = (b"{not json", b'{"seed": "\xff"}', b"[" * 100000, b"1" * 5000, dataset_list, b"[]")
+        base = {"n_genuine": 1, "dataset": "swiss", "key_length_bits": 64, "seed": 0}
+        not_lists = [
+            json.dumps({**base, "adversaries": value}).encode()
+            for value in ({"class": "WRONG_PASSWORD", "count": 1}, "WRONG_PASSWORD")
+        ]
+        contents = (
+            b"{not json", b'{"seed": "\xff"}', b"[" * 100000, b"1" * 5000, dataset_list, b"[]", *not_lists
+        )
         for content in contents:
             path.write_bytes(content)
             code, _, err = invoke(capsys, "run", "--scenario", str(path))
@@ -189,6 +198,18 @@ class TestRun:
         )
         assert code == 4
         assert err.startswith("error[IO]:")
+
+    def test_protocol_exception_exits_3(self, capsys, tmp_path, scenario_path, monkeypatch):
+        def out_of_order(*args, **kwargs):
+            raise PhaseOrderError("keygen before setup")
+
+        monkeypatch.setattr("acshare.entities.run_protocol", out_of_order)
+        code, _, err = invoke(
+            capsys, "run", "--scenario", str(scenario_path),
+            "--out", str(tmp_path / "x.jsonl"), "--data-dir", DATA_DIR,
+        )
+        assert code == 3
+        assert err == "error[PROTOCOL]: keygen before setup\n"
 
     @pytest.mark.parametrize("cls", ["WRONG_PASSWORD", "REPLAY_QUERY"])
     def test_repeated_adversary_class_runs_each_principal(self, capsys, tmp_path, cls):
@@ -529,6 +550,19 @@ class TestBench:
         )
         assert code == 4
         assert err.startswith("error[IO]:")
+
+    @pytest.mark.parametrize("name", ["a,b", "\u00e9"])
+    def test_dataset_name_that_breaks_the_csv_is_config_error(self, capsys, tmp_path, name):
+        # the name is written unquoted into an ASCII file, so "a,b" would
+        # read back as dataset "a", and a non-ASCII name fails at the write
+        out = tmp_path / "x.csv"
+        code, _, err = invoke(
+            capsys, "bench", "--out", str(out), "--dataset", f"{name}={DATA_DIR}/swiss.csv",
+            "--key-length", "64", "--max-records", "1",
+        )
+        assert code == 2
+        assert err.startswith("error[CONFIG]:") and "NAME=PATH" in err
+        assert not out.exists()
 
     def test_missing_data_dir_is_io_error(self, capsys, tmp_path):
         code, _, err = invoke(

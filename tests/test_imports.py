@@ -52,6 +52,42 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def late_imports(source: str) -> list[str]:
+    """Each ``import`` statement inside a function of ``source``, unparsed and sorted."""
+    nested = {
+        node
+        for scope in ast.walk(ast.parse(source))
+        if isinstance(scope, FUNCTIONS)
+        for node in ast.walk(scope)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    return sorted(map(ast.unparse, nested))
+
+
+def test_late_imports_are_found():
+    source = (
+        "import a\n"
+        "def f():\n"
+        "    import b\n"
+        "    def g():\n"
+        "        from .c import d\n"
+        "class C:\n"
+        "    import e\n"
+    )
+    assert late_imports(source) == ["from .c import d", "import b"]
+
+
+def test_the_one_late_import_is_in_run_scenario():
+    # entities imports netsim, so netsim reaches back into entities only at
+    # call time; moving scenario assembly above entities removes this one
+    late = [
+        f"{path.name}: {statement}"
+        for path in sorted((REPO_ROOT / "src" / "acshare").glob("*.py"))
+        for statement in late_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert late == ["netsim.py: from .entities import run_protocol"]
+
+
 def test_dataset_import_loads_no_protocol_module():
     # the benchmark's set-up probe imports acshare.dataset in a fresh interpreter
     code = (

@@ -132,10 +132,24 @@ class TestScenarioConfig:
             scenario(key_length_bits=100)
 
     def test_negative_population_checked(self):
-        negative_adversaries = (AdversarySpec(cls=AdversaryClass.WRONG_PASSWORD, count=-1),)
-        for overrides in ({"n_genuine": -1}, {"adversaries": negative_adversaries}):
-            with pytest.raises(ConfigError, match=">= 0"):
-                scenario(**overrides)
+        with pytest.raises(ConfigError, match=">= 0"):
+            scenario(n_genuine=-1)
+        with pytest.raises(ConfigError, match=">= 0"):
+            AdversarySpec(cls=AdversaryClass.WRONG_PASSWORD, count=-1)
+
+    @pytest.mark.parametrize("value", [True, 64.0])
+    def test_integer_fields_refuse_bools_and_floats(self, value):
+        # a Python caller gets the type checks a scenario file gets
+        for build in (
+            lambda: AdversarySpec(cls=AdversaryClass.WRONG_PASSWORD, count=value),
+            lambda: AdversarySpec(cls=AdversaryClass.WRONG_PASSWORD, count=1, flips=value),
+            lambda: scenario(n_genuine=value),
+            lambda: scenario(key_length_bits=value),
+            lambda: scenario(seed=value),
+            lambda: scenario(max_records=value),
+        ):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                build()
 
     def test_seed_range_checked(self):
         with pytest.raises(ConfigError):
@@ -150,15 +164,11 @@ class TestScenarioConfig:
 
     def test_none_is_not_an_adversary(self):
         with pytest.raises(ConfigError):
-            scenario(adversaries=(AdversarySpec(cls=AdversaryClass.NONE, count=1),))
+            AdversarySpec(cls=AdversaryClass.NONE, count=1)
 
     def test_flip_budget_positive(self):
         with pytest.raises(ConfigError):
-            scenario(
-                adversaries=(
-                    AdversarySpec(cls=AdversaryClass.TAMPER_VALIDATION, count=1, flips=0),
-                )
-            )
+            AdversarySpec(cls=AdversaryClass.TAMPER_VALIDATION, count=1, flips=0)
 
     def test_flip_budget_bounded(self):
         # each flip adds a note to its line, so a budget of 10**12 would
@@ -271,7 +281,9 @@ class TestScenarioConfig:
             adversaries=(
                 AdversarySpec(cls=AdversaryClass.TAMPER_VALIDATION, count=1),
                 AdversarySpec(cls=AdversaryClass.WRONG_PASSWORD, count=1),
+                AdversarySpec(cls=AdversaryClass.TAMPER_VALIDATION, count=0, flips=3),
                 AdversarySpec(cls=AdversaryClass.TAMPER_VALIDATION, count=2, flips=2),
+                AdversarySpec(cls=AdversaryClass.WRONG_PASSWORD, count=1),
             ),
         )
         assert principal_roster(config)[1:] == [
@@ -279,6 +291,7 @@ class TestScenarioConfig:
             ("adv-wrong_password-000", AdversaryClass.WRONG_PASSWORD, 1),
             ("adv-tamper_validation-001", AdversaryClass.TAMPER_VALIDATION, 2),
             ("adv-tamper_validation-002", AdversaryClass.TAMPER_VALIDATION, 2),
+            ("adv-wrong_password-001", AdversaryClass.WRONG_PASSWORD, 1),
         ]
 
 
