@@ -25,9 +25,7 @@ from .netsim import AdversaryClass, Network, ScenarioConfig, principal_roster
 from .primitives import Rng
 from .protocol import (
     CorruptCiphertextError,
-    Credentials,
     IntegrityError,
-    KeyMaterial,
     SystemParams,
     access_query,
     derive_private_key,
@@ -121,11 +119,13 @@ class Phase(Enum):
 @dataclass
 class UserAgent:
     name: str
-    credentials: Credentials
+    user_id: bytes
+    password: bytes
     adversary: AdversaryClass = AdversaryClass.NONE
     phase: Phase = Phase.INIT
     params: SystemParams | None = None
-    keys: KeyMaterial | None = None
+    attribute: bytes | None = None
+    private_key: bytes | None = None
     reg_digest: bytes | None = None
     session_key: bytes | None = None
     recovered: list[bytes] = field(default_factory=list)
@@ -136,7 +136,7 @@ class OwnerAgent:
     name: str = OWNER_NAME
     phase: Phase = Phase.INIT
     params: SystemParams | None = None
-    keys: KeyMaterial | None = None
+    private_key: bytes | None = None
 
 
 @dataclass
@@ -288,18 +288,17 @@ def setup_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network)
     _provision(kgc, user.name, net, STAGE_SETUP)
     user.params = params
 
-    creds = user.credentials
     delivered = net.transmit(
         STAGE_SETUP, user.name, CLOUD_NAME, PRIVATE, KIND_REGISTER,
-        {"user_id": creds.user_id, "password": creds.password},
+        {"user_id": user.user_id, "password": user.password},
     )
     cloud.store.register(delivered.fields["user_id"], delivered.fields["password"])
 
     # the user derives its digest from the credentials it believes in
-    user.reg_digest = registration_digest(creds.user_id, creds.password, params.s)
+    user.reg_digest = registration_digest(user.user_id, user.password, params.s)
     digest_msg = net.transmit(
         STAGE_SETUP, user.name, CLOUD_NAME, PUBLIC, KIND_REGISTER_DIGEST,
-        {"user_id": creds.user_id, "digest": user.reg_digest},
+        {"user_id": user.user_id, "digest": user.reg_digest},
     )
     slot = cloud.store.slot(digest_msg.fields["user_id"])
     expected = registration_digest(digest_msg.fields["user_id"], slot.password, cloud.store.s)
@@ -324,13 +323,13 @@ def keygen_phase(
         STAGE_KEYGEN, KGC_NAME, principal.name, PRIVATE, KIND_KEY_ISSUE,
         {"public_param": public_param, "attribute": attribute, "private_key": private_key},
     )
-    principal.keys = KeyMaterial(attribute=attribute, private_key=delivered.fields["private_key"])
+    principal.private_key = delivered.fields["private_key"]
     if not is_owner:
-        user_id = principal.credentials.user_id
-        kgc.issued[user_id] = (public_param, attribute)
+        principal.attribute = attribute
+        kgc.issued[principal.user_id] = (public_param, attribute)
         stored = net.transmit(
             STAGE_KEYGEN, KGC_NAME, CLOUD_NAME, PRIVATE, KIND_KEY_STORE,
-            {"user_id": user_id, "private_key": private_key, "attribute": attribute},
+            {"user_id": principal.user_id, "private_key": private_key, "attribute": attribute},
         )
         slot = cloud.store.slot(stored.fields["user_id"])
         slot.private_key = stored.fields["private_key"]
@@ -343,9 +342,9 @@ def encryption_phase(
 ) -> None:
     """The owner encrypts every payload and uploads the bundles."""
     _require_phase(owner, Phase.KEYED, "encrypt")
-    assert owner.params is not None and owner.keys is not None
+    assert owner.params is not None and owner.private_key is not None
     for payload in payloads:
-        wrapped, payload_digest = make_cipher_bundle(payload, owner.params.cipher, owner.keys.private_key)
+        wrapped, payload_digest = make_cipher_bundle(payload, owner.params.cipher, owner.private_key)
         delivered = net.transmit(
             STAGE_ENCRYPTION, owner.name, CLOUD_NAME, PUBLIC, KIND_CIPHER_UPLOAD,
             {"wrapped": wrapped, "payload_digest": payload_digest},
@@ -401,11 +400,11 @@ def _serve_access(
 def access_control_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network) -> None:
     """A keyed user presents its access query."""
     _require_phase(user, Phase.KEYED, "request access")
-    assert user.reg_digest is not None and user.keys is not None
-    user_id = user.credentials.user_id
-    q = access_query(user.reg_digest, user_id, user.keys.private_key)
+    assert user.reg_digest is not None and user.private_key is not None
+    q = access_query(user.reg_digest, user.user_id, user.private_key)
     delivered = net.transmit(
-        STAGE_ACCESS, user.name, CLOUD_NAME, PUBLIC, KIND_ACCESS_QUERY, {"user_id": user_id, "q": q}
+        STAGE_ACCESS, user.name, CLOUD_NAME, PUBLIC, KIND_ACCESS_QUERY,
+        {"user_id": user.user_id, "q": q},
     )
     _serve_access(delivered, user, cloud, kgc, net)
 
@@ -450,22 +449,22 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
     else:
         assert (
             user.params is not None
-            and user.keys is not None
+            and user.private_key is not None
+            and user.attribute is not None
             and user.session_key is not None
         )
-        user_id = user.credentials.user_id
         nonce = net.rng.take(width)
         v1, v2 = validation_messages(
-            user_id,
+            user.user_id,
             user.session_key,
             user.params.s,
             nonce,
-            user.keys.private_key,
+            user.private_key,
             user.params.m,
-            user.keys.attribute,
+            user.attribute,
         )
         channel = PRIVATE
-        fields = {"user_id": user_id, "v1": v1, "v2": v2, "nonce": nonce}
+        fields = {"user_id": user.user_id, "v1": v1, "v2": v2, "nonce": nonce}
         annotation = None
     delivered = net.transmit(
         STAGE_VALIDATION, user.name, CLOUD_NAME, channel, KIND_VALIDATE, fields, annotation
@@ -497,7 +496,7 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
     assert user.params is not None
     net.transmit(
         STAGE_SHARING, user.name, CLOUD_NAME, PUBLIC, KIND_DATA_REQUEST,
-        {"user_id": user.credentials.user_id},
+        {"user_id": user.user_id},
     )
     recovered: list[bytes] = []
     for bundle in cloud.store.bundles:
@@ -540,10 +539,7 @@ def run_protocol(config: ScenarioConfig, payloads: Sequence[bytes]) -> Transcrip
     owner = OwnerAgent()
     users = []
     for name, cls, _ in roster:
-        credentials = Credentials(
-            user_id=name.encode("ascii"), password=rng.take(width)
-        )
-        users.append(UserAgent(name=name, credentials=credentials, adversary=cls))
+        users.append(UserAgent(name, name.encode("ascii"), rng.take(width), adversary=cls))
 
     for user in users:
         if user.adversary is AdversaryClass.REPLAY_QUERY:

@@ -214,21 +214,40 @@ def principal_roster(config: ScenarioConfig) -> list[tuple[str, AdversaryClass, 
     return roster
 
 
-def _flip_into(
-    fields: dict, names: tuple[str, ...], rng: Rng, span: int | None, flips: int
-) -> list[dict]:
-    """Flip ``flips`` bytes of the named fields in place, within ``span``.
+def apply_adversary(
+    cls: AdversaryClass,
+    fields: dict[str, bytes],
+    rng: Rng,
+    *,
+    width: int,
+    flips: int = 1,
+) -> tuple[dict[str, bytes], dict | None]:
+    """Adversarially modified copy of ``fields`` and its annotation.
 
-    The fields are read as one string, in the order named, so a flip
-    lands anywhere across them; ``span`` bounds it to a prefix of that
-    string. A byte's delta is redrawn while it equals the XOR already
-    applied to that byte, so no chosen byte ever returns to its original
-    value. Returns deterministic notes, each naming the field and the
-    index within it, for the annotation.
+    The input dict is never mutated, and the copy keeps its key order.
+    Its only caller is ``Network.transmit``, on the kind ``CORRUPTS``
+    names for ``cls``, just before the altered line is recorded; the
+    row's fields are the ones altered. A replay acts on a whole observed
+    message, so it is not handled here.
+
+    A flipping class flips ``flips`` bytes of the named fields, read as
+    one string in the order named, so a flip lands anywhere across them.
+    A byte's delta is redrawn while it equals the XOR already applied to
+    that byte, so no chosen byte ever returns to its original value.
+    Each flip leaves a deterministic note naming the field and the index
+    within it.
     """
+    _, names = CORRUPTS[cls]
+    if cls is AdversaryClass.FORGED_PRIVATE_KEY:
+        changed = {name: rng.take(width) for name in names}
+        note = {"adversary": cls.name, "note": "issued key discarded, random key fabricated"}
+        return {**fields, **changed}, note
     data = {name: bytearray(fields[name]) for name in names}
-    total = sum(len(buffer) for buffer in data.values())
-    limit = total if span is None else min(span, total)
+    limit = total = sum(len(buffer) for buffer in data.values())
+    if cls is AdversaryClass.TAMPER_CIPHERTEXT:
+        # the trailing frame holds the stripped owner key, which is not
+        # integrity-bound; the adversary aims at the data-bearing prefix
+        limit = max(1, total - (width + 4))
     applied: dict[int, int] = {}  # running XOR of each flipped position
     notes = []
     for _ in range(flips):
@@ -243,38 +262,8 @@ def _flip_into(
             idx -= len(buffer)
         buffer[idx] ^= delta
         notes.append({"field": name, "byte_index": idx, "xor": delta})
-    fields.update((name, bytes(buffer)) for name, buffer in data.items())
-    return notes
-
-
-def apply_adversary(
-    cls: AdversaryClass,
-    fields: dict[str, bytes],
-    rng: Rng,
-    *,
-    width: int,
-    flips: int = 1,
-) -> tuple[dict[str, bytes], dict | None]:
-    """Adversarially modified copy of ``fields`` and its annotation.
-
-    The input dict is never mutated; the annotation describes what
-    happened. Its only caller is ``Network.transmit``, on the kind
-    ``CORRUPTS`` names for ``cls``, just before the altered line is
-    recorded; the row's fields are the ones altered. A replay acts on a
-    whole observed message, so it is not handled here.
-    """
-    _, names = CORRUPTS[cls]
-    fields = dict(fields)
-    if cls is AdversaryClass.FORGED_PRIVATE_KEY:
-        fields.update((name, rng.take(width)) for name in names)
-        return fields, {"adversary": cls.name, "note": "issued key discarded, random key fabricated"}
-    span = None
-    if cls is AdversaryClass.TAMPER_CIPHERTEXT:
-        # the trailing frame holds the stripped owner key, which is not
-        # integrity-bound; the adversary aims at the data-bearing prefix
-        span = max(1, sum(len(fields[name]) for name in names) - (width + 4))
-    notes = _flip_into(fields, names, rng, span, flips)
-    return fields, {"adversary": cls.name, "flips": notes}
+    changed = {name: bytes(buffer) for name, buffer in data.items()}
+    return {**fields, **changed}, {"adversary": cls.name, "flips": notes}
 
 
 class Network:

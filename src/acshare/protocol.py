@@ -97,20 +97,6 @@ class SystemParams:
         return CipherContext(self.s, self.m)
 
 
-@dataclass(frozen=True)
-class Credentials:
-    user_id: bytes
-    password: bytes
-
-
-@dataclass(frozen=True)
-class KeyMaterial:
-    """Per-principal key material issued by the generation centre."""
-
-    attribute: bytes
-    private_key: bytes
-
-
 def new_system_params(rng: Rng, width: int) -> SystemParams:
     """Sample distinct system parameters ``s`` and ``m`` at ``width``."""
     s = rng.take(width)

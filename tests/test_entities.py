@@ -30,7 +30,7 @@ from acshare.entities import (
 )
 from acshare.netsim import AdversaryClass, AdversarySpec, Network, ScenarioConfig, load_payloads
 from acshare.primitives import Rng
-from acshare.protocol import Credentials, new_system_params
+from acshare.protocol import new_system_params
 from acshare.wire import ACCEPTED, PUBLIC, RENDER_CHUNK, Message, Transcript
 
 from conftest import by_kind
@@ -65,8 +65,7 @@ def fresh_kgc(net):
 
 
 def fresh_user(name="user-000", width=8, adversary=AdversaryClass.NONE):
-    creds = Credentials(user_id=name.encode("ascii"), password=bytes(width))
-    return UserAgent(name=name, credentials=creds, adversary=adversary)
+    return UserAgent(name, name.encode("ascii"), bytes(width), adversary=adversary)
 
 
 class TestHonestRun:
@@ -93,9 +92,10 @@ class TestHonestRun:
         world = honest_transcript.world
         slot = world.cloud.store.slot(b"user-000")
         user = world.user("user-000")
-        assert slot.private_key == user.keys.private_key
+        assert slot.private_key == user.private_key
+        assert slot.attribute == user.attribute
         assert slot.session_key == user.session_key
-        assert slot.password == user.credentials.password
+        assert slot.password == user.password
         assert len(world.cloud.store.bundles) == 1
 
     def test_multiple_payloads_keep_order(self, honest_config):

@@ -322,6 +322,31 @@ class TestApplyAdversary:
         assert mutated["public_param"] == fields["public_param"]
         assert annotation["adversary"] == "FORGED_PRIVATE_KEY"
 
+    @pytest.mark.parametrize("cls", list(CORRUPTS), ids=lambda cls: cls.name)
+    def test_input_untouched_and_key_order_kept(self, cls):
+        kind, names = CORRUPTS[cls]
+        sent = SENDS[kind][3]
+        # both orders, so the altered fields sit first, between and last
+        for fields in (dict(sent), dict(reversed(sent.items()))):
+            snapshot = list(fields.items())
+            mutated, _ = apply_adversary(cls, fields, Rng(7), width=8, flips=3)
+            assert list(fields.items()) == snapshot
+            assert list(mutated) == list(fields)
+            altered = {name for name in fields if mutated[name] != fields[name]}
+            assert altered and altered <= set(names)
+
+    def test_tamper_ciphertext_span_clamps_to_one_byte(self):
+        # 3 bytes minus the owner-key frame (16 + 4) leaves no prefix, so
+        # every flip lands on byte 0
+        fields = {"wrapped": bytes(3), "payload_digest": bytes(32)}
+        for seed in range(20):
+            mutated, annotation = apply_adversary(
+                AdversaryClass.TAMPER_CIPHERTEXT, fields, Rng(seed), width=16, flips=3
+            )
+            assert [note["byte_index"] for note in annotation["flips"]] == [0, 0, 0]
+            assert mutated["wrapped"][0] != 0 and mutated["wrapped"][1:] == bytes(2)
+            assert mutated["payload_digest"] == bytes(32)
+
     def test_tamper_validation_hits_the_pair(self):
         fields = {"user_id": b"u", "v1": bytes(16), "v2": bytes(16), "nonce": bytes(16)}
         mutated, _ = apply_adversary(AdversaryClass.TAMPER_VALIDATION, fields, Rng(3), width=16)
@@ -546,7 +571,7 @@ class TestTamperedDeliveryLogging:
 
         owner = world.owner
         for bundle, payload in zip(bundles, payloads, strict=True):
-            sealed = make_cipher_bundle(payload, owner.params.cipher, owner.keys.private_key)
+            sealed = make_cipher_bundle(payload, owner.params.cipher, owner.private_key)
             assert (bundle["wrapped"], bundle["payload_digest"]) == sealed
 
 

@@ -2,14 +2,14 @@
 
 Each drawn scenario has every adversary class in a small roster, a flip
 budget of 1-3 per class, one of the four key lengths and 1-3 Cleveland
-records. Six invariants must hold for all of them: one outcome per
+records. Seven invariants must hold for all of them: one outcome per
 principal, ACCEPTED exactly for the genuine ones, a summary of the
 run's own principals whose buckets match the configured counts, each
 gate verdict sent by the cloud to the sender of the message it judges
 on that message's channel, one memory figure from the closed form, the
-transcript and the store ledger, and each stored bundle still the
-owner's seal of its payload, so no tamperer alters what later users
-receive.
+transcript and the store ledger, each stored bundle still the owner's
+seal of its payload, so no tamperer alters what later users receive,
+and each principal holding the key material its KEY_ISSUE line records.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from acshare.netsim import (
     summarize,
 )
 from acshare.protocol import make_cipher_bundle
-from acshare.wire import ACCEPTED
+from acshare.wire import ACCEPTED, KIND_KEY_ISSUE
 
 from conftest import REPO_ROOT
 
@@ -88,5 +88,20 @@ def test_generated_scenario_invariants(scenario):
 
     owner = transcript.world.owner
     for bundle, payload in zip(store.bundles, payloads, strict=True):
-        sealed = make_cipher_bundle(payload, owner.params.cipher, owner.keys.private_key)
+        sealed = make_cipher_bundle(payload, owner.params.cipher, owner.private_key)
         assert (bundle["wrapped"], bundle["payload_digest"]) == sealed
+
+    # each principal holds what its KEY_ISSUE line records: for a forger
+    # that is the fabricated key, not the one in its store slot
+    issued = {m.recipient: m.fields for m in messages if m.kind == KIND_KEY_ISSUE}
+    assert owner.private_key == issued[owner.name]["private_key"]
+    unkeyed = (AdversaryClass.WRONG_PASSWORD, AdversaryClass.REPLAY_QUERY)
+    for user in transcript.world.users:
+        line = issued.get(user.name)
+        assert (line is None) == (user.adversary in unkeyed), user.name
+        if line is None:
+            assert (user.private_key, user.attribute) == (None, None), user.name
+            continue
+        assert (user.private_key, user.attribute) == (line["private_key"], line["attribute"])
+        forged = user.adversary is AdversaryClass.FORGED_PRIVATE_KEY
+        assert (user.private_key != store.slot(user.user_id).private_key) == forged, user.name
