@@ -24,7 +24,6 @@ from .netsim import (
     AdversaryClass,
     AdversarySpec,
     ConfigError,
-    OutcomeSummary,
     ScenarioConfig,
     load_payloads,
     principal_roster,
@@ -46,14 +45,6 @@ PAYLOAD_DIGEST_BYTES = 32
 WRAP_OVERHEAD_BYTES = 8
 
 
-class UndefinedRateError(ConfigError):
-    """The detection rate over zero genuine principals is undefined.
-
-    A configuration error: a sweep with no genuine principals can never
-    yield a rate.
-    """
-
-
 class BenchRow(NamedTuple):
     dataset: str
     key_length_bits: int
@@ -69,13 +60,6 @@ class BenchRow(NamedTuple):
 
 
 HEADER = ",".join(BenchRow._fields)
-
-
-def genuine_detection_rate(summary: OutcomeSummary) -> float:
-    """Fraction of genuine principals that completed all six stages."""
-    if summary.genuine_total == 0:
-        raise UndefinedRateError("no genuine principals in the scenario")
-    return summary.genuine_complete / summary.genuine_total
 
 
 #: the fields the server stores from each message kind it keeps, per user id
@@ -157,7 +141,7 @@ def plan_sweep(
     a bad sweep fails before its first run.
     """
     if n_genuine == 0:
-        raise UndefinedRateError("no genuine principals in the scenario")
+        raise ConfigError("no genuine principals in the scenario")  # no rate to report
     sources = [resolve_dataset(spec, data_dir) for spec in datasets]
     for name, _ in sources:  # each name is written unquoted into the ASCII CSV's dataset column
         if not name.isascii() or set(name) & set(',"\r\n'):
@@ -196,7 +180,7 @@ def run_cells(cells: Sequence[tuple[ScenarioConfig, list[bytes]]]) -> list[Bench
                 dataset=config.dataset,
                 key_length_bits=config.key_length_bits,
                 memory_bytes=measure_memory(config, transcript),
-                genuine_detection_rate=genuine_detection_rate(summary),
+                genuine_detection_rate=summary.genuine_rate,
                 seed=config.seed,
             )
         )

@@ -410,7 +410,7 @@ def access_control_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net:
 
 
 def replay_access(replayer: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network) -> None:
-    """An unregistered outsider re-injects an observed access query."""
+    """A principal that never registered re-injects an observed access query."""
     _require_phase(replayer, Phase.INIT, "replay")
     source = net.observed_query
     if source is None:
@@ -431,10 +431,9 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
     """Session-key proof: the user presents its validation pair."""
     _require_phase(user, Phase.ACCESS_GRANTED, "validate")
     width = net.width
-    if user.adversary is AdversaryClass.REPLAY_QUERY:
-        # the grant's session key went to the replayed query's sender, so
-        # the injector holds no secrets for the identity it resent; the
-        # best it can do from outside is guess, on the open channel
+    if user.session_key is None:
+        # a replayed grant keys the query's sender, not the requester, which
+        # whatever its class can only guess, on the open channel
         channel = PUBLIC
         fields = {
             "user_id": net.observed_query.fields["user_id"],
@@ -443,7 +442,7 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
             "nonce": net.rng.take(width),
         }
         annotation = {
-            "adversary": AdversaryClass.REPLAY_QUERY.name,
+            "adversary": user.adversary.name,
             "note": "guessed validation pair for a hijacked grant",
         }
     else:
@@ -451,7 +450,6 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
             user.params is not None
             and user.private_key is not None
             and user.attribute is not None
-            and user.session_key is not None
         )
         nonce = net.rng.take(width)
         v1, v2 = validation_messages(

@@ -337,6 +337,11 @@ class OutcomeSummary:
     def genuine_complete(self) -> int:
         return self.per_class.get(GENUINE_LABEL, {}).get(ACCEPTED, 0)
 
+    @property
+    def genuine_rate(self) -> float:
+        """Fraction of genuine principals that completed all six stages."""
+        return self.genuine_complete / self.genuine_total
+
     def format_lines(self) -> list[str]:
         lines = []
         for label, counts in self.per_class.items():
@@ -344,9 +349,9 @@ class OutcomeSummary:
             parts = [f"{status} {counts[status]}/{total}" for status in OUTCOME_STATUSES if counts[status]]
             lines.append(f"{label}: " + ", ".join(parts))
         if self.genuine_total:
-            rate = self.genuine_complete / self.genuine_total
             lines.append(
-                f"genuine detection rate: {rate:.4f} ({self.genuine_complete}/{self.genuine_total})"
+                f"genuine detection rate: {self.genuine_rate:.4f} "
+                f"({self.genuine_complete}/{self.genuine_total})"
             )
         return lines
 

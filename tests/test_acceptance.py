@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from acshare.bench import expected_memory_bytes, genuine_detection_rate, run_sweep
+from acshare.bench import expected_memory_bytes, run_sweep
 from acshare.cli import main as cli_main
 from acshare.dataset import load_dataset, payload_to_record, record_to_payload
 from acshare.entities import Phase, run_protocol
@@ -63,8 +63,7 @@ def test_criterion_2_honest_completeness_across_twenty_seeds(sample_payload):
             n_genuine=3, adversaries=(), dataset="sample", key_length_bits=128, seed=seed
         )
         transcript = run_protocol(config, [sample_payload])
-        rate = genuine_detection_rate(summarize(transcript))
-        assert rate == 1.0
+        assert summarize(transcript).genuine_rate == 1.0
     print("PASS criterion 2: rate == 1.0 exactly on all 20 adversary-free seeds")
 
 

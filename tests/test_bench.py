@@ -9,10 +9,9 @@ import pytest
 from acshare.bench import (
     BenchRow,
     HEADER,
-    UndefinedRateError,
     expected_memory_bytes,
-    genuine_detection_rate,
     measure_memory,
+    plan_sweep,
     render_csv,
     run_sweep,
     write_csv,
@@ -56,14 +55,12 @@ def config_for(bits, adversaries=(), n_genuine=1, seed=0):
 class TestRate:
     def test_honest_rate_is_one(self, honest_transcript, honest_config):
         summary = summarize(honest_transcript)
-        assert genuine_detection_rate(summary) == 1.0
+        assert summary.genuine_rate == 1.0
 
-    def test_zero_genuine_is_undefined(self, sample_payload):
-        config = config_for(128, n_genuine=0)
-        transcript = run_protocol(config, [sample_payload])
-        summary = summarize(transcript)
-        with pytest.raises(UndefinedRateError):
-            genuine_detection_rate(summary)
+    def test_zero_genuine_sweep_is_refused(self, data_dir):
+        # the rate over no genuine principals is undefined, so no cell is planned
+        with pytest.raises(ConfigError, match="^no genuine principals in the scenario$"):
+            plan_sweep(["swiss"], n_genuine=0, data_dir=data_dir)
 
 
 class TestMemoryAccounting:

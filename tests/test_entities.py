@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from acshare.entities import (
     CloudAgent,
@@ -334,6 +335,24 @@ class TestPhaseOrder:
         ):
             data_sharing_phase(CloudAgent(), fresh_user(), fresh_net())
 
+    def test_genuine_replay_guesses_at_validation(self):
+        # a replayed grant sends its key to the query's sender, so a genuine
+        # principal that replays holds none and can only guess its pair
+        net = Network(Rng(0), {"adv-replay_query-000": (AdversaryClass.REPLAY_QUERY, 1)}, 8)
+        kgc, cloud = fresh_kgc(net), CloudAgent()
+        sender, replayer = fresh_user("user-000"), fresh_user("user-001")
+        setup_phase(sender, cloud, kgc, net)
+        keygen_phase(kgc, cloud, sender, net)
+        access_control_phase(sender, cloud, kgc, net)
+        replay_access(replayer, cloud, kgc, net)
+        assert replayer.phase is Phase.ACCESS_GRANTED and replayer.session_key is None
+        validation_phase(replayer, cloud, net)
+        assert replayer.phase is Phase.REJECTED
+        outcome = net.transcript.outcomes["user-001"]
+        assert (outcome.stage, outcome.reason) == ("validation", "validation pair mismatch")
+        (guess,) = [m for m in by_kind(net.transcript, "VALIDATE") if m.sender == "user-001"]
+        assert guess.annotation["adversary"] == "NONE"
+
 
 class TestAccounting:
     def test_zero_user_run_never_provisions_the_server(self, sample_payload):
@@ -388,3 +407,85 @@ class TestReplaySideEffects:
         grants = by_kind(transcript, "SESSION_STORE")
         assert len(grants) == 2
         assert grants[0].fields["session_key"] == grants[1].fields["session_key"]
+
+
+#: user index of each call; it wraps round the 2-3 users, and keygen
+#: reads an index past them as the owner
+INDEX = st.integers(0, 3)
+
+#: the next stage of a user in run order, by phase; an outsider replays
+#: where others register
+RUN_ORDER = {
+    Phase.INIT: "setup",
+    Phase.REGISTERED: "keygen",
+    Phase.KEYED: "access",
+    Phase.ACCESS_GRANTED: "validation",
+    Phase.VERIFIED: "sharing",
+}
+
+
+class StageOrderMachine(RuleBasedStateMachine):
+    """The seven stage functions, called on random principals in random order.
+
+    Principals of random classes are built as ``run_protocol`` builds
+    them, with the replayers in the network's roster. Every call must
+    return or raise ``PhaseOrderError``, and a principal holds an
+    outcome exactly when its phase is COMPLETE or REJECTED.
+    """
+
+    @initialize(
+        classes=st.lists(st.sampled_from(AdversaryClass), min_size=2, max_size=3),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def build(self, classes, seed):
+        rng, width = Rng(seed), 8
+        names = [f"p-{i}" for i in range(len(classes))]
+        roster = {n: (cls, 1) for n, cls in zip(names, classes) if cls is not AdversaryClass.NONE}
+        self.net = Network(rng, roster, width)
+        self.kgc = KgcAgent(new_system_params(rng, width))
+        self.cloud = CloudAgent()
+        self.owner = OwnerAgent()
+        self.users = [
+            UserAgent(n, n.encode("ascii"), rng.take(width), adversary=cls)
+            for n, cls in zip(names, classes)
+        ]
+
+    # One rule draws the stage. Hypothesis switches whole rules off for an
+    # example (swarm testing), and with a rule per stage most examples
+    # lacked the replay or the advance that the stage-order defects need.
+    @rule(stage=st.sampled_from(STAGES + ("replay", "advance")), i=INDEX)
+    def call(self, stage, i):
+        """Run ``stage`` on user ``i``; "advance" runs the user's next stage in run order."""
+        if stage == "advance":  # without it, random calls seldom get past access
+            i %= len(self.users)
+            user = self.users[i]
+            if user.phase not in RUN_ORDER:
+                return
+            stage = RUN_ORDER[user.phase]
+            if stage == "setup" and user.adversary is AdversaryClass.REPLAY_QUERY:
+                stage = "replay"
+        user, cloud, kgc, net = self.users[i % len(self.users)], self.cloud, self.kgc, self.net
+        principal = self.users[i] if i < len(self.users) else self.owner
+        function, *args = {
+            "setup": (setup_phase, user, cloud, kgc, net),
+            "keygen": (keygen_phase, kgc, cloud, principal, net),
+            "encryption": (encryption_phase, self.owner, cloud, [b"record"], net),
+            "access": (access_control_phase, user, cloud, kgc, net),
+            "replay": (replay_access, user, cloud, kgc, net),
+            "validation": (validation_phase, user, cloud, net),
+            "sharing": (data_sharing_phase, cloud, user, net),
+        }[stage]
+        try:
+            function(*args)
+        except PhaseOrderError:
+            pass
+
+    @invariant()
+    def outcome_exactly_when_done(self):
+        for user in self.users:
+            done = user.phase in (Phase.COMPLETE, Phase.REJECTED)
+            assert (user.name in self.net.transcript.outcomes) == done, user
+
+
+StageOrderMachine.TestCase.settings = settings(max_examples=150, deadline=None)
+TestStageOrder = StageOrderMachine.TestCase
