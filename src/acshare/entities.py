@@ -416,7 +416,7 @@ def replay_access(replayer: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Ne
     if source is None:
         raise PhaseOrderError("no access query was observed, nothing to replay")
     replay_note = {
-        "adversary": AdversaryClass.REPLAY_QUERY.name,
+        "adversary": replayer.adversary.name,
         "replayed_from_step": source.step,
         "injected_by": replayer.name,
     }

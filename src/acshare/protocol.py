@@ -178,12 +178,15 @@ class CipherContext:
     seed, so ``Q`` depends only on the two lengths: each ``Q(T, n)`` is
     built once, from ``keystream(K_D, T)`` and ``expand(H(s || m), n)``,
     and kept as an integer. ``prefix_key`` is ``ks[:4]`` as an integer.
+    ``_opened`` maps each ``(wrapped, payload_digest)`` whose open passed
+    its digest check to the payload.
     """
 
     def __init__(self, s: bytes, m: bytes) -> None:
         self._data_key = derive_data_key(m, s)
         self._mask_seed = digest(frame_concat([s, m]))
         self._pads: dict[tuple[int, int], int] = {}
+        self._opened: dict[tuple[bytes, bytes], bytes] = {}
         self.prefix_key = int.from_bytes(keystream(self._data_key, 4), "big")
 
     def bundle_pad(self, total: int, length: int) -> int:
@@ -231,7 +234,13 @@ def recover_payload(wrapped: bytes, payload_digest: bytes, cipher: CipherContext
     bytes), past which two fields cannot frame. ``Q(T, n')`` for
     ``n' <= n`` leaves every length prefix under ``ks`` alone, so the
     framing verdict and its message match those of ``SE(K_D, wrapped)``.
+
+    A pair that opened is kept in ``cipher`` and its payload returned
+    again; a failure is never kept, so it is rechecked every time.
     """
+    payload = cipher._opened.get((wrapped, payload_digest))
+    if payload is not None:
+        return payload
     total = len(wrapped)
     length = 0
     if total >= 8:
@@ -252,4 +261,5 @@ def recover_payload(wrapped: bytes, payload_digest: bytes, cipher: CipherContext
             actual=actual.hex(),
             advertised=payload_digest.hex(),
         )
+    cipher._opened[wrapped, payload_digest] = payload
     return payload

@@ -54,15 +54,18 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 RENDER_CHUNK = 1024
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Message:
     """One transmission, exactly as it crossed its channel.
 
     ``step`` is the message's 1-based position in its transcript.
     ``fields`` maps field names to raw byte values; the JSON form
-    renders them as lowercase hex. No code mutates a delivered
-    ``fields`` dict (an adversary alters a copy), so a receiver may
-    keep it and send it on, as the cloud does with each upload.
+    renders them as lowercase hex. No code assigns to a delivered
+    message or mutates its ``fields`` dict (an adversary alters a
+    copy), so a receiver may keep it and send it on, as the cloud does
+    with each upload. The class is not frozen because a frozen
+    dataclass sets each field through ``object.__setattr__``, which
+    makes building one about four times as slow.
     """
 
     step: int

@@ -120,6 +120,47 @@ class TestHonestRun:
         pads = {(len(payload) + config.width + 8, len(payload)) for payload in payloads}
         assert set(cipher._pads) == pads
         assert len(pads) == 4
+        # every record is distinct, and each stored bundle is opened once a run
+        bundles = world.cloud.store.bundles
+        assert set(cipher._opened) == {(b["wrapped"], b["payload_digest"]) for b in bundles}
+        assert len(cipher._opened) == len(bundles) == len(payloads)
+        first, *others = world.users
+        assert first.recovered == payloads
+        assert all(
+            mine is theirs
+            for user in others
+            for mine, theirs in zip(user.recovered, first.recovered, strict=True)
+        )
+
+    def test_memo_keeps_only_verified_opens(self, data_dir):
+        # the genuine user opens every bundle before a tamperer's copies
+        # arrive, and a tampered copy is opened afresh under its own bytes
+        config = ScenarioConfig(
+            n_genuine=1,
+            adversaries=(AdversarySpec(AdversaryClass.TAMPER_CIPHERTEXT, 3, flips=2),),
+            dataset="swiss",
+            key_length_bits=64,
+            seed=5,
+        )
+        payloads = load_payloads("swiss", data_dir / "swiss.csv", 6)
+        transcript = run_protocol(config, payloads)
+        world = transcript.world
+        bundles = world.cloud.store.bundles
+        by_digest = {b["payload_digest"]: payload for b, payload in zip(bundles, payloads)}
+        stored = {b["wrapped"] for b in bundles}
+        tampered = {
+            m.fields["wrapped"]
+            for m in by_kind(transcript, "DATA_SHARE")
+            if m.annotation and "tampered_copy_of_step" in m.annotation
+        }
+        assert tampered and not tampered & stored
+        opened = world.owner.params.cipher._opened
+        assert {(b["wrapped"], b["payload_digest"]) for b in bundles} <= set(opened)
+        for (wrapped, payload_digest), payload in opened.items():
+            assert wrapped in stored or wrapped in tampered
+            assert payload == by_digest[payload_digest]
+        statuses = [transcript.outcomes[user.name].status for user in world.users]
+        assert statuses == ["ACCEPTED"] + ["INTEGRITY_FAILURE"] * 3
 
 
 class TestTranscriptSerialization:
@@ -352,6 +393,8 @@ class TestPhaseOrder:
         assert (outcome.stage, outcome.reason) == ("validation", "validation pair mismatch")
         (guess,) = [m for m in by_kind(net.transcript, "VALIDATE") if m.sender == "user-001"]
         assert guess.annotation["adversary"] == "NONE"
+        notes = [m.annotation for m in by_kind(net.transcript, "ACCESS_QUERY")]
+        assert [n["adversary"] for n in notes if n and "replayed_from_step" in n] == ["NONE"]
 
 
 class TestAccounting:

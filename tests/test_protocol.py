@@ -215,6 +215,62 @@ class TestDataPipeline:
         assert sealed <= set(cipher._pads)
         assert {total for total, _ in cipher._pads} == handed | {total for total, _ in sealed}
 
+    @given(
+        st.data(),
+        widths,
+        st.lists(st.binary(min_size=1, max_size=80), min_size=1, max_size=4),
+    )
+    def test_memo_matches_oracle(self, data, width, payloads):
+        # each mutated copy is opened before and after its original, twice
+        # each, through one warm context; a failed open must not be memoised
+        s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
+        cipher = CipherContext(s, m)
+
+        def opened(wrapped, payload_digest):
+            before = dict(cipher._opened)
+            try:
+                payload = recover_payload(wrapped, payload_digest, cipher)
+            except (CorruptCiphertextError, IntegrityError) as exc:
+                assert cipher._opened == before
+                return type(exc).__name__, str(exc)
+            assert cipher._opened[wrapped, payload_digest] is payload
+            return "ok", payload
+
+        for payload in payloads:
+            wrapped, payload_digest = make_cipher_bundle(payload, cipher, owner_key)
+            corrupt = data.draw(mutated(wrapped, len(payload)))
+            for sent in (corrupt, wrapped, corrupt, wrapped):
+                assert opened(sent, payload_digest) == ref_recover_payload(
+                    sent, payload_digest, s, m
+                )
+            # the memoised bytes, advertised with another digest, still fail
+            other = digest(payload_digest)
+            with pytest.raises(IntegrityError) as caught:
+                recover_payload(wrapped, other, cipher)
+            assert (caught.value.actual, caught.value.advertised) == (
+                payload_digest.hex(),
+                other.hex(),
+            )
+
+    @given(st.data(), widths, st.binary(min_size=1, max_size=80))
+    def test_owner_key_flip_opens_alike_warm_and_fresh(self, data, width, payload):
+        # the trailing O_pk frame is not digest-bound (a strict xfail in
+        # test_attacks.py), so a copy flipped there opens; it is memoised
+        # under its own bytes, beside its original
+        s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
+        warm = CipherContext(s, m)
+        wrapped, payload_digest = make_cipher_bundle(payload, warm, owner_key)
+        assert recover_payload(wrapped, payload_digest, warm) == payload
+        flipped = bytearray(wrapped)
+        flipped[data.draw(st.integers(len(wrapped) - width, len(wrapped) - 1))] ^= data.draw(
+            st.integers(1, 255)
+        )
+        flipped = bytes(flipped)
+        for cipher in (warm, CipherContext(s, m)):
+            assert recover_payload(flipped, payload_digest, cipher) == payload
+        assert ref_recover_payload(flipped, payload_digest, s, m) == ("ok", payload)
+        assert set(warm._opened) == {(wrapped, payload_digest), (flipped, payload_digest)}
+
     def test_empty_payload_rejected(self):
         with pytest.raises(EmptyPayloadError):
             make_cipher_bundle(b"", CipherContext(b"\x01" * 8, b"\x02" * 8), b"\x03" * 8)
