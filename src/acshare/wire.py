@@ -50,7 +50,7 @@ OUTCOME_STATUSES = (ACCEPTED, REJECTED, INTEGRITY_FAILURE)
 _quote = functools.cache(json.dumps)
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
-#: messages rendered per write, which bounds the text a render holds at once
+#: messages per rendered chunk, and the most field texts a render memoises
 RENDER_CHUNK = 1024
 
 
@@ -78,22 +78,28 @@ class Message:
     annotation: dict | None = None
 
     def to_json(self) -> str:
-        """One compact JSON line, without its newline.
+        return format_line(self, render_fields(self.fields))
 
-        The line equals ``json.dumps(doc, separators=(",", ":"))`` for
-        ``doc = {"step": step, "phase": stage, "from": sender, "to":
-        recipient, "channel": channel, "kind": kind, "fields": {name:
-        value.hex()}}``, with ``"annotation": annotation`` added last
-        when the annotation is not ``None``. It is formatted directly,
-        without building ``doc``.
-        """
-        fields = ",".join(f'{_quote(name)}:"{value.hex()}"' for name, value in self.fields.items())
-        note = "" if self.annotation is None else f',"annotation":{_encode(self.annotation)}'
-        return (
-            f'{{"step":{self.step},"phase":{_quote(self.stage)},"from":{_quote(self.sender)},'
-            f'"to":{_quote(self.recipient)},"channel":{_quote(self.channel)},'
-            f'"kind":{_quote(self.kind)},"fields":{{{fields}}}{note}}}'
-        )
+
+def render_fields(fields: dict[str, bytes]) -> str:
+    """The text inside a line's ``"fields":{…}``, each value in lowercase hex."""
+    return ",".join(f'{_quote(name)}:"{value.hex()}"' for name, value in fields.items())
+
+
+def format_line(message: Message, fields: str) -> str:
+    """The JSON line of ``message`` around its field text ``fields``, with no newline.
+
+    The line equals ``json.dumps(doc, separators=(",", ":"))`` for ``doc =
+    {"step": step, "phase": stage, "from": sender, "to": recipient,
+    "channel": channel, "kind": kind, "fields": {name: value.hex()}}``,
+    with ``"annotation": annotation`` added last when it is not ``None``.
+    """
+    note = "" if message.annotation is None else f',"annotation":{_encode(message.annotation)}'
+    return (
+        f'{{"step":{message.step},"phase":{_quote(message.stage)},"from":{_quote(message.sender)},'
+        f'"to":{_quote(message.recipient)},"channel":{_quote(message.channel)},'
+        f'"kind":{_quote(message.kind)},"fields":{{{fields}}}{note}}}'
+    )
 
 
 @dataclass(frozen=True)
@@ -150,19 +156,25 @@ class Transcript:
     def to_jsonl(self, sink: BinaryIO) -> str:
         """Write the JSON lines of every message to ``sink``; return their sha256.
 
-        The lines are rendered ``RENDER_CHUNK`` messages at a time, and
-        each chunk is written and hashed before the next is rendered, so
-        no text of the whole transcript is built or kept. The digest is
-        recorded for ``content_hash``.
+        Each chunk of ``RENDER_CHUNK`` lines is written and hashed before
+        the next is rendered, so no text of the whole transcript is kept,
+        and the digest is recorded for ``content_hash``. A resent field
+        dict's text comes from a memo of at most ``RENDER_CHUNK`` entries.
         """
-        messages = self.messages
         digest = hashlib.sha256()
-        for start in range(0, len(messages), RENDER_CHUNK):
-            lines = (message.to_json() + "\n" for message in messages[start : start + RENDER_CHUNK])
+        memo: dict[int, str] = {}  # by id: self.messages keeps each dict alive, unmutated
+        for start in range(0, len(self.messages), RENDER_CHUNK):
+            lines = []
+            for message in self.messages[start : start + RENDER_CHUNK]:
+                if (fields := memo.get(id(message.fields))) is None:
+                    if len(memo) == RENDER_CHUNK:
+                        memo.clear()
+                    fields = memo[id(message.fields)] = render_fields(message.fields)
+                lines.append(format_line(message, fields) + "\n")
             data = "".join(lines).encode("ascii")
             sink.write(data)
             digest.update(data)
-        self._digest = (len(messages), digest.hexdigest())
+        self._digest = (len(self.messages), digest.hexdigest())
         return self._digest[1]
 
     def content_hash(self) -> str:

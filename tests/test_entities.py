@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import gc
 import hashlib
+import io
 import json
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from acshare import wire
 from acshare.entities import (
     CloudAgent,
     CloudStore,
@@ -55,6 +59,33 @@ def share_transcript(count, width=2):
             "sharing", "cloud", "user-000", PUBLIC, "DATA_SHARE", {"wrapped": wrapped}
         )
     return transcript
+
+
+def shared_transcript(count, dicts):
+    """A transcript of ``count`` DATA_SHARE messages cycling through ``dicts``."""
+    transcript = Transcript()
+    for i in range(count):
+        note = {"share": i} if i % 5 == 0 else None  # plain and annotated lines share a dict
+        transcript.append(
+            "sharing", "cloud", "user-000", PUBLIC, "DATA_SHARE", dicts[i % len(dicts)], note
+        )
+    return transcript
+
+
+def dumps_line(message):
+    """The JSON line of ``message`` through ``json.dumps``, independent of the package."""
+    doc = {
+        "step": message.step,
+        "phase": message.stage,
+        "from": message.sender,
+        "to": message.recipient,
+        "channel": message.channel,
+        "kind": message.kind,
+        "fields": {name: value.hex() for name, value in message.fields.items()},
+    }
+    if message.annotation is not None:
+        doc["annotation"] = message.annotation
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def fresh_net(width=8, seed=0):
@@ -211,8 +242,10 @@ class TestTranscriptSerialization:
         copy_into(grown, messages[half:])
         copy_into(fresh, messages)
         rendered = []
-        to_json = Message.to_json
-        monkeypatch.setattr(Message, "to_json", lambda m: rendered.append(m.step) or to_json(m))
+        format_line = wire.format_line
+        monkeypatch.setattr(
+            wire, "format_line", lambda m, fields: rendered.append(m.step) or format_line(m, fields)
+        )
         out = tmp_path / "t.jsonl"
         grown.write(out)
         assert grown.content_hash() == hashlib.sha256(out.read_bytes()).hexdigest() != first
@@ -236,6 +269,67 @@ class TestTranscriptSerialization:
         size = out.stat().st_size
         assert size >= 1 << 20
         # the first render holds one chunk of text at a time and keeps none
+        assert peak < size / 10
+
+    @pytest.mark.parametrize(
+        "distinct", [RENDER_CHUNK - 1, RENDER_CHUNK, RENDER_CHUNK + 1, 2 * RENDER_CHUNK + 1]
+    )
+    def test_shared_field_dicts_render_once_each(self, distinct, monkeypatch):
+        dicts = [{"wrapped": i.to_bytes(2, "big"), "odd": bytes([i % 2])} for i in range(distinct)]
+        dicts[1] = dict(dicts[0])  # two distinct dicts with equal values
+        # at least three chunks, and every dict recurs
+        transcript = shared_transcript(max(3 * RENDER_CHUNK, 2 * distinct) + 1, dicts)
+        rendered = []
+        render_fields = wire.render_fields
+        monkeypatch.setattr(
+            wire, "render_fields", lambda fields: rendered.append(fields) or render_fields(fields)
+        )
+        sink = io.BytesIO()
+        transcript.to_jsonl(sink)
+        monkeypatch.undo()
+        messages = transcript.messages
+        assert sink.getvalue() == "".join(m.to_json() + "\n" for m in messages).encode("ascii")
+        assert sink.getvalue().decode("ascii").splitlines() == [dumps_line(m) for m in messages]
+        if distinct <= RENDER_CHUNK:  # a memo that fits every dict renders each once per write
+            assert len(rendered) == distinct
+
+    def test_render_memo_lives_for_one_write(self):
+        # every dict fits one memo, so a memo that outlived the write would still hold its id
+        dicts = [{"a": i.to_bytes(2, "big")} for i in range(RENDER_CHUNK // 4)]
+        first = shared_transcript(2 * len(dicts), dicts)
+        del dicts
+        first_ids = {id(m.fields) for m in first.messages}
+        first.content_hash()
+        del first
+        gc.collect()
+        # fresh dicts with other bytes, kept only where a freed dict's id is reused
+        fresh = [{"b": i.to_bytes(2, "big")} for i in range(16 * RENDER_CHUNK)]
+        reused = [fields for fields in fresh if id(fields) in first_ids]
+        assert reused, "no id was reused, so the test shows nothing"
+        second = shared_transcript(2 * len(reused), reused)
+        sink = io.BytesIO()
+        second.to_jsonl(sink)
+        assert sink.getvalue().decode("ascii").splitlines() == [
+            dumps_line(m) for m in second.messages
+        ]
+
+    def test_shared_hash_and_write_copy_no_text(self, tmp_path):
+        # each dict is sent twice, so a memo that kept every text would outgrow a chunk
+        transcript = Transcript()
+        for i in range(64 * RENDER_CHUNK):
+            if i % 2 == 0:
+                fields = {"wrapped": i.to_bytes(64, "big")}
+            transcript.append("sharing", "cloud", "user-000", PUBLIC, "DATA_SHARE", fields)
+        out = tmp_path / "t.jsonl"
+        tracemalloc.start()
+        try:
+            transcript.write(out)
+            transcript.content_hash()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size >= 1 << 20
         assert peak < size / 10
 
     @pytest.mark.parametrize("count", [0, 1, RENDER_CHUNK - 1, RENDER_CHUNK, RENDER_CHUNK + 1])
@@ -280,6 +374,35 @@ class TestTranscriptSerialization:
         message = Message(step, stage, sender, recipient, channel, kind, fields, annotation)
         assert message.to_json() == json.dumps(doc, separators=(",", ":"))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dicts=st.lists(
+            st.dictionaries(NAMES, st.binary(max_size=8), max_size=3), min_size=1, max_size=4
+        ),
+        sends=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.tuples(NAMES, NAMES, NAMES, NAMES, NAMES),
+                st.none() | st.dictionaries(NAMES, JSON_VALUES, max_size=2),
+            ),
+            max_size=12,
+        ),
+        chunk=st.integers(min_value=1, max_value=4),
+    )
+    def test_to_jsonl_equals_json_dumps(self, dicts, sends, chunk):
+        transcript = Transcript()
+        for pick, (stage, sender, recipient, channel, kind), annotation in sends:
+            fields = dicts[pick % len(dicts)]  # some messages share one dict
+            transcript.append(stage, sender, recipient, channel, kind, fields, annotation)
+        sink = io.BytesIO()
+        with mock.patch.object(wire, "RENDER_CHUNK", chunk):  # small chunks fill the memo
+            digest = transcript.to_jsonl(sink)
+        lines = sink.getvalue().split(b"\n")
+        assert lines.pop() == b""
+        assert [line.decode("ascii") for line in lines] == [
+            dumps_line(m) for m in transcript.messages
+        ]
+        assert digest == hashlib.sha256(sink.getvalue()).hexdigest()
 
 class TestCloudStore:
     def test_duplicate_identity(self):
