@@ -344,7 +344,7 @@ def encryption_phase(
     _require_phase(owner, Phase.KEYED, "encrypt")
     assert owner.params is not None and owner.private_key is not None
     for payload in payloads:
-        wrapped, payload_digest = make_cipher_bundle(payload, owner.params.cipher, owner.private_key)
+        wrapped, payload_digest = make_cipher_bundle(payload, owner.params, owner.private_key)
         delivered = net.transmit(
             STAGE_ENCRYPTION, owner.name, CLOUD_NAME, PUBLIC, KIND_CIPHER_UPLOAD,
             {"wrapped": wrapped, "payload_digest": payload_digest},
@@ -501,7 +501,7 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
         delivered = net.transmit(STAGE_SHARING, CLOUD_NAME, user.name, PUBLIC, KIND_DATA_SHARE, bundle)
         try:
             payload = recover_payload(
-                delivered.fields["wrapped"], delivered.fields["payload_digest"], user.params.cipher
+                delivered.fields["wrapped"], delivered.fields["payload_digest"], user.params
             )
         except (CorruptCiphertextError, IntegrityError) as exc:
             # loud failure: nothing recovered so far is kept, and the

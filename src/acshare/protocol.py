@@ -36,14 +36,13 @@ The bundle format is two functions, each one XOR with ``Q``: the
 owner's encryption phase, :func:`make_cipher_bundle` (``D_C`` and the
 payload digest), and the user's data-sharing phase,
 :func:`recover_payload` (its inverse plus the digest check). Both take
-a :class:`CipherContext`; every principal of a run uses the one its
-shared ``SystemParams.cipher`` holds, so each ``Q`` is built once a run.
+the run's :class:`SystemParams`, which every principal shares and which
+keeps each ``Q``, so each is built once a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .primitives import (
     FramingError,
@@ -84,17 +83,42 @@ class IntegrityError(ValueError):
         self.advertised = advertised
 
 
-@dataclass(frozen=True)
+@dataclass
 class SystemParams:
-    """Run-wide secret parameters, shared over private channels only."""
+    """Run-wide secret parameters, shared over private channels only.
+
+    Every principal of a run holds the same object, so it also keeps the
+    run's bundle state. A bundle is ``D_C = frame(D, O_pk) xor Q(T, n)``,
+    and every bundle of a run is sealed under the same ``K_D`` and
+    ``H(s || m)`` mask seed, so ``Q`` depends only on the two lengths:
+    each ``Q(T, n)`` is built once, from ``keystream(K_D, T)`` and
+    ``expand(H(s || m), n)``, and kept as an integer. ``prefix_key`` is
+    ``ks[:4]`` as an integer, and ``_opened`` maps each
+    ``(wrapped, payload_digest)`` whose digest check passed to its payload.
+    """
 
     s: bytes
     m: bytes
 
-    @cached_property
-    def cipher(self) -> CipherContext:
-        """The data-key context of ``s`` and ``m``, built on first use."""
-        return CipherContext(self.s, self.m)
+    def __post_init__(self) -> None:
+        self._data_key = derive_data_key(self.m, self.s)
+        self._mask_seed = digest(frame_concat([self.s, self.m]))
+        self._pads: dict[tuple[int, int], int] = {}
+        self._opened: dict[tuple[bytes, bytes], bytes] = {}
+        self.prefix_key = int.from_bytes(keystream(self._data_key, 4), "big")
+
+    def bundle_pad(self, total: int, length: int) -> int:
+        """``Q(total, length)`` as an integer; ``length <= total - 4``, or 0."""
+        pad = self._pads.get((total, length))
+        if pad is None:
+            stream = keystream(self._data_key, total)
+            pad = int.from_bytes(stream, "big")
+            if length:
+                mask = expand(self._mask_seed, length)
+                inner = int.from_bytes(stream[:length], "big") ^ int.from_bytes(mask, "big")
+                pad ^= inner << 8 * (total - 4 - length)
+            self._pads[total, length] = pad
+        return pad
 
 
 def new_system_params(rng: Rng, width: int) -> SystemParams:
@@ -170,41 +194,8 @@ def validation_messages(
     return v1, v2
 
 
-class CipherContext:
-    """Data-key state of one ``(s, m)`` pair, shared by every principal of a run.
-
-    A bundle is ``D_C = frame(D, O_pk) xor Q(T, n)``, and every bundle
-    of a run is sealed under the same ``K_D`` and ``H(s || m)`` mask
-    seed, so ``Q`` depends only on the two lengths: each ``Q(T, n)`` is
-    built once, from ``keystream(K_D, T)`` and ``expand(H(s || m), n)``,
-    and kept as an integer. ``prefix_key`` is ``ks[:4]`` as an integer.
-    ``_opened`` maps each ``(wrapped, payload_digest)`` whose open passed
-    its digest check to the payload.
-    """
-
-    def __init__(self, s: bytes, m: bytes) -> None:
-        self._data_key = derive_data_key(m, s)
-        self._mask_seed = digest(frame_concat([s, m]))
-        self._pads: dict[tuple[int, int], int] = {}
-        self._opened: dict[tuple[bytes, bytes], bytes] = {}
-        self.prefix_key = int.from_bytes(keystream(self._data_key, 4), "big")
-
-    def bundle_pad(self, total: int, length: int) -> int:
-        """``Q(total, length)`` as an integer; ``length <= total - 4``, or 0."""
-        pad = self._pads.get((total, length))
-        if pad is None:
-            stream = keystream(self._data_key, total)
-            pad = int.from_bytes(stream, "big")
-            if length:
-                mask = expand(self._mask_seed, length)
-                inner = int.from_bytes(stream[:length], "big") ^ int.from_bytes(mask, "big")
-                pad ^= inner << 8 * (total - 4 - length)
-            self._pads[total, length] = pad
-        return pad
-
-
 def make_cipher_bundle(
-    payload: bytes, cipher: CipherContext, owner_key: bytes
+    payload: bytes, params: SystemParams, owner_key: bytes
 ) -> tuple[bytes, bytes]:
     """Owner-side pipeline: encrypt, wrap, and fingerprint one payload.
 
@@ -217,12 +208,12 @@ def make_cipher_bundle(
         raise EmptyPayloadError("refusing to encrypt an empty payload")
     framed = frame_concat([payload, owner_key])
     total = len(framed)
-    pad = cipher.bundle_pad(total, len(payload))
+    pad = params.bundle_pad(total, len(payload))
     wrapped = (int.from_bytes(framed, "big") ^ pad).to_bytes(total, "big")
     return wrapped, digest(payload)
 
 
-def recover_payload(wrapped: bytes, payload_digest: bytes, cipher: CipherContext) -> bytes:
+def recover_payload(wrapped: bytes, payload_digest: bytes, params: SystemParams) -> bytes:
     """User-side pipeline: unwrap, decrypt, and verify one payload.
 
     Raises :class:`CorruptCiphertextError` when framing breaks (the
@@ -235,17 +226,17 @@ def recover_payload(wrapped: bytes, payload_digest: bytes, cipher: CipherContext
     ``n' <= n`` leaves every length prefix under ``ks`` alone, so the
     framing verdict and its message match those of ``SE(K_D, wrapped)``.
 
-    A pair that opened is kept in ``cipher`` and its payload returned
+    A pair that opened is kept in ``params`` and its payload returned
     again; a failure is never kept, so it is rechecked every time.
     """
-    payload = cipher._opened.get((wrapped, payload_digest))
+    payload = params._opened.get((wrapped, payload_digest))
     if payload is not None:
         return payload
     total = len(wrapped)
     length = 0
     if total >= 8:
-        length = min(int.from_bytes(wrapped[:4], "big") ^ cipher.prefix_key, total - 8)
-    pad = cipher.bundle_pad(total, length)
+        length = min(int.from_bytes(wrapped[:4], "big") ^ params.prefix_key, total - 8)
+    pad = params.bundle_pad(total, length)
     plain = (int.from_bytes(wrapped, "big") ^ pad).to_bytes(total, "big")
     try:
         fields = frame_split(plain)
@@ -261,5 +252,5 @@ def recover_payload(wrapped: bytes, payload_digest: bytes, cipher: CipherContext
             actual=actual.hex(),
             advertised=payload_digest.hex(),
         )
-    cipher._opened[wrapped, payload_digest] = payload
+    params._opened[wrapped, payload_digest] = payload
     return payload

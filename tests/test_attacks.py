@@ -13,7 +13,6 @@ from acshare.entities import run_protocol
 from acshare.netsim import ScenarioConfig, load_payloads
 from acshare.primitives import Rng, xor_bytes
 from acshare.protocol import (
-    CipherContext,
     CorruptCiphertextError,
     IntegrityError,
     make_cipher_bundle,
@@ -63,11 +62,11 @@ def test_known_record_reveals_no_other_upload(data_dir):
 def test_flipped_owner_key_frame_is_refused(sample_payload):
     params = new_system_params(Rng(7), 32)
     wrapped, payload_digest = make_cipher_bundle(
-        sample_payload, CipherContext(params.s, params.m), owner_key=bytes(range(32))
+        sample_payload, params, owner_key=bytes(range(32))
     )
     tampered = wrapped[:-1] + bytes([wrapped[-1] ^ 0x01])
     try:
-        recover_payload(tampered, payload_digest, CipherContext(params.s, params.m))
+        recover_payload(tampered, payload_digest, params)
     except (CorruptCiphertextError, IntegrityError):
         return
     raise AssertionError("a bundle with a flipped owner-key frame still opened")

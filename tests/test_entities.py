@@ -144,17 +144,20 @@ class TestHonestRun:
             n_genuine=3, adversaries=(), dataset="cleveland", key_length_bits=256, seed=0
         )
         payloads = load_payloads("cleveland", data_dir / "cleveland.csv", None)
-        world = run_protocol(config, payloads).world
-        cipher = world.owner.params.cipher
-        assert all(user.params.cipher is cipher for user in world.users)
+        with mock.patch("acshare.entities.KgcAgent", wraps=KgcAgent) as make_kgc:
+            world = run_protocol(config, payloads).world
+        # the KGC, the owner and every user hold the one drawn SystemParams
+        (params,) = make_kgc.call_args.args
+        assert world.owner.params is params
+        assert all(user.params is params for user in world.users)
         # the owner's seals and every user's opens share one pad per length pair
         pads = {(len(payload) + config.width + 8, len(payload)) for payload in payloads}
-        assert set(cipher._pads) == pads
+        assert set(params._pads) == pads
         assert len(pads) == 4
         # every record is distinct, and each stored bundle is opened once a run
         bundles = world.cloud.store.bundles
-        assert set(cipher._opened) == {(b["wrapped"], b["payload_digest"]) for b in bundles}
-        assert len(cipher._opened) == len(bundles) == len(payloads)
+        assert set(params._opened) == {(b["wrapped"], b["payload_digest"]) for b in bundles}
+        assert len(params._opened) == len(bundles) == len(payloads)
         first, *others = world.users
         assert first.recovered == payloads
         assert all(
@@ -185,7 +188,7 @@ class TestHonestRun:
             if m.annotation and "tampered_copy_of_step" in m.annotation
         }
         assert tampered and not tampered & stored
-        opened = world.owner.params.cipher._opened
+        opened = world.owner.params._opened
         assert {(b["wrapped"], b["payload_digest"]) for b in bundles} <= set(opened)
         for (wrapped, payload_digest), payload in opened.items():
             assert wrapped in stored or wrapped in tampered

@@ -571,7 +571,7 @@ class TestTamperedDeliveryLogging:
 
         owner = world.owner
         for bundle, payload in zip(bundles, payloads, strict=True):
-            sealed = make_cipher_bundle(payload, owner.params.cipher, owner.private_key)
+            sealed = make_cipher_bundle(payload, owner.params, owner.private_key)
             assert (bundle["wrapped"], bundle["payload_digest"]) == sealed
 
 

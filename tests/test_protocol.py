@@ -16,10 +16,10 @@ from acshare.primitives import (
     sym_encrypt,
 )
 from acshare.protocol import (
-    CipherContext,
     CorruptCiphertextError,
     EmptyPayloadError,
     IntegrityError,
+    SystemParams,
     access_query,
     derive_data_key,
     derive_private_key,
@@ -170,9 +170,9 @@ class TestDataPipeline:
     @given(st.data(), widths, st.binary(min_size=1, max_size=400))
     def test_bundle_matches_oracle(self, data, width, payload):
         s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
-        wrapped, payload_digest = make_cipher_bundle(payload, CipherContext(s, m), owner_key)
+        wrapped, payload_digest = make_cipher_bundle(payload, SystemParams(s, m), owner_key)
         assert (wrapped, payload_digest) == ref_cipher_bundle(payload, s, m, owner_key)
-        assert recover_payload(wrapped, payload_digest, CipherContext(s, m)) == payload
+        assert recover_payload(wrapped, payload_digest, SystemParams(s, m)) == payload
 
     @given(
         st.data(),
@@ -180,14 +180,14 @@ class TestDataPipeline:
         st.lists(st.binary(min_size=1, max_size=400), min_size=1, max_size=12),
     )
     def test_reused_context_matches_oracle(self, data, width, payloads):
-        # one context seals and opens every payload in drawn order, so
+        # one SystemParams seals and opens every payload in drawn order, so
         # pads built for short and long masks alike serve later payloads
         s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
-        cipher = CipherContext(s, m)
+        params = SystemParams(s, m)
         for payload in payloads:
-            wrapped, payload_digest = make_cipher_bundle(payload, cipher, owner_key)
+            wrapped, payload_digest = make_cipher_bundle(payload, params, owner_key)
             assert (wrapped, payload_digest) == ref_cipher_bundle(payload, s, m, owner_key)
-            assert recover_payload(wrapped, payload_digest, cipher) == payload
+            assert recover_payload(wrapped, payload_digest, params) == payload
 
     @given(
         st.data(),
@@ -195,25 +195,25 @@ class TestDataPipeline:
         st.lists(st.binary(min_size=1, max_size=80), min_size=1, max_size=4),
     )
     def test_mutated_open_matches_oracle(self, data, width, payloads):
-        # one context seals every payload, then opens each bundle as sent
+        # one SystemParams seals every payload, then opens each bundle as sent
         # and once mutated; the oracle opens without a folded pad
         s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
-        cipher = CipherContext(s, m)
-        bundles = [make_cipher_bundle(payload, cipher, owner_key) for payload in payloads]
+        params = SystemParams(s, m)
+        bundles = [make_cipher_bundle(payload, params, owner_key) for payload in payloads]
         sealed = {(len(wrapped), len(payload)) for (wrapped, _), payload in zip(bundles, payloads)}
-        assert set(cipher._pads) == sealed
+        assert set(params._pads) == sealed
         handed = set()
         for (wrapped, payload_digest), payload in zip(bundles, payloads):
-            assert recover_payload(wrapped, payload_digest, cipher) == payload
+            assert recover_payload(wrapped, payload_digest, params) == payload
             corrupt = data.draw(mutated(wrapped, len(payload)))
             try:
-                opened = ("ok", recover_payload(corrupt, payload_digest, cipher))
+                opened = ("ok", recover_payload(corrupt, payload_digest, params))
             except (CorruptCiphertextError, IntegrityError) as exc:
                 opened = (type(exc).__name__, str(exc))
             assert opened == ref_recover_payload(corrupt, payload_digest, s, m)
             handed.add(len(corrupt))
-        assert sealed <= set(cipher._pads)
-        assert {total for total, _ in cipher._pads} == handed | {total for total, _ in sealed}
+        assert sealed <= set(params._pads)
+        assert {total for total, _ in params._pads} == handed | {total for total, _ in sealed}
 
     @given(
         st.data(),
@@ -222,22 +222,22 @@ class TestDataPipeline:
     )
     def test_memo_matches_oracle(self, data, width, payloads):
         # each mutated copy is opened before and after its original, twice
-        # each, through one warm context; a failed open must not be memoised
+        # each, through one warm SystemParams; a failed open must not be memoised
         s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
-        cipher = CipherContext(s, m)
+        params = SystemParams(s, m)
 
         def opened(wrapped, payload_digest):
-            before = dict(cipher._opened)
+            before = dict(params._opened)
             try:
-                payload = recover_payload(wrapped, payload_digest, cipher)
+                payload = recover_payload(wrapped, payload_digest, params)
             except (CorruptCiphertextError, IntegrityError) as exc:
-                assert cipher._opened == before
+                assert params._opened == before
                 return type(exc).__name__, str(exc)
-            assert cipher._opened[wrapped, payload_digest] is payload
+            assert params._opened[wrapped, payload_digest] is payload
             return "ok", payload
 
         for payload in payloads:
-            wrapped, payload_digest = make_cipher_bundle(payload, cipher, owner_key)
+            wrapped, payload_digest = make_cipher_bundle(payload, params, owner_key)
             corrupt = data.draw(mutated(wrapped, len(payload)))
             for sent in (corrupt, wrapped, corrupt, wrapped):
                 assert opened(sent, payload_digest) == ref_recover_payload(
@@ -246,7 +246,7 @@ class TestDataPipeline:
             # the memoised bytes, advertised with another digest, still fail
             other = digest(payload_digest)
             with pytest.raises(IntegrityError) as caught:
-                recover_payload(wrapped, other, cipher)
+                recover_payload(wrapped, other, params)
             assert (caught.value.actual, caught.value.advertised) == (
                 payload_digest.hex(),
                 other.hex(),
@@ -258,7 +258,7 @@ class TestDataPipeline:
         # test_attacks.py), so a copy flipped there opens; it is memoised
         # under its own bytes, beside its original
         s, m, owner_key = (data.draw(fixed(width)) for _ in range(3))
-        warm = CipherContext(s, m)
+        warm = SystemParams(s, m)
         wrapped, payload_digest = make_cipher_bundle(payload, warm, owner_key)
         assert recover_payload(wrapped, payload_digest, warm) == payload
         flipped = bytearray(wrapped)
@@ -266,26 +266,26 @@ class TestDataPipeline:
             st.integers(1, 255)
         )
         flipped = bytes(flipped)
-        for cipher in (warm, CipherContext(s, m)):
-            assert recover_payload(flipped, payload_digest, cipher) == payload
+        for params in (warm, SystemParams(s, m)):
+            assert recover_payload(flipped, payload_digest, params) == payload
         assert ref_recover_payload(flipped, payload_digest, s, m) == ("ok", payload)
         assert set(warm._opened) == {(wrapped, payload_digest), (flipped, payload_digest)}
 
     def test_empty_payload_rejected(self):
         with pytest.raises(EmptyPayloadError):
-            make_cipher_bundle(b"", CipherContext(b"\x01" * 8, b"\x02" * 8), b"\x03" * 8)
+            make_cipher_bundle(b"", SystemParams(b"\x01" * 8, b"\x02" * 8), b"\x03" * 8)
 
     def test_decrypt_empty_is_empty(self):
         s, m = b"\x01" * 8, b"\x02" * 8
         wrapped = sym_encrypt(derive_data_key(m, s), frame_concat([b"", b"\x03" * 8]))
-        assert recover_payload(wrapped, digest(b""), CipherContext(s, m)) == b""
+        assert recover_payload(wrapped, digest(b""), SystemParams(s, m)) == b""
 
     @given(st.data(), widths, st.binary(min_size=1, max_size=200))
     def test_wrap_length_relation(self, data, width, payload):
         rng = Rng(data.draw(st.integers(0, 2**32)))
         params = new_system_params(rng, width)
         owner_key = rng.take(width)
-        wrapped, _ = make_cipher_bundle(payload, CipherContext(params.s, params.m), owner_key)
+        wrapped, _ = make_cipher_bundle(payload, params, owner_key)
         assert len(wrapped) == len(payload) + width + 8
         fields = frame_split(sym_encrypt(derive_data_key(params.m, params.s), wrapped))
         assert len(fields) == 2
@@ -294,28 +294,26 @@ class TestDataPipeline:
     def test_unwrap_rejects_garbage(self):
         s, m = b"\x01" * 8, b"\x02" * 8
         with pytest.raises(CorruptCiphertextError):
-            recover_payload(b"\xff" * 3, digest(b""), CipherContext(s, m))
+            recover_payload(b"\xff" * 3, digest(b""), SystemParams(s, m))
         three_fields = sym_encrypt(derive_data_key(m, s), frame_concat([b"a", b"b", b"c"]))
         with pytest.raises(CorruptCiphertextError):
-            recover_payload(three_fields, digest(b""), CipherContext(s, m))
+            recover_payload(three_fields, digest(b""), SystemParams(s, m))
 
     @given(st.data(), widths, st.binary(min_size=1, max_size=200))
     def test_bundle_round_trip(self, data, width, payload):
         rng = Rng(data.draw(st.integers(0, 2**32)))
         params = new_system_params(rng, width)
         owner_key = rng.take(width)
-        cipher = CipherContext(params.s, params.m)
-        wrapped, payload_digest = make_cipher_bundle(payload, cipher, owner_key)
+        wrapped, payload_digest = make_cipher_bundle(payload, params, owner_key)
         assert payload_digest == digest(payload)
-        assert recover_payload(wrapped, payload_digest, cipher) == payload
+        assert recover_payload(wrapped, payload_digest, params) == payload
 
     @given(st.data(), st.binary(min_size=1, max_size=80))
     def test_flips_never_return_wrong_payload(self, data, payload):
         width = 16
         rng = Rng(2024)
         params = new_system_params(rng, width)
-        cipher = CipherContext(params.s, params.m)
-        wrapped, payload_digest = make_cipher_bundle(payload, cipher, rng.take(width))
+        wrapped, payload_digest = make_cipher_bundle(payload, params, rng.take(width))
         # corrupt one byte anywhere in the data-bearing prefix
         span = len(wrapped) - width - 4
         index = data.draw(st.integers(0, span - 1))
@@ -323,16 +321,15 @@ class TestDataPipeline:
         corrupt = bytearray(wrapped)
         corrupt[index] ^= delta
         with pytest.raises((CorruptCiphertextError, IntegrityError)):
-            recover_payload(bytes(corrupt), payload_digest, cipher)
+            recover_payload(bytes(corrupt), payload_digest, params)
 
     def test_integrity_error_carries_both_digests(self):
         width = 16
         rng = Rng(5)
         params = new_system_params(rng, width)
-        cipher = CipherContext(params.s, params.m)
-        wrapped, _ = make_cipher_bundle(b"payload", cipher, rng.take(width))
+        wrapped, _ = make_cipher_bundle(b"payload", params, rng.take(width))
         with pytest.raises(IntegrityError) as info:
-            recover_payload(wrapped, digest(b"other"), cipher)
+            recover_payload(wrapped, digest(b"other"), params)
         assert info.value.advertised == digest(b"other").hex()
         assert info.value.actual == digest(b"payload").hex()
 

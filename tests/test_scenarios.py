@@ -10,9 +10,15 @@ on that message's channel, one memory figure from the closed form, the
 transcript and the store ledger, each stored bundle still the owner's
 seal of its payload, so no tamperer alters what later users receive,
 and each principal holding the key material its KEY_ISSUE line records.
+One fixed all-class scenario also hashes alike in two interpreters with
+different string hash seeds.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +41,19 @@ from conftest import REPO_ROOT
 
 CLASSES = [cls for cls in AdversaryClass if cls is not AdversaryClass.NONE]
 RECORDS = load_payloads("cleveland", REPO_ROOT / "data" / "cleveland.csv", None)
+
+# one swiss run with two genuine users and one principal of each class
+HASH_SEED_RUN = """
+import sys
+sys.path.insert(0, {src!r})
+from acshare.entities import run_protocol
+from acshare.netsim import AdversaryClass, AdversarySpec, ScenarioConfig, load_payloads
+adversaries = tuple(AdversarySpec(cls, 1) for cls in AdversaryClass if cls is not AdversaryClass.NONE)
+config = ScenarioConfig(
+    n_genuine=2, adversaries=adversaries, dataset="swiss", key_length_bits=64, seed=3
+)
+print(run_protocol(config, load_payloads("swiss", {path!r}, 4)).content_hash())
+"""
 
 
 @st.composite
@@ -88,7 +107,7 @@ def test_generated_scenario_invariants(scenario):
 
     owner = transcript.world.owner
     for bundle, payload in zip(store.bundles, payloads, strict=True):
-        sealed = make_cipher_bundle(payload, owner.params.cipher, owner.private_key)
+        sealed = make_cipher_bundle(payload, owner.params, owner.private_key)
         assert (bundle["wrapped"], bundle["payload_digest"]) == sealed
 
     # each principal holds what its KEY_ISSUE line records: for a forger
@@ -105,3 +124,21 @@ def test_generated_scenario_invariants(scenario):
         assert (user.private_key, user.attribute) == (line["private_key"], line["attribute"])
         forged = user.adversary is AdversaryClass.FORGED_PRIVATE_KEY
         assert (user.private_key != store.slot(user.user_id).private_key) == forged, user.name
+
+
+def test_transcript_hash_is_independent_of_the_hash_seed():
+    # str and bytes hashes change with PYTHONHASHSEED, so any set or
+    # hash-keyed order that leaks into a transcript shows up here
+    code = HASH_SEED_RUN.format(
+        src=str(REPO_ROOT / "src"), path=str(REPO_ROOT / "data" / "swiss.csv")
+    )
+    hashes = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        for seed in ("0", "1")
+    ]
+    assert hashes[0] == hashes[1]
+    assert len(hashes[0]) == 64

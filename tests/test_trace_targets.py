@@ -32,3 +32,5 @@ def test_tracer_sees_every_open():
     shares = len(by_kind(transcript, "DATA_SHARE"))
     assert shares == 12
     assert tracer.spans["protocol.recover_payload"].calls == shares
+    # one seal per upload, made inside the traced function
+    assert tracer.spans["protocol.make_cipher_bundle"].calls == 4
