@@ -491,7 +491,9 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
 def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None:
     """The server streams every stored bundle to a verified user."""
     _require_phase(user, Phase.VERIFIED, "receive data")
-    assert user.params is not None
+    if user.params is None:
+        _reject(user, net, STAGE_SHARING, "no system parameters to open shares", None)
+        return
     net.transmit(
         STAGE_SHARING, user.name, CLOUD_NAME, PUBLIC, KIND_DATA_REQUEST,
         {"user_id": user.user_id},

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .dataset import load_dataset, record_to_payload
-from .primitives import Rng, to_int
+from .primitives import Rng
 from .wire import (
     ACCEPTED,
     KIND_ACCESS_QUERY,
@@ -251,7 +251,7 @@ def apply_adversary(
     applied: dict[int, int] = {}  # running XOR of each flipped position
     notes = []
     for _ in range(flips):
-        idx = to_int(rng.take(4)) % limit
+        idx = int.from_bytes(rng.take(4), "big") % limit
         delta = (rng.take(1)[0] % 255) + 1
         while delta == applied.get(idx, 0):
             delta = (rng.take(1)[0] % 255) + 1

@@ -119,19 +119,6 @@ def xor_bytes(x: bytes, y: bytes) -> bytes:
     return (int.from_bytes(x, "big") ^ int.from_bytes(y, "big")).to_bytes(len(x), "big")
 
 
-def to_int(data: bytes) -> int:
-    """Big-endian integer value of ``data``."""
-    return int.from_bytes(data, "big")
-
-
-def from_int(value: int, width: int) -> bytes:
-    """Big-endian encoding of ``value`` in exactly ``width`` bytes."""
-    try:
-        return value.to_bytes(width, "big")
-    except OverflowError as exc:
-        raise InvalidWidthError(f"{value} does not fit in {width} bytes") from exc
-
-
 def effective_modulus(modulus_src: bytes) -> int:
     """Integer modulus actually used by :func:`mod_reduce`.
 
@@ -141,11 +128,11 @@ def effective_modulus(modulus_src: bytes) -> int:
     """
     if not modulus_src:
         raise InvalidWidthError("modulus source must be at least 1 byte wide")
-    n = to_int(modulus_src)
+    n = int.from_bytes(modulus_src, "big")
     width = len(modulus_src)
     counter = 1
     while n <= 1:
-        n = to_int(expand(frame_concat([modulus_src, _counter(counter)]), width))
+        n = int.from_bytes(expand(frame_concat([modulus_src, _counter(counter)]), width), "big")
         counter += 1
     return n
 
@@ -161,7 +148,7 @@ def mod_reduce(x: bytes, modulus_src: bytes) -> bytes:
         raise WidthMismatchError(
             f"mod_reduce operands differ in width: {len(x)} vs {len(modulus_src)}"
         )
-    return from_int(to_int(x) % effective_modulus(modulus_src), len(x))
+    return (int.from_bytes(x, "big") % effective_modulus(modulus_src)).to_bytes(len(x), "big")
 
 
 def mul_mod_width(x: bytes, y: bytes) -> bytes:
@@ -177,7 +164,8 @@ def mul_mod_width(x: bytes, y: bytes) -> bytes:
     if not x:
         raise InvalidWidthError("mul_mod_width needs width >= 1")
     width = len(x)
-    return from_int((to_int(x) * to_int(y)) % (1 << (8 * width)), width)
+    product = int.from_bytes(x, "big") * int.from_bytes(y, "big")
+    return (product % (1 << (8 * width))).to_bytes(width, "big")
 
 
 def keystream(key: bytes, length: int) -> bytes:
@@ -198,8 +186,6 @@ def sym_encrypt(key: bytes, plaintext: bytes) -> bytes:
     Length preserving; an empty plaintext maps to an empty ciphertext.
     The cipher is an involution: decryption is the same operation.
     """
-    if not plaintext:
-        return b""
     return xor_bytes(plaintext, keystream(key, len(plaintext)))
 
 

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -649,3 +652,16 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0
+
+    def test_module_entry_point(self):
+        def module(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "acshare", *argv],
+                cwd=REPO_ROOT, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            )
+
+        parsed = module("parse-dataset", "--dataset", "swiss", "--data-dir", "data")
+        assert parsed.returncode == 0
+        assert "swiss: 123 records" in parsed.stdout
+        assert module("bogus").returncode == 2

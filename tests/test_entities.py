@@ -4,7 +4,9 @@ import gc
 import hashlib
 import io
 import json
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from acshare import wire
+from acshare import entities, wire
 from acshare.entities import (
     CloudAgent,
     CloudStore,
@@ -21,6 +23,7 @@ from acshare.entities import (
     OwnerAgent,
     Phase,
     PhaseOrderError,
+    STAGE_VALIDATION,
     STAGES,
     UnknownPrincipalError,
     UserAgent,
@@ -39,6 +42,9 @@ from acshare.protocol import new_system_params
 from acshare.wire import ACCEPTED, PUBLIC, RENDER_CHUNK, Message, Transcript
 
 from conftest import by_kind
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import ADVERSARY_CLASSES, EXPECTED_END  # noqa: E402
 
 
 # names that need JSON escaping turn up in every run, not only by chance
@@ -521,6 +527,40 @@ class TestPhaseOrder:
         assert guess.annotation["adversary"] == "NONE"
         notes = [m.annotation for m in by_kind(net.transcript, "ACCESS_QUERY")]
         assert [n["adversary"] for n in notes if n and "replayed_from_step" in n] == ["NONE"]
+
+    def test_keyless_principal_verified_without_a_gate_is_rejected_at_sharing(self, data_dir):
+        # with the validation gate knocked out, a replayer passes it holding
+        # no system parameters, and must stop before it asks for shares
+        decide = entities._decide
+
+        def accept_validation(stage, message, expected, *args, **kwargs):
+            if stage == STAGE_VALIDATION:
+                expected = {name: message.fields[name] for name in expected}
+            return decide(stage, message, expected, *args, **kwargs)
+
+        config = ScenarioConfig(
+            n_genuine=2,
+            adversaries=tuple(AdversarySpec(cls, 1) for cls in ADVERSARY_CLASSES),
+            dataset="swiss",
+            key_length_bits=64,
+            seed=3,
+        )
+        payloads = load_payloads("swiss", data_dir / "swiss.csv", 4)
+        with mock.patch.object(entities, "_decide", accept_validation):
+            transcript = run_protocol(config, payloads)
+        requesters = {m.sender for m in by_kind(transcript, "DATA_REQUEST")}
+        for user in transcript.world.users:
+            outcome = transcript.outcomes[user.name]
+            end = (outcome.status, outcome.stage)
+            if user.adversary is AdversaryClass.REPLAY_QUERY:
+                assert (*end, outcome.reason) == (
+                    "REJECTED", "sharing", "no system parameters to open shares"
+                )
+                assert user.name not in requesters
+            elif user.adversary is AdversaryClass.TAMPER_VALIDATION:
+                assert end == ("ACCEPTED", "sharing")  # validation has no backstop
+            else:
+                assert end == EXPECTED_END[user.adversary]
 
 
 class TestAccounting:

@@ -9,10 +9,12 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: the package's ``__init__`` imports ``Transcript`` only for the benchmark's tracer
+#: the package's ``__init__`` imports ``Transcript`` only for the benchmark's tracer;
+#: ``perfbench/`` is left out because it changes only together with the benchmark's baseline
 SCANNED = sorted(
     path
-    for path in [*(REPO_ROOT / "src" / "acshare").glob("*.py"), *(REPO_ROOT / "tests").glob("*.py")]
+    for folder in ("src/acshare", "tests", "scripts")
+    for path in (REPO_ROOT / folder).glob("*.py")
     if path.name != "__init__.py"
 )
 

@@ -15,12 +15,10 @@ from acshare.primitives import (
     expand,
     frame_concat,
     frame_split,
-    from_int,
     keystream,
     mod_reduce,
     mul_mod_width,
     sym_encrypt,
-    to_int,
     xor_bytes,
 )
 
@@ -148,19 +146,6 @@ class TestXor:
             xor_bytes(b"ab", b"abc")
 
 
-class TestIntCodec:
-    @given(st.integers(min_value=0, max_value=2**128 - 1))
-    def test_round_trip(self, value):
-        assert to_int(from_int(value, 16)) == value
-
-    def test_big_endian(self):
-        assert from_int(0x0102, 4) == b"\x00\x00\x01\x02"
-
-    def test_overflow_rejected(self):
-        with pytest.raises(InvalidWidthError):
-            from_int(256, 1)
-
-
 class TestModReduce:
     def test_single_byte_golden(self):
         assert mod_reduce(b"\x05", b"\x03") == b"\x02"
@@ -184,7 +169,7 @@ class TestModReduce:
         src = data.draw(st.binary(min_size=width, max_size=width))
         out = mod_reduce(x, src)
         assert len(out) == width
-        assert to_int(out) < effective_modulus(src)
+        assert int.from_bytes(out, "big") < effective_modulus(src)
 
     @given(st.data(), widths)
     def test_matches_big_integer_oracle(self, data, width):
@@ -196,7 +181,7 @@ class TestModReduce:
 
 class TestMulModWidth:
     def test_identity(self):
-        one = from_int(1, 4)
+        one = (1).to_bytes(4, "big")
         assert mul_mod_width(b"\xde\xad\xbe\xef", one) == b"\xde\xad\xbe\xef"
 
     def test_annihilator(self):
@@ -214,7 +199,8 @@ class TestMulModWidth:
         x = data.draw(st.binary(min_size=width, max_size=width))
         y = data.draw(st.binary(min_size=width, max_size=width))
         assert mul_mod_width(x, y) == mul_mod_width(y, x)
-        assert to_int(mul_mod_width(x, y)) == (to_int(x) * to_int(y)) % (1 << (8 * width))
+        product = int.from_bytes(x, "big") * int.from_bytes(y, "big")
+        assert int.from_bytes(mul_mod_width(x, y), "big") == product % (1 << (8 * width))
 
 
 class TestStreamCipher:
@@ -224,6 +210,8 @@ class TestStreamCipher:
     def test_empty_key_rejected(self):
         with pytest.raises(InvalidWidthError):
             keystream(b"", 8)
+        with pytest.raises(InvalidWidthError):
+            sym_encrypt(b"", b"")  # even with nothing to encrypt
 
     def test_empty_plaintext(self):
         assert sym_encrypt(b"k", b"") == b""
