@@ -29,6 +29,7 @@ from .netsim import (
     principal_roster,
     run_scenario,
 )
+from .primitives import DIGEST_WIDTH
 from .wire import (
     KIND_CIPHER_UPLOAD,
     KIND_KEY_STORE,
@@ -37,9 +38,6 @@ from .wire import (
     KIND_SESSION_STORE,
     Transcript,
 )
-
-#: digest width produced by the payload integrity hash
-PAYLOAD_DIGEST_BYTES = 32
 
 #: framing overhead inside one wrapped bundle (two 4-byte length prefixes)
 WRAP_OVERHEAD_BYTES = 8
@@ -120,7 +118,7 @@ def expected_memory_bytes(config: ScenarioConfig, payload_sizes: Sequence[int]) 
     for name, cls, _ in registering:
         total += len(name.encode("ascii")) + width * (1 + STORED_KEYS[cls])
     for size in payload_sizes:
-        total += size + width + WRAP_OVERHEAD_BYTES + PAYLOAD_DIGEST_BYTES
+        total += size + width + WRAP_OVERHEAD_BYTES + DIGEST_WIDTH
     return total
 
 

@@ -342,7 +342,6 @@ def encryption_phase(
 ) -> None:
     """The owner encrypts every payload and uploads the bundles."""
     _require_phase(owner, Phase.KEYED, "encrypt")
-    assert owner.params is not None and owner.private_key is not None
     for payload in payloads:
         wrapped, payload_digest = make_cipher_bundle(payload, owner.params, owner.private_key)
         delivered = net.transmit(
@@ -369,7 +368,6 @@ def _serve_access(
     """
     user_id = query.fields["user_id"]
     slot = cloud.store.slot(user_id)
-    assert cloud.store.s is not None and slot.private_key is not None
     expected_digest = registration_digest(user_id, slot.password, cloud.store.s)
     expected_q = access_query(expected_digest, user_id, slot.private_key)
     accept_note = None if replayed_from is None else {"granted_for_replay_of_step": replayed_from}
@@ -400,7 +398,6 @@ def _serve_access(
 def access_control_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network) -> None:
     """A keyed user presents its access query."""
     _require_phase(user, Phase.KEYED, "request access")
-    assert user.reg_digest is not None and user.private_key is not None
     q = access_query(user.reg_digest, user.user_id, user.private_key)
     delivered = net.transmit(
         STAGE_ACCESS, user.name, CLOUD_NAME, PUBLIC, KIND_ACCESS_QUERY,
@@ -446,11 +443,6 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
             "note": "guessed validation pair for a hijacked grant",
         }
     else:
-        assert (
-            user.params is not None
-            and user.private_key is not None
-            and user.attribute is not None
-        )
         nonce = net.rng.take(width)
         v1, v2 = validation_messages(
             user.user_id,
@@ -472,8 +464,6 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
     slot = cloud.store.slot(user_id)
     if slot.session_key is None or slot.private_key is None:
         raise PhaseOrderError("validation arrived before any session grant")
-    assert cloud.store.s is not None and cloud.store.m is not None
-    assert slot.attribute is not None
     expected_v1, expected_v2 = validation_messages(
         user_id,
         slot.session_key,

@@ -54,8 +54,6 @@ def frame_concat(fields: Sequence[bytes]) -> bytes:
         raise ValueError("frame_concat needs at least one field")
     out = bytearray()
     for piece in fields:
-        if len(piece) > 0xFFFFFFFF:
-            raise InvalidWidthError("field too long for a 4-byte length prefix")
         out += struct.pack(">I", len(piece))
         out += piece
     return bytes(out)
@@ -126,8 +124,6 @@ def effective_modulus(modulus_src: bytes) -> int:
     sources are replaced by expanding ``(source, counter)`` frames with
     counter = 1, 2, ... until the integer value exceeds 1.
     """
-    if not modulus_src:
-        raise InvalidWidthError("modulus source must be at least 1 byte wide")
     n = int.from_bytes(modulus_src, "big")
     width = len(modulus_src)
     counter = 1

@@ -17,6 +17,16 @@ def by_kind(transcript: Transcript, kind: str) -> list[Message]:
     return [m for m in transcript.messages if m.kind == kind]
 
 
+class StubRng:
+    """A stand-in for ``Rng`` whose ``take(width)`` returns the next scripted draw of that width."""
+
+    def __init__(self, draws: dict[int, list[bytes]]) -> None:
+        self.draws = {width: iter(values) for width, values in draws.items()}
+
+    def take(self, width: int) -> bytes:
+        return next(self.draws[width])
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return REPO_ROOT / "data"

@@ -105,6 +105,19 @@ class TestMemoryAccounting:
         predicted = expected_memory_bytes(config, [len(sample_payload)])
         assert measure_memory(config, transcript) == predicted
 
+    def test_empty_roster_counts_only_the_centre_and_the_bundle(self, data_dir):
+        # the owner's own PROVISION is the one message the server never stores
+        config = ScenarioConfig(
+            n_genuine=0, adversaries=(), dataset="cleveland", key_length_bits=64, seed=0
+        )
+        payloads = load_payloads("cleveland", data_dir / "cleveland.csv", 1)
+        transcript, summary = run_scenario(config, payloads)
+        store_bytes = transcript.world.cloud.store.accounted_bytes()
+        assert measure_memory(config, transcript) == 169
+        assert expected_memory_bytes(config, [len(payloads[0])]) == 169
+        assert store_bytes + 2 * config.width == 169
+        assert summary.format_lines() == []
+
 
 class TestSweep:
     def test_row_grid_and_order(self, data_dir):

@@ -562,6 +562,16 @@ class TestPhaseOrder:
             else:
                 assert end == EXPECTED_END[user.adversary]
 
+    def test_a_principal_left_without_an_outcome_is_refused(self, sample_payload):
+        config = ScenarioConfig(
+            n_genuine=1, adversaries=(), dataset="sample", key_length_bits=64, seed=0
+        )
+        with mock.patch.object(entities, "data_sharing_phase", lambda *args: None):
+            with pytest.raises(
+                PhaseOrderError, match="^user-000 finished in phase VERIFIED without an outcome$"
+            ):
+                run_protocol(config, [sample_payload])
+
 
 class TestAccounting:
     def test_zero_user_run_never_provisions_the_server(self, sample_payload):

@@ -222,3 +222,22 @@ def test_every_dataclass_field_is_read():
         for name in unread_fields(path.read_text(encoding="utf-8"), loaded)
     ]
     assert unread == []
+
+
+def asserts(source: str) -> list[int]:
+    """Line of each ``assert`` statement in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_asserts_are_found():
+    assert asserts("assert a\ndef f():\n    if b:\n        assert (\n            c\n        )\n") == [1, 4]
+
+
+def test_no_assert_in_src():
+    # ``python -O`` strips asserts, so a check in the package must raise
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted((REPO_ROOT / "src" / "acshare").glob("*.py"))
+        for line in asserts(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

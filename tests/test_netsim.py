@@ -37,7 +37,7 @@ from acshare.wire import (
     REJECTED,
 )
 
-from conftest import by_kind
+from conftest import StubRng, by_kind
 
 ALL_CLASSES = (
     AdversaryClass.WRONG_PASSWORD,
@@ -381,6 +381,18 @@ class TestApplyAdversary:
                 running ^= note["xor"]
                 assert running != 0
             assert mutated["password"] == bytes([running])
+
+    def test_delta_is_redrawn_until_the_byte_moves(self):
+        # both flips land on v1[0]; the second draws the first's delta
+        # twice, so one redraw would hand the byte back unchanged
+        rng = StubRng({4: [bytes(4)] * 2, 1: [b"\x04", b"\x04", b"\x04", b"\x09"]})
+        fields = {"user_id": b"u", "v1": bytes(16), "v2": bytes(16), "nonce": bytes(16)}
+        mutated, annotation = apply_adversary(
+            AdversaryClass.TAMPER_VALIDATION, fields, rng, width=16, flips=2
+        )
+        assert [note["xor"] for note in annotation["flips"]] == [5, 10]
+        assert mutated["v1"] == b"\x0f" + bytes(15)
+        assert mutated["v2"] == fields["v2"]
 
     def test_replay_preserves_fields(self, sample_payload):
         # a replay re-sends a whole observed message, outside apply_adversary

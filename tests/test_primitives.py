@@ -163,6 +163,13 @@ class TestModReduce:
         with pytest.raises(WidthMismatchError):
             mod_reduce(b"\x01\x02", b"\x03")
 
+    def test_empty_modulus_rejected(self):
+        # an empty source reaches expand at width 0, which refuses it
+        with pytest.raises(InvalidWidthError):
+            effective_modulus(b"")
+        with pytest.raises(InvalidWidthError):
+            mod_reduce(b"", b"")
+
     @given(st.data(), widths)
     def test_result_below_modulus(self, data, width):
         x = data.draw(st.binary(min_size=width, max_size=width))
@@ -194,6 +201,10 @@ class TestMulModWidth:
         with pytest.raises(WidthMismatchError):
             mul_mod_width(b"\x01", b"\x01\x02")
 
+    def test_empty_operands_rejected(self):
+        with pytest.raises(InvalidWidthError):
+            mul_mod_width(b"", b"")
+
     @given(st.data(), widths)
     def test_commutative(self, data, width):
         x = data.draw(st.binary(min_size=width, max_size=width))
@@ -212,6 +223,10 @@ class TestStreamCipher:
             keystream(b"", 8)
         with pytest.raises(InvalidWidthError):
             sym_encrypt(b"", b"")  # even with nothing to encrypt
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(InvalidWidthError):
+            keystream(b"k", -1)
 
     def test_empty_plaintext(self):
         assert sym_encrypt(b"k", b"") == b""

@@ -31,6 +31,7 @@ from acshare.protocol import (
     validation_messages,
 )
 
+from conftest import StubRng
 from reference import (
     ref_access_query,
     ref_cipher_bundle,
@@ -164,6 +165,11 @@ class TestSystemParams:
         params = new_system_params(Rng(seed), width)
         assert len(params.s) == width == len(params.m)
         assert params.s != params.m
+
+    def test_m_is_redrawn_until_it_differs_from_s(self):
+        s, m = bytes(8), b"\x01" * 8
+        params = new_system_params(StubRng({8: [s, s, s, m]}), 8)
+        assert (params.s, params.m) == (s, m)
 
 
 class TestDataPipeline:
