@@ -24,7 +24,6 @@ from typing import Sequence
 from .netsim import AdversaryClass, Network, ScenarioConfig, principal_roster
 from .primitives import Rng
 from .protocol import (
-    CorruptCiphertextError,
     IntegrityError,
     SystemParams,
     access_query,
@@ -495,11 +494,10 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
             payload = recover_payload(
                 delivered.fields["wrapped"], delivered.fields["payload_digest"], user.params
             )
-        except (CorruptCiphertextError, IntegrityError) as exc:
-            # loud failure: nothing recovered so far is kept, and the
-            # mismatching digests go into the outcome for rechecking
-            mismatch = (exc.actual, exc.advertised) if isinstance(exc, IntegrityError) else None
-            _reject(user, net, STAGE_SHARING, str(exc), mismatch, status=INTEGRITY_FAILURE)
+        except IntegrityError as exc:
+            # loud failure: nothing recovered so far is kept, and a digest
+            # failure's mismatching pair goes into the outcome for rechecking
+            _reject(user, net, STAGE_SHARING, str(exc), exc.mismatch, status=INTEGRITY_FAILURE)
             return
         recovered.append(payload)
     user.recovered = recovered

@@ -22,11 +22,7 @@ DIGEST_WIDTH = 32  # SHA-256 output size in bytes
 
 
 class InvalidWidthError(ValueError):
-    """A requested byte width is out of range for the operation."""
-
-
-class WidthMismatchError(ValueError):
-    """Two operands that must share a width do not."""
+    """A byte width is out of range, or two operands' widths differ."""
 
 
 class FramingError(ValueError):
@@ -113,7 +109,7 @@ def expand(data: bytes, width: int) -> bytes:
 def xor_bytes(x: bytes, y: bytes) -> bytes:
     """Bytewise XOR of two equal-width strings."""
     if len(x) != len(y):
-        raise WidthMismatchError(f"xor operands differ in width: {len(x)} vs {len(y)}")
+        raise InvalidWidthError(f"xor operands differ in width: {len(x)} vs {len(y)}")
     return (int.from_bytes(x, "big") ^ int.from_bytes(y, "big")).to_bytes(len(x), "big")
 
 
@@ -141,7 +137,7 @@ def mod_reduce(x: bytes, modulus_src: bytes) -> bytes:
     :func:`effective_modulus`.
     """
     if len(x) != len(modulus_src):
-        raise WidthMismatchError(
+        raise InvalidWidthError(
             f"mod_reduce operands differ in width: {len(x)} vs {len(modulus_src)}"
         )
     return (int.from_bytes(x, "big") % effective_modulus(modulus_src)).to_bytes(len(x), "big")
@@ -154,7 +150,7 @@ def mul_mod_width(x: bytes, y: bytes) -> bytes:
     ``width`` bytes survive.
     """
     if len(x) != len(y):
-        raise WidthMismatchError(
+        raise InvalidWidthError(
             f"mul operands differ in width: {len(x)} vs {len(y)}"
         )
     if not x:

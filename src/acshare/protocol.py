@@ -66,21 +66,16 @@ class EmptyPayloadError(ValueError):
     """Encrypting an empty payload is refused."""
 
 
-class CorruptCiphertextError(ValueError):
-    """A wrapped ciphertext failed to unwrap into well-framed fields."""
-
-
 class IntegrityError(ValueError):
-    """A recovered payload does not match its advertised digest.
+    """A share does not open to a framed payload that matches its digest.
 
-    ``actual`` and ``advertised`` hold both digests as hex so the
-    failure can be rechecked from a transcript.
+    ``mismatch`` is ``(actual, advertised)`` digest hex when the digest
+    check failed, and ``None`` when the framing broke.
     """
 
-    def __init__(self, message: str, actual: str | None = None, advertised: str | None = None):
+    def __init__(self, message: str, mismatch: tuple[str, str] | None = None):
         super().__init__(message)
-        self.actual = actual
-        self.advertised = advertised
+        self.mismatch = mismatch
 
 
 @dataclass
@@ -216,10 +211,9 @@ def make_cipher_bundle(
 def recover_payload(wrapped: bytes, payload_digest: bytes, params: SystemParams) -> bytes:
     """User-side pipeline: unwrap, decrypt, and verify one payload.
 
-    Raises :class:`CorruptCiphertextError` when framing breaks (the
-    ciphertext was corrupted, or the wrong key was used) and
-    :class:`IntegrityError` when the digest check fails; a corrupted
-    share can never come back as a silently wrong payload.
+    Raises :class:`IntegrityError` when framing breaks (the ciphertext
+    was corrupted, or the wrong key was used) or the digest check fails;
+    a corrupted share can never come back as a silently wrong payload.
 
     ``n`` is the first length prefix, clamped to ``T - 8`` (0 below 8
     bytes), past which two fields cannot frame. ``Q(T, n')`` for
@@ -241,16 +235,15 @@ def recover_payload(wrapped: bytes, payload_digest: bytes, params: SystemParams)
     try:
         fields = frame_split(plain)
     except FramingError as exc:
-        raise CorruptCiphertextError(str(exc)) from exc
+        raise IntegrityError(str(exc)) from exc
     if len(fields) != 2:
-        raise CorruptCiphertextError(f"expected 2 framed fields, found {len(fields)}")
+        raise IntegrityError(f"expected 2 framed fields, found {len(fields)}")
     payload = fields[0]
     actual = digest(payload)
     if actual != payload_digest:
         raise IntegrityError(
             "recovered payload does not match its advertised digest",
-            actual=actual.hex(),
-            advertised=payload_digest.hex(),
+            (actual.hex(), payload_digest.hex()),
         )
     params._opened[wrapped, payload_digest] = payload
     return payload

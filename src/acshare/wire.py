@@ -106,8 +106,8 @@ def format_line(message: Message, fields: str) -> str:
 class Outcome:
     """Terminal status of one principal.
 
-    Rejections carry the stage, a reason, and the mismatching value
-    pair in hex so the verdict can be rechecked from the transcript.
+    Failures carry the stage and a reason; a gate rejection or a digest
+    failure also carries its mismatching ``(actual, expected)`` hex pair.
     """
 
     status: str

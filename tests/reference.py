@@ -120,9 +120,9 @@ def ref_recover_payload(wrapped, payload_digest, s, m):
     key = _h(_fr([m, s, b"DATA"]))
     fields, error = _split(_xor(wrapped, _stream(key, len(wrapped))))
     if error is not None:
-        return "CorruptCiphertextError", error
+        return "IntegrityError", error
     if len(fields) != 2:
-        return "CorruptCiphertextError", f"expected 2 framed fields, found {len(fields)}"
+        return "IntegrityError", f"expected 2 framed fields, found {len(fields)}"
     masked = fields[0]
     encrypted = _xor(masked, _grow(_h(_fr([s, m])), len(masked)))
     payload = _xor(encrypted, _stream(key, len(encrypted)))

@@ -42,6 +42,7 @@ from acshare.protocol import new_system_params
 from acshare.wire import ACCEPTED, PUBLIC, RENDER_CHUNK, Message, Transcript
 
 from conftest import by_kind
+from reference import ref_recover_payload
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import ADVERSARY_CLASSES, EXPECTED_END  # noqa: E402
@@ -201,6 +202,59 @@ class TestHonestRun:
             assert payload == by_digest[payload_digest]
         statuses = [transcript.outcomes[user.name].status for user in world.users]
         assert statuses == ["ACCEPTED"] + ["INTEGRITY_FAILURE"] * 3
+
+    def test_sharing_failure_carries_the_digest_pair_only_when_framing_holds(self, data_dir):
+        # user-000's first share has its first payload byte flipped, so it
+        # opens to another payload; user-001's second share has its first
+        # length prefix flipped, so its framing breaks
+        config = ScenarioConfig(
+            n_genuine=3, adversaries=(), dataset="swiss", key_length_bits=64, seed=2
+        )
+        payloads = load_payloads("swiss", data_dir / "swiss.csv", 3)
+        flipped_byte = {("user-000", 0): 4, ("user-001", 1): 0}
+        shares_sent = {}
+        transmit = Network.transmit
+
+        def tamper(net, stage, sender, recipient, channel, kind, fields, annotation=None):
+            if kind == "DATA_SHARE":
+                nth = shares_sent[recipient] = shares_sent.get(recipient, -1) + 1
+                index = flipped_byte.get((recipient, nth))
+                if index is not None:
+                    wrapped = bytearray(fields["wrapped"])
+                    wrapped[index] ^= 0x80
+                    fields = {**fields, "wrapped": bytes(wrapped)}
+            return transmit(net, stage, sender, recipient, channel, kind, fields, annotation)
+
+        with mock.patch.object(Network, "transmit", tamper):
+            transcript = run_protocol(config, payloads)
+        shares = {}
+        for message in by_kind(transcript, "DATA_SHARE"):
+            shares.setdefault(message.recipient, []).append(message.fields)
+        assert [len(shares[f"user-00{i}"]) for i in range(3)] == [1, 2, 3]
+        outcomes = transcript.outcomes
+
+        (digest_share,) = shares["user-000"]
+        opened = bytes([payloads[0][0] ^ 0x80]) + payloads[0][1:]
+        outcome = outcomes["user-000"]
+        assert (outcome.status, outcome.stage) == ("INTEGRITY_FAILURE", "sharing")
+        assert outcome.reason == "recovered payload does not match its advertised digest"
+        assert outcome.mismatch == (
+            hashlib.sha256(opened).hexdigest(),
+            digest_share["payload_digest"].hex(),
+        )
+        assert outcome.mismatch[1] == hashlib.sha256(payloads[0]).hexdigest()
+
+        framing_share = shares["user-001"][1]
+        params = transcript.world.owner.params
+        verdict = ref_recover_payload(
+            framing_share["wrapped"], framing_share["payload_digest"], params.s, params.m
+        )
+        outcome = outcomes["user-001"]
+        assert (outcome.status, outcome.stage) == ("INTEGRITY_FAILURE", "sharing")
+        assert outcome.mismatch is None
+        assert ("IntegrityError", outcome.reason) == verdict
+        assert outcome.reason.startswith("field of ")
+        assert outcomes["user-002"].status == "ACCEPTED"
 
 
 class TestTranscriptSerialization:

@@ -9,7 +9,6 @@ from acshare.primitives import (
     FramingError,
     InvalidWidthError,
     Rng,
-    WidthMismatchError,
     digest,
     effective_modulus,
     expand,
@@ -142,7 +141,7 @@ class TestXor:
         assert xor_bytes(x, bytes(len(x))) == x
 
     def test_width_mismatch(self):
-        with pytest.raises(WidthMismatchError):
+        with pytest.raises(InvalidWidthError, match="differ in width"):
             xor_bytes(b"ab", b"abc")
 
 
@@ -160,7 +159,7 @@ class TestModReduce:
         assert effective_modulus(b"\x00\x00\x00\x01") > 1
 
     def test_width_mismatch(self):
-        with pytest.raises(WidthMismatchError):
+        with pytest.raises(InvalidWidthError, match="differ in width"):
             mod_reduce(b"\x01\x02", b"\x03")
 
     def test_empty_modulus_rejected(self):
@@ -198,7 +197,7 @@ class TestMulModWidth:
         assert mul_mod_width(b"\x10", b"\x10") == b"\x00"
 
     def test_width_mismatch(self):
-        with pytest.raises(WidthMismatchError):
+        with pytest.raises(InvalidWidthError, match="differ in width"):
             mul_mod_width(b"\x01", b"\x01\x02")
 
     def test_empty_operands_rejected(self):

@@ -8,15 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acshare.primitives import (
+    InvalidWidthError,
     Rng,
-    WidthMismatchError,
     digest,
     frame_concat,
     frame_split,
+    keystream,
     sym_encrypt,
 )
 from acshare.protocol import (
-    CorruptCiphertextError,
     EmptyPayloadError,
     IntegrityError,
     SystemParams,
@@ -214,7 +214,7 @@ class TestDataPipeline:
             corrupt = data.draw(mutated(wrapped, len(payload)))
             try:
                 opened = ("ok", recover_payload(corrupt, payload_digest, params))
-            except (CorruptCiphertextError, IntegrityError) as exc:
+            except IntegrityError as exc:
                 opened = (type(exc).__name__, str(exc))
             assert opened == ref_recover_payload(corrupt, payload_digest, s, m)
             handed.add(len(corrupt))
@@ -236,7 +236,7 @@ class TestDataPipeline:
             before = dict(params._opened)
             try:
                 payload = recover_payload(wrapped, payload_digest, params)
-            except (CorruptCiphertextError, IntegrityError) as exc:
+            except IntegrityError as exc:
                 assert params._opened == before
                 return type(exc).__name__, str(exc)
             assert params._opened[wrapped, payload_digest] is payload
@@ -253,10 +253,35 @@ class TestDataPipeline:
             other = digest(payload_digest)
             with pytest.raises(IntegrityError) as caught:
                 recover_payload(wrapped, other, params)
-            assert (caught.value.actual, caught.value.advertised) == (
+            assert caught.value.mismatch == (
                 payload_digest.hex(),
                 other.hex(),
             )
+
+    @pytest.mark.parametrize("width", (1, 8, 32, 33))
+    def test_first_prefix_clamp_boundary_matches_oracle(self, width):
+        # the first length prefix of sealed bundles, overwritten to decode to
+        # each side of the T - 8 clamp, and every total T up to 8 bytes
+        rng = Rng(width)
+        s, m, owner_key = rng.take(width), rng.take(width), rng.take(width)
+        warm = SystemParams(s, m)
+        prefix_key = int.from_bytes(keystream(derive_data_key(m, s), 4), "big")
+        sent = []
+        for payload in (b"\x07", rng.take(2), rng.take(40)):
+            wrapped, payload_digest = make_cipher_bundle(payload, warm, owner_key)
+            total = len(wrapped)
+            decoded = (total - 9, total - 8, total - 7, total - 4, total, total + 1)
+            for length in (*decoded, int.from_bytes(rng.take(4), "big")):
+                prefix = (length ^ prefix_key).to_bytes(4, "big")
+                sent.append((prefix + wrapped[4:], payload_digest))
+            sent += [(wrapped[:cut], payload_digest) for cut in range(9)]
+        for params in (SystemParams(s, m), warm):
+            for wrapped, payload_digest in sent:
+                try:
+                    opened = ("ok", recover_payload(wrapped, payload_digest, params))
+                except IntegrityError as exc:
+                    opened = (type(exc).__name__, str(exc))
+                assert opened == ref_recover_payload(wrapped, payload_digest, s, m)
 
     @given(st.data(), widths, st.binary(min_size=1, max_size=80))
     def test_owner_key_flip_opens_alike_warm_and_fresh(self, data, width, payload):
@@ -299,10 +324,10 @@ class TestDataPipeline:
 
     def test_unwrap_rejects_garbage(self):
         s, m = b"\x01" * 8, b"\x02" * 8
-        with pytest.raises(CorruptCiphertextError):
+        with pytest.raises(IntegrityError, match="^truncated length prefix at offset 0$"):
             recover_payload(b"\xff" * 3, digest(b""), SystemParams(s, m))
         three_fields = sym_encrypt(derive_data_key(m, s), frame_concat([b"a", b"b", b"c"]))
-        with pytest.raises(CorruptCiphertextError):
+        with pytest.raises(IntegrityError, match="^expected 2 framed fields, found 3$"):
             recover_payload(three_fields, digest(b""), SystemParams(s, m))
 
     @given(st.data(), widths, st.binary(min_size=1, max_size=200))
@@ -326,7 +351,7 @@ class TestDataPipeline:
         delta = data.draw(st.integers(1, 255))
         corrupt = bytearray(wrapped)
         corrupt[index] ^= delta
-        with pytest.raises((CorruptCiphertextError, IntegrityError)):
+        with pytest.raises(IntegrityError):
             recover_payload(bytes(corrupt), payload_digest, params)
 
     def test_integrity_error_carries_both_digests(self):
@@ -334,16 +359,15 @@ class TestDataPipeline:
         rng = Rng(5)
         params = new_system_params(rng, width)
         wrapped, _ = make_cipher_bundle(b"payload", params, rng.take(width))
-        with pytest.raises(IntegrityError) as info:
+        with pytest.raises(IntegrityError, match="does not match its advertised digest") as info:
             recover_payload(wrapped, digest(b"other"), params)
-        assert info.value.advertised == digest(b"other").hex()
-        assert info.value.actual == digest(b"payload").hex()
+        assert info.value.mismatch == (digest(b"payload").hex(), digest(b"other").hex())
 
 
 class TestValidationMessages:
     def test_nonce_width_enforced(self):
         g = GOLDEN_INPUT
-        with pytest.raises(WidthMismatchError):
+        with pytest.raises(InvalidWidthError, match="differ in width"):
             validation_messages(
                 g["user_id"],
                 bytes.fromhex(GOLDEN_SESSION_KEY),
@@ -357,7 +381,7 @@ class TestValidationMessages:
 
 class TestPrivateKey:
     def test_public_param_width_enforced(self):
-        with pytest.raises(WidthMismatchError):
+        with pytest.raises(InvalidWidthError, match="differ in width"):
             derive_private_key(b"\x01" * 8, b"\x02" * 7, b"\x03" * 8, b"\x04" * 8)
 
 
