@@ -35,7 +35,7 @@ from .dataset import (
     record_to_payload,
     resolve_dataset,
 )
-from .entities import DuplicateIdentityError, PhaseOrderError, UnknownPrincipalError, run_protocol
+from .entities import PhaseOrderError, run_protocol
 from .netsim import (
     KEY_LENGTH_BITS,
     AdversaryClass,
@@ -45,7 +45,6 @@ from .netsim import (
     load_payloads,
     run_scenario,
 )
-from .protocol import EmptyPayloadError
 from .wire import ACCEPTED, Transcript
 
 EXIT_OK = 0
@@ -127,8 +126,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
     for user in transcript.world.users:
         outcome = transcript.outcomes[user.name]
         if outcome.status == ACCEPTED:
-            noun = "payload" if outcome.recovered == 1 else "payloads"
-            print(f"outcome[{user.name}]: ACCEPTED ({outcome.recovered} {noun} recovered)")
+            noun = "payload" if len(user.recovered) == 1 else "payloads"
+            print(f"outcome[{user.name}]: ACCEPTED ({len(user.recovered)} {noun} recovered)")
         else:
             all_accepted = False
             print(f"outcome[{user.name}]: {outcome.status} at {outcome.stage} ({outcome.reason})")
@@ -271,12 +270,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail("DATASET", exc, EXIT_IO)
     except OSError as exc:
         return _fail("IO", exc, EXIT_IO)
-    except (
-        PhaseOrderError,
-        DuplicateIdentityError,
-        UnknownPrincipalError,
-        EmptyPayloadError,
-    ) as exc:
+    except PhaseOrderError as exc:
         return _fail("PROTOCOL", exc, EXIT_PROTOCOL)
 
 

@@ -94,15 +94,8 @@ GATES = {
 
 
 class PhaseOrderError(RuntimeError):
-    """A stage was invoked on a principal in the wrong phase."""
-
-
-class DuplicateIdentityError(ValueError):
-    """Two registrations claimed the same user id."""
-
-
-class UnknownPrincipalError(KeyError):
-    """The server was asked about an identity it never stored."""
+    """A stage ran out of order: on a principal in the wrong phase, for a
+    user id registered twice, or for one the server never stored."""
 
 
 class Phase(Enum):
@@ -168,14 +161,14 @@ class CloudStore:
 
     def register(self, user_id: bytes, password: bytes) -> None:
         if user_id in self.users:
-            raise DuplicateIdentityError(f"user id {user_id!r} is already registered")
+            raise PhaseOrderError(f"user id {user_id!r} is already registered")
         self.users[user_id] = UserSlot(password=password)
 
     def slot(self, user_id: bytes) -> UserSlot:
         try:
             return self.users[user_id]
         except KeyError:
-            raise UnknownPrincipalError(f"no registered user with id {user_id!r}") from None
+            raise PhaseOrderError(f"no registered user with id {user_id!r}") from None
 
     def accounted_bytes(self) -> int:
         total = 0
@@ -213,7 +206,7 @@ class World:
         for candidate in self.users:
             if candidate.name == name:
                 return candidate
-        raise UnknownPrincipalError(f"no user named {name}")
+        raise KeyError(name)
 
 
 def _reject(
@@ -502,9 +495,7 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
         recovered.append(payload)
     user.recovered = recovered
     user.phase = Phase.COMPLETE
-    net.transcript.outcomes[user.name] = Outcome(
-        status=ACCEPTED, stage=STAGE_SHARING, recovered=len(recovered)
-    )
+    net.transcript.outcomes[user.name] = Outcome(status=ACCEPTED, stage=STAGE_SHARING)
 
 
 def run_protocol(config: ScenarioConfig, payloads: Sequence[bytes]) -> Transcript:

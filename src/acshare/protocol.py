@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 from .primitives import (
     FramingError,
+    InvalidWidthError,
     Rng,
     digest,
     expand,
@@ -60,10 +61,6 @@ from .primitives import (
 
 DATA_KEY_LABEL = b"DATA"
 SESSION_KEY_LABEL = b"KGC"
-
-
-class EmptyPayloadError(ValueError):
-    """Encrypting an empty payload is refused."""
 
 
 class IntegrityError(ValueError):
@@ -200,7 +197,7 @@ def make_cipher_bundle(
     than the payload and owner key combined.
     """
     if not payload:
-        raise EmptyPayloadError("refusing to encrypt an empty payload")
+        raise InvalidWidthError("refusing to encrypt an empty payload")
     framed = frame_concat([payload, owner_key])
     total = len(framed)
     pad = params.bundle_pad(total, len(payload))

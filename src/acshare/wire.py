@@ -114,7 +114,6 @@ class Outcome:
     stage: str
     reason: str | None = None
     mismatch: tuple[str, str] | None = None
-    recovered: int = 0
 
 
 class _Discard:

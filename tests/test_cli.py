@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from acshare.cli import main
 from acshare.entities import PhaseOrderError
-from acshare.netsim import KEY_LENGTH_BITS, MAX_FLIPS, MAX_PRINCIPALS, AdversaryClass
+from acshare.netsim import KEY_LENGTH_BITS, MAX_FLIPS, MAX_PRINCIPALS, AdversaryClass, Network
+from acshare.wire import KIND_REGISTER_DIGEST
 
 from conftest import REPO_ROOT
 
@@ -213,6 +214,36 @@ class TestRun:
         )
         assert code == 3
         assert err == "error[PROTOCOL]: keygen before setup\n"
+
+    def test_unknown_user_id_exits_3_with_one_clean_line(self, capsys, tmp_path, monkeypatch):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "n_genuine": 1,
+                    "adversaries": [],
+                    "dataset": "swiss",
+                    "key_length_bits": 64,
+                    "seed": 0,
+                    "max_records": 2,
+                }
+            )
+        )
+        transmit = Network.transmit
+
+        def rename_digest_sender(net, stage, sender, recipient, channel, kind, fields, annotation=None):
+            # the server looks the renamed id up at once, so only the first digest is rewritten
+            if kind == KIND_REGISTER_DIGEST:
+                fields = {**fields, "user_id": b"nobody"}
+            return transmit(net, stage, sender, recipient, channel, kind, fields, annotation)
+
+        monkeypatch.setattr(Network, "transmit", rename_digest_sender)
+        code, _, err = invoke(
+            capsys, "run", "--scenario", str(scenario),
+            "--out", str(tmp_path / "x.jsonl"), "--data-dir", DATA_DIR,
+        )
+        assert code == 3
+        assert err == "error[PROTOCOL]: no registered user with id b'nobody'\n"
 
     @pytest.mark.parametrize("cls", ["WRONG_PASSWORD", "REPLAY_QUERY"])
     def test_repeated_adversary_class_runs_each_principal(self, capsys, tmp_path, cls):

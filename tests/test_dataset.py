@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from acshare.dataset import (
@@ -100,6 +100,15 @@ class TestPayloadCodec:
             assert record_to_payload(HeartRecord(*left)) != record_to_payload(
                 HeartRecord(*right)
             )
+
+    @given(record_values)
+    @example((None,) * 14)
+    def test_payload_is_never_shorter_than_70_bytes(self, values):
+        # 14 fields of a 4-byte prefix and at least one byte each, so a run
+        # never reaches make_cipher_bundle's empty-payload refusal
+        payload = record_to_payload(HeartRecord(*values))
+        assert len(payload) >= 70
+        assert (len(payload) == 70) == (values == (None,) * 14)
 
     def test_wrong_field_count_rejected(self):
         payload = record_to_payload(SAMPLE_RECORD)

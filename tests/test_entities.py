@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -18,14 +19,12 @@ from acshare import entities, wire
 from acshare.entities import (
     CloudAgent,
     CloudStore,
-    DuplicateIdentityError,
     KgcAgent,
     OwnerAgent,
     Phase,
     PhaseOrderError,
     STAGE_VALIDATION,
     STAGES,
-    UnknownPrincipalError,
     UserAgent,
     access_control_phase,
     data_sharing_phase,
@@ -122,7 +121,6 @@ class TestHonestRun:
     def test_outcome_and_payload_fidelity(self, honest_transcript, sample_payload):
         outcome = honest_transcript.outcomes["user-000"]
         assert outcome.status == ACCEPTED
-        assert outcome.recovered == 1
         user = honest_transcript.world.user("user-000")
         assert user.phase is Phase.COMPLETE
         assert user.recovered == [sample_payload]
@@ -143,7 +141,7 @@ class TestHonestRun:
         assert transcript.world.user("user-000").recovered == payloads
 
     def test_world_lookup_unknown_name(self, honest_transcript):
-        with pytest.raises(UnknownPrincipalError):
+        with pytest.raises(KeyError, match="^'nobody'$"):
             honest_transcript.world.user("nobody")
 
     def test_one_cipher_context_per_run(self, data_dir):
@@ -471,11 +469,11 @@ class TestCloudStore:
     def test_duplicate_identity(self):
         store = CloudStore()
         store.register(b"u", b"p")
-        with pytest.raises(DuplicateIdentityError):
+        with pytest.raises(PhaseOrderError, match="^user id b'u' is already registered$"):
             store.register(b"u", b"other")
 
     def test_unknown_principal(self):
-        with pytest.raises(UnknownPrincipalError):
+        with pytest.raises(PhaseOrderError, match="^no registered user with id b'ghost'$"):
             CloudStore().slot(b"ghost")
 
     def test_empty_store_accounts_zero(self):
@@ -686,6 +684,11 @@ class TestReplaySideEffects:
 #: reads an index past them as the owner
 INDEX = st.integers(0, 3)
 
+#: the messages of the stage guards, the only errors a call out of order may raise
+STAGE_GUARD = re.compile(
+    r"\S+ cannot [a-z ]+ from phase [A-Z_]+|no access query was observed, nothing to replay"
+)
+
 #: the next stage of a user in run order, by phase; an outsider replays
 #: where others register
 RUN_ORDER = {
@@ -702,8 +705,8 @@ class StageOrderMachine(RuleBasedStateMachine):
 
     Principals of random classes are built as ``run_protocol`` builds
     them, with the replayers in the network's roster. Every call must
-    return or raise ``PhaseOrderError``, and a principal holds an
-    outcome exactly when its phase is COMPLETE or REJECTED.
+    return or raise a stage guard's ``PhaseOrderError``, and a principal
+    holds an outcome exactly when its phase is COMPLETE or REJECTED.
     """
 
     @initialize(
@@ -750,8 +753,9 @@ class StageOrderMachine(RuleBasedStateMachine):
         }[stage]
         try:
             function(*args)
-        except PhaseOrderError:
-            pass
+        except PhaseOrderError as exc:
+            if not STAGE_GUARD.fullmatch(str(exc)):
+                raise
 
     @invariant()
     def outcome_exactly_when_done(self):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -241,3 +242,27 @@ def test_no_assert_in_src():
         for line in asserts(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def test_every_package_error_prints_verbatim():
+    # ``cli._fail`` prints ``str(exc)``, which a ``KeyError`` would quote
+    modules = [
+        importlib.import_module(f"acshare.{path.stem}")
+        for path in sorted((REPO_ROOT / "src" / "acshare").glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    errors = [
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == module.__name__
+    ]
+    assert [cls.__name__ for cls in errors if str(cls("m")) != "m"] == []
+    assert sorted(cls.__name__ for cls in errors) == [
+        "ConfigError",
+        "DatasetParseError",
+        "FramingError",
+        "IntegrityError",
+        "InvalidWidthError",
+        "PhaseOrderError",
+    ]

@@ -17,7 +17,6 @@ from acshare.primitives import (
     sym_encrypt,
 )
 from acshare.protocol import (
-    EmptyPayloadError,
     IntegrityError,
     SystemParams,
     access_query,
@@ -303,7 +302,7 @@ class TestDataPipeline:
         assert set(warm._opened) == {(wrapped, payload_digest), (flipped, payload_digest)}
 
     def test_empty_payload_rejected(self):
-        with pytest.raises(EmptyPayloadError):
+        with pytest.raises(InvalidWidthError, match="^refusing to encrypt an empty payload$"):
             make_cipher_bundle(b"", SystemParams(b"\x01" * 8, b"\x02" * 8), b"\x03" * 8)
 
     def test_decrypt_empty_is_empty(self):
