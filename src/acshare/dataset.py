@@ -32,22 +32,7 @@ VARIANTS = ("cleveland", "hungarian", "swiss")
 
 
 class DatasetParseError(ValueError):
-    """A dataset file or payload could not be parsed.
-
-    Carries the offending path (when reading a file) and 1-based line
-    number so callers can point at the bad row.
-    """
-
-    def __init__(self, message: str, path: str | None = None, line_no: int | None = None):
-        self.path = path
-        self.line_no = line_no
-        prefix = ""
-        if path is not None:
-            prefix = f"{path}:"
-            if line_no is not None:
-                prefix += f"{line_no}:"
-            prefix += " "
-        super().__init__(prefix + message)
+    """A row or payload did not parse; an error read from a file starts with ``path:line:``."""
 
 
 class HeartRecord(NamedTuple):
@@ -84,23 +69,17 @@ def _parse_token(token: str) -> float | None:
     return value
 
 
-def parse_line(line: str, path: str | None = None, line_no: int | None = None) -> HeartRecord:
+def parse_line(line: str) -> HeartRecord:
     """Parse one comma-separated row into a :class:`HeartRecord`."""
     tokens = line.strip().split(",")
     if len(tokens) != len(ATTRIBUTES):
-        raise DatasetParseError(
-            f"expected {len(ATTRIBUTES)} comma-separated fields, got {len(tokens)}",
-            path=path,
-            line_no=line_no,
-        )
+        raise DatasetParseError(f"expected {len(ATTRIBUTES)} comma-separated fields, got {len(tokens)}")
     values = []
     for name, token in zip(ATTRIBUTES, tokens):
         try:
             values.append(_parse_token(token))
         except ValueError as exc:
-            raise DatasetParseError(
-                f"bad value for {name}: {exc}", path=path, line_no=line_no
-            ) from exc
+            raise DatasetParseError(f"bad value for {name}: {exc}") from exc
     return HeartRecord(*values)
 
 
@@ -122,14 +101,15 @@ def load_dataset(path: str | Path, variant: str | None = None) -> list[HeartReco
     except UnicodeDecodeError as exc:
         # every byte before the bad one is ASCII; "?" stands in for it
         line_no = len((raw[: exc.start] + b"?").splitlines())
-        raise DatasetParseError(
-            f"non-ASCII byte {raw[exc.start]:#04x}", path=str(path), line_no=line_no
-        ) from exc
+        raise DatasetParseError(f"{path}:{line_no}: non-ASCII byte {raw[exc.start]:#04x}") from exc
     records = []
     for line_no, line in enumerate(raw.splitlines(), start=1):
         text = line.decode("ascii")
         if text.strip():
-            records.append(parse_line(text, path=str(path), line_no=line_no))
+            try:
+                records.append(parse_line(text))
+            except DatasetParseError as exc:
+                raise DatasetParseError(f"{path}:{line_no}: {exc}") from exc
     return records
 
 

@@ -349,20 +349,20 @@ def _serve_access(
     cloud: CloudAgent,
     kgc: KgcAgent,
     net: Network,
-    replayed_from: int | None = None,
+    accept_note: dict | None = None,
 ) -> None:
-    """Server side of one access query, genuine or replayed from step ``replayed_from``.
+    """Server side of one access query, genuine or replayed; a grant carries ``accept_note``.
 
     The server recomputes the expected query from stored values only.
     On a grant the generation centre sends the session key to the query's
-    sender. Only a genuine grant writes it into the requester; a replay's
-    re-issue goes to the victim, who already holds the same bytes.
+    sender, and only a requester that is that sender keeps it. A replayer
+    never is, since it replays from INIT and a query is sent only from
+    KEYED; the victim already holds the same bytes.
     """
     user_id = query.fields["user_id"]
     slot = cloud.store.slot(user_id)
     expected_digest = registration_digest(user_id, slot.password, cloud.store.s)
     expected_q = access_query(expected_digest, user_id, slot.private_key)
-    accept_note = None if replayed_from is None else {"granted_for_replay_of_step": replayed_from}
     if not _decide(
         STAGE_ACCESS, query, {"q": expected_q}, requester, net,
         accept_fields={"user_id": user_id}, annotation=accept_note,
@@ -377,7 +377,7 @@ def _serve_access(
         STAGE_ACCESS, KGC_NAME, query.sender, PRIVATE, KIND_SESSION_KEY,
         {"session_key": session_key},
     )
-    if replayed_from is None:
+    if delivered.recipient == requester.name:
         requester.session_key = delivered.fields["session_key"]
     stored = net.transmit(
         STAGE_ACCESS, KGC_NAME, CLOUD_NAME, PRIVATE, KIND_SESSION_STORE,
@@ -388,13 +388,21 @@ def _serve_access(
 
 
 def access_control_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network) -> None:
-    """A keyed user presents its access query."""
+    """A keyed user presents its access query.
+
+    The query goes out on PUBLIC, where every replaying outsider observes
+    it: its line is marked as observed by them, and the first such query
+    is the one every replay resends.
+    """
     _require_phase(user, Phase.KEYED, "request access")
     q = access_query(user.reg_digest, user.user_id, user.private_key)
+    observed = {"observed_by": net.replayers} if net.replayers else None
     delivered = net.transmit(
         STAGE_ACCESS, user.name, CLOUD_NAME, PUBLIC, KIND_ACCESS_QUERY,
-        {"user_id": user.user_id, "q": q},
+        {"user_id": user.user_id, "q": q}, observed,
     )
+    if observed:
+        net.observed_query = net.observed_query or delivered
     _serve_access(delivered, user, cloud, kgc, net)
 
 
@@ -413,7 +421,7 @@ def replay_access(replayer: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Ne
         source.stage, source.sender, source.recipient, source.channel, source.kind,
         source.fields, replay_note,
     )
-    _serve_access(delivered, replayer, cloud, kgc, net, replayed_from=source.step)
+    _serve_access(delivered, replayer, cloud, kgc, net, {"granted_for_replay_of_step": source.step})
 
 
 def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:

@@ -44,7 +44,6 @@ from .dataset import load_dataset, record_to_payload
 from .primitives import Rng
 from .wire import (
     ACCEPTED,
-    KIND_ACCESS_QUERY,
     KIND_DATA_SHARE,
     KIND_KEY_ISSUE,
     KIND_REGISTER,
@@ -275,8 +274,7 @@ class Network:
     applies ``CORRUPTS`` to every message: on PRIVATE it records the
     adversarial end's value as sent; on PUBLIC it records the original,
     marked as tampered in flight, then the altered copy that is
-    delivered. An access query on PUBLIC is marked as observed by every
-    replaying outsider.
+    delivered.
     """
 
     def __init__(
@@ -314,12 +312,6 @@ class Network:
             fields, annotation = apply_adversary(cls, fields, self.rng, width=self.width, flips=flips)
             if channel == PUBLIC:
                 annotation["tampered_copy_of_step"] = original.step
-        elif channel == PUBLIC and kind == KIND_ACCESS_QUERY and annotation is None and self.replayers:
-            message = append(
-                stage, sender, recipient, channel, kind, fields, {"observed_by": self.replayers}
-            )
-            self.observed_query = self.observed_query or message
-            return message
         return append(stage, sender, recipient, channel, kind, fields, annotation)
 
 

@@ -673,6 +673,25 @@ class TestParseDataset:
             assert err.startswith("error[DATASET]:")
             assert f":{line}:" in err
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            (
+                b"x.0,1,1,145,233,1,2,150,0,2.3,3,0,6,0",
+                "bad value for age: could not convert string to float: 'x.0'",
+            ),
+            (b"1,2,3", "expected 14 comma-separated fields, got 3"),
+            (b"\xe9", "non-ASCII byte 0xe9"),
+        ],
+        ids=["bad-value", "short-row", "non-ascii"],
+    )
+    def test_file_error_is_one_exact_line(self, capsys, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"63,1,1,145,233,1,2,150,0,2.3,3,0,6,0\n" + row + b"\n")
+        code, out, err = invoke(capsys, "parse-dataset", "--dataset", str(path))
+        assert (code, out) == (4, "")
+        assert err == f"error[DATASET]: {path}:2: {message}\n"
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import re
 import subprocess
@@ -266,3 +267,59 @@ def test_every_package_error_prints_verbatim():
         "InvalidWidthError",
         "PhaseOrderError",
     ]
+
+
+def unread_error_attributes(source: str, loaded: set[str]) -> list[str]:
+    """Each ``Class.name`` that an exception class of ``source`` stores on ``self`` and ``loaded`` lacks.
+
+    A class is an exception class when one of its bases is a builtin
+    exception or an exception class defined above it in ``source``.
+    """
+    errors = {
+        name for name, value in vars(builtins).items() if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or errors.isdisjoint(map(ast.unparse, node.bases)):
+            continue
+        errors.add(node.name)
+        stored = {
+            item.attr
+            for item in ast.walk(node)
+            if isinstance(item, ast.Attribute) and isinstance(item.ctx, ast.Store)
+            and isinstance(item.value, ast.Name) and item.value.id == "self"
+        }
+        unread += [f"{node.name}.{name}" for name in sorted(stored - loaded)]
+    return unread
+
+
+def test_unread_error_attributes_are_found():
+    source = (
+        "class A(ValueError):\n"
+        "    def __init__(self, m, x, y):\n"
+        "        super().__init__(m)\n"
+        "        self.x, self.y = x, y\n"
+        "class B(A):\n"
+        "    def note(self):\n"
+        "        self.z: int = 1\n"
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.w = 0\n"
+        "def f(error):\n"
+        "    return error.x\n"
+    )
+    assert unread_error_attributes(source, loaded_attributes(ast.parse(source))) == ["A.y", "B.z"]
+
+
+def test_every_error_attribute_is_read_by_the_package():
+    # ``cli._fail`` prints only ``str(exc)``, so an error holds only what package code reads
+    package = sorted((REPO_ROOT / "src" / "acshare").glob("*.py"))
+    loaded: set[str] = set()
+    for path in package:
+        loaded |= loaded_attributes(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [
+        f"{path.name}: {name}"
+        for path in package
+        for name in unread_error_attributes(path.read_text(encoding="utf-8"), loaded)
+    ]
+    assert unread == []
