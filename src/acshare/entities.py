@@ -462,8 +462,6 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
 
     user_id = delivered.fields["user_id"]
     slot = cloud.store.slot(user_id)
-    if slot.session_key is None or slot.private_key is None:
-        raise PhaseOrderError("validation arrived before any session grant")
     expected_v1, expected_v2 = validation_messages(
         user_id,
         slot.session_key,

@@ -77,9 +77,6 @@ class Message:
     fields: dict[str, bytes]
     annotation: dict | None = None
 
-    def to_json(self) -> str:
-        return format_line(self, render_fields(self.fields))
-
 
 def render_fields(fields: dict[str, bytes]) -> str:
     """The text inside a line's ``"fields":{…}``, each value in lowercase hex."""

@@ -6,10 +6,23 @@ import pytest
 
 from acshare.dataset import SAMPLE_RECORD, record_to_payload
 from acshare.entities import run_protocol
-from acshare.netsim import ScenarioConfig
+from acshare.netsim import AdversaryClass, ScenarioConfig
 from acshare.wire import Message, Transcript
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: every adversary class, in declaration order
+ADVERSARY_CLASSES = tuple(cls for cls in AdversaryClass if cls is not AdversaryClass.NONE)
+
+#: the (status, stage) each principal class ends with when every gate stands
+EXPECTED_END = {
+    AdversaryClass.NONE: ("ACCEPTED", "sharing"),
+    AdversaryClass.WRONG_PASSWORD: ("REJECTED", "setup"),
+    AdversaryClass.FORGED_PRIVATE_KEY: ("REJECTED", "access"),
+    AdversaryClass.TAMPER_VALIDATION: ("REJECTED", "validation"),
+    AdversaryClass.TAMPER_CIPHERTEXT: ("INTEGRITY_FAILURE", "sharing"),
+    AdversaryClass.REPLAY_QUERY: ("REJECTED", "validation"),
+}
 
 
 def by_kind(transcript: Transcript, kind: str) -> list[Message]:

@@ -28,18 +28,9 @@ from acshare.netsim import (
     summarize,
 )
 
-from conftest import REPO_ROOT, by_kind
+from conftest import ADVERSARY_CLASSES, REPO_ROOT, by_kind
 
-MIXED = tuple(
-    AdversarySpec(cls=cls, count=1)
-    for cls in (
-        AdversaryClass.WRONG_PASSWORD,
-        AdversaryClass.FORGED_PRIVATE_KEY,
-        AdversaryClass.TAMPER_VALIDATION,
-        AdversaryClass.TAMPER_CIPHERTEXT,
-        AdversaryClass.REPLAY_QUERY,
-    )
-)
+MIXED = tuple(AdversarySpec(cls=cls, count=1) for cls in ADVERSARY_CLASSES)
 
 
 def config_for(bits, adversaries=(), n_genuine=1, seed=0):

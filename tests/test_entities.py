@@ -5,9 +5,7 @@ import hashlib
 import io
 import json
 import re
-import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,6 +21,8 @@ from acshare.entities import (
     OwnerAgent,
     Phase,
     PhaseOrderError,
+    STAGE_ACCESS,
+    STAGE_SETUP,
     STAGE_VALIDATION,
     STAGES,
     UserAgent,
@@ -40,11 +40,8 @@ from acshare.primitives import Rng
 from acshare.protocol import new_system_params
 from acshare.wire import ACCEPTED, PUBLIC, RENDER_CHUNK, Message, Transcript
 
-from conftest import by_kind
+from conftest import ADVERSARY_CLASSES, EXPECTED_END, by_kind
 from reference import ref_recover_payload
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import ADVERSARY_CLASSES, EXPECTED_END  # noqa: E402
 
 
 # names that need JSON escaping turn up in every run, not only by chance
@@ -92,6 +89,13 @@ def dumps_line(message):
     if message.annotation is not None:
         doc["annotation"] = message.annotation
     return json.dumps(doc, separators=(",", ":"))
+
+
+def written_lines(transcript):
+    """The lines ``to_jsonl`` writes for ``transcript``, without their newlines."""
+    sink = io.BytesIO()
+    transcript.to_jsonl(sink)
+    return sink.getvalue().decode("ascii").splitlines()
 
 
 def fresh_net(width=8, seed=0):
@@ -257,7 +261,9 @@ class TestHonestRun:
 
 class TestTranscriptSerialization:
     def test_json_shape(self, honest_transcript):
-        doc = json.loads(honest_transcript.messages[0].to_json())
+        line = written_lines(honest_transcript)[0]
+        assert line == dumps_line(honest_transcript.messages[0])
+        doc = json.loads(line)
         assert list(doc) == ["step", "phase", "from", "to", "channel", "kind", "fields"]
         assert doc["step"] == 1
         assert doc["phase"] == "setup"
@@ -266,15 +272,17 @@ class TestTranscriptSerialization:
             bytes.fromhex(value)
 
     def test_annotation_key_only_when_present(self):
-        plain = Message(1, "setup", "a", "b", PUBLIC, "REGISTER_DIGEST", {"x": b"\x01"})
-        noted = Message(
-            1, "setup", "a", "b", PUBLIC, "REGISTER_DIGEST", {"x": b"\x01"}, {"k": 1}
-        )
-        assert "annotation" not in json.loads(plain.to_json())
-        assert json.loads(noted.to_json())["annotation"] == {"k": 1}
+        transcript = Transcript()
+        transcript.append("setup", "a", "b", PUBLIC, "REGISTER_DIGEST", {"x": b"\x01"})
+        transcript.append("setup", "a", "b", PUBLIC, "REGISTER_DIGEST", {"x": b"\x01"}, {"k": 1})
+        plain, noted = written_lines(transcript)
+        assert [plain, noted] == [dumps_line(m) for m in transcript.messages]
+        assert "annotation" not in json.loads(plain)
+        assert json.loads(noted)["annotation"] == {"k": 1}
 
     def test_compact_separators(self, honest_transcript):
-        line = honest_transcript.messages[0].to_json()
+        line = written_lines(honest_transcript)[0]
+        assert line == dumps_line(honest_transcript.messages[0])
         assert ", " not in line and ": " not in line
 
     def test_jsonl_has_lf_endings_only(self, honest_transcript, tmp_path):
@@ -349,8 +357,7 @@ class TestTranscriptSerialization:
         transcript.to_jsonl(sink)
         monkeypatch.undo()
         messages = transcript.messages
-        assert sink.getvalue() == "".join(m.to_json() + "\n" for m in messages).encode("ascii")
-        assert sink.getvalue().decode("ascii").splitlines() == [dumps_line(m) for m in messages]
+        assert sink.getvalue() == "".join(dumps_line(m) + "\n" for m in messages).encode("ascii")
         if distinct <= RENDER_CHUNK:  # a memo that fits every dict renders each once per write
             assert len(rendered) == distinct
 
@@ -398,7 +405,7 @@ class TestTranscriptSerialization:
         transcript = share_transcript(count)
         out = tmp_path / "t.jsonl"
         transcript.write(out)
-        expected = "".join(m.to_json() + "\n" for m in transcript.messages).encode("ascii")
+        expected = "".join(dumps_line(m) + "\n" for m in transcript.messages).encode("ascii")
         assert out.read_bytes() == expected  # empty for 0 messages
         written = transcript.content_hash()
         assert written == hashlib.sha256(expected).hexdigest()
@@ -419,7 +426,7 @@ class TestTranscriptSerialization:
     )
     @example(step=1, names=("", "", "", "", ""), fields={}, annotation={})
     @example(step=1, names=('"', "\\", "\x00", "\u00e9", "\U0001f600"), fields={}, annotation=None)
-    def test_to_json_equals_json_dumps(self, step, names, fields, annotation):
+    def test_line_equals_json_dumps(self, step, names, fields, annotation):
         stage, sender, recipient, channel, kind = names
         doc = {
             "step": step,
@@ -433,7 +440,8 @@ class TestTranscriptSerialization:
         if annotation is not None:
             doc["annotation"] = annotation
         message = Message(step, stage, sender, recipient, channel, kind, fields, annotation)
-        assert message.to_json() == json.dumps(doc, separators=(",", ":"))
+        line = wire.format_line(message, wire.render_fields(message.fields))
+        assert line == json.dumps(doc, separators=(",", ":"))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -614,6 +622,49 @@ class TestPhaseOrder:
             else:
                 assert end == EXPECTED_END[user.adversary]
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("bits", [64, 128])
+    @pytest.mark.parametrize(
+        "gate, cls, end",
+        [
+            (STAGE_SETUP, AdversaryClass.WRONG_PASSWORD, ("REJECTED", "access")),
+            (STAGE_ACCESS, AdversaryClass.FORGED_PRIVATE_KEY, ("REJECTED", "validation")),
+        ],
+        ids=["setup", "access"],
+    )
+    def test_setup_and_access_knockouts_have_a_later_backstop(
+        self, gate, cls, end, bits, seed, data_dir
+    ):
+        # with one gate forced to accept, the class it stops is caught one
+        # gate later, and every other class ends as with all gates standing
+        decide = entities._decide
+
+        def accept_at_gate(stage, message, expected, *args, **kwargs):
+            if stage == gate:
+                expected = {name: message.fields[name] for name in expected}
+            return decide(stage, message, expected, *args, **kwargs)
+
+        config = ScenarioConfig(
+            n_genuine=2,
+            adversaries=tuple(AdversarySpec(c, 1) for c in ADVERSARY_CLASSES),
+            dataset="swiss",
+            key_length_bits=bits,
+            seed=seed,
+        )
+        payloads = load_payloads("swiss", data_dir / "swiss.csv", 4)
+        with mock.patch.object(entities, "_decide", accept_at_gate):
+            transcript = run_protocol(config, payloads)
+        users = transcript.world.users
+        for user in users:
+            outcome = transcript.outcomes[user.name]
+            expected = end if user.adversary is cls else EXPECTED_END[user.adversary]
+            assert (outcome.status, outcome.stage) == expected, user.name
+        if gate == STAGE_ACCESS:
+            # the forger validates against the session key its grant stored
+            (forger,) = [user for user in users if user.adversary is cls]
+            assert forger.name in {m.sender for m in by_kind(transcript, "VALIDATE")}
+            assert transcript.world.cloud.store.slot(forger.user_id).session_key is not None
+
     def test_a_principal_left_without_an_outcome_is_refused(self, sample_payload):
         config = ScenarioConfig(
             n_genuine=1, adversaries=(), dataset="sample", key_length_bits=64, seed=0
@@ -762,6 +813,21 @@ class StageOrderMachine(RuleBasedStateMachine):
         for user in self.users:
             done = user.phase in (Phase.COMPLETE, Phase.REJECTED)
             assert (user.name in self.net.transcript.outcomes) == done, user
+
+    @invariant()
+    def validation_finds_a_granted_slot(self):
+        # validation reads the session and private keys of the id it sends
+        # without a check of its own, so every grant must have stored both
+        for user in self.users:
+            if user.phase is not Phase.ACCESS_GRANTED:
+                continue
+            if user.session_key is None:
+                user_id = self.net.observed_query.fields["user_id"]
+            else:
+                user_id = user.user_id
+            slot = self.cloud.store.users.get(user_id)
+            assert slot is not None, (user, user_id)
+            assert slot.session_key is not None and slot.private_key is not None, (user, slot)
 
 
 StageOrderMachine.TestCase.settings = settings(max_examples=150, deadline=None)

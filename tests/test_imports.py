@@ -323,3 +323,35 @@ def test_every_error_attribute_is_read_by_the_package():
         for name in unread_error_attributes(path.read_text(encoding="utf-8"), loaded)
     ]
     assert unread == []
+
+
+def perfbench_path_entries(source: str) -> list[int]:
+    """Line of each ``sys.path`` call in ``source`` whose arguments name ``perfbench``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and ast.unparse(node.func.value) == "sys.path" and "perfbench" in ast.unparse(node)
+    ]
+
+
+def test_perfbench_path_entries_are_found():
+    source = (
+        "import sys\n"
+        "sys.path.insert(0, str(ROOT / 'perfbench'))\n"
+        "sys.path.insert(0, str(ROOT / 'src'))\n"
+        "def f():\n"
+        "    sys.path.append(PERFBENCH := 'perfbench')\n"
+        "CODE = 'sys.path.insert(0, \"perfbench\")'\n"
+    )
+    assert perfbench_path_entries(source) == [2, 5]
+
+
+def test_only_the_trace_target_test_imports_perfbench():
+    # the tests keep their own expectations, so a benchmark edit cannot loosen them
+    found = [
+        path.name
+        for path in sorted((REPO_ROOT / "tests").glob("*.py"))
+        if perfbench_path_entries(path.read_text(encoding="utf-8"))
+    ]
+    assert found == ["test_trace_targets.py"]

@@ -26,7 +26,6 @@ from acshare.primitives import Rng
 from acshare.protocol import make_cipher_bundle
 from acshare.wire import (
     ACCEPTED,
-    INTEGRITY_FAILURE,
     KIND_DATA_SHARE,
     KIND_KEY_ISSUE,
     KIND_REGISTER,
@@ -37,23 +36,7 @@ from acshare.wire import (
     REJECTED,
 )
 
-from conftest import StubRng, by_kind
-
-ALL_CLASSES = (
-    AdversaryClass.WRONG_PASSWORD,
-    AdversaryClass.FORGED_PRIVATE_KEY,
-    AdversaryClass.TAMPER_VALIDATION,
-    AdversaryClass.TAMPER_CIPHERTEXT,
-    AdversaryClass.REPLAY_QUERY,
-)
-
-EXPECTED_TERMINUS = {
-    AdversaryClass.WRONG_PASSWORD: (REJECTED, "setup"),
-    AdversaryClass.FORGED_PRIVATE_KEY: (REJECTED, "access"),
-    AdversaryClass.TAMPER_VALIDATION: (REJECTED, "validation"),
-    AdversaryClass.TAMPER_CIPHERTEXT: (INTEGRITY_FAILURE, "sharing"),
-    AdversaryClass.REPLAY_QUERY: (REJECTED, "validation"),
-}
+from conftest import ADVERSARY_CLASSES, EXPECTED_END, StubRng, by_kind
 
 
 def scenario(**overrides):
@@ -412,13 +395,13 @@ class TestApplyAdversary:
 
 
 class TestPopulationOutcomes:
-    @pytest.mark.parametrize("cls", ALL_CLASSES)
+    @pytest.mark.parametrize("cls", ADVERSARY_CLASSES)
     def test_each_class_terminates_where_expected(self, cls, sample_payload):
         config = scenario(adversaries=(AdversarySpec(cls=cls, count=1),), seed=21)
         transcript = run_protocol(config, [sample_payload])
         name = f"adv-{cls.name.lower()}-000"
         outcome = transcript.outcomes[name]
-        status, stage = EXPECTED_TERMINUS[cls]
+        status, stage = EXPECTED_END[cls]
         assert (outcome.status, outcome.stage) == (status, stage)
         assert transcript.outcomes["user-000"].status == ACCEPTED
 
@@ -439,7 +422,7 @@ class TestPopulationOutcomes:
         )
         transcript = run_protocol(config, [sample_payload])
         outcome = transcript.outcomes[f"adv-{cls.name.lower()}-000"]
-        assert (outcome.status, outcome.stage) == EXPECTED_TERMINUS[cls]
+        assert (outcome.status, outcome.stage) == EXPECTED_END[cls]
         assert transcript.outcomes["user-000"].status == ACCEPTED
 
     def test_mixed_population_counts(self, sample_payload):
@@ -457,7 +440,7 @@ class TestPopulationOutcomes:
     def test_outcome_partition_is_total(self, sample_payload):
         config = scenario(
             n_genuine=2,
-            adversaries=tuple(AdversarySpec(cls=cls, count=1) for cls in ALL_CLASSES),
+            adversaries=tuple(AdversarySpec(cls=cls, count=1) for cls in ADVERSARY_CLASSES),
             seed=8,
         )
         transcript = run_protocol(config, [sample_payload])
@@ -514,7 +497,7 @@ class TestChannelDiscipline:
     def test_private_lines_never_observed_or_tampered(self, sample_payload):
         config = scenario(
             n_genuine=2,
-            adversaries=tuple(AdversarySpec(cls=cls, count=1) for cls in ALL_CLASSES),
+            adversaries=tuple(AdversarySpec(cls=cls, count=1) for cls in ADVERSARY_CLASSES),
             seed=17,
         )
         transcript = run_protocol(config, [sample_payload])

@@ -37,9 +37,7 @@ from acshare.netsim import (
 from acshare.protocol import make_cipher_bundle
 from acshare.wire import ACCEPTED, KIND_KEY_ISSUE
 
-from conftest import REPO_ROOT
-
-CLASSES = [cls for cls in AdversaryClass if cls is not AdversaryClass.NONE]
+from conftest import ADVERSARY_CLASSES, REPO_ROOT
 RECORDS = load_payloads("cleveland", REPO_ROOT / "data" / "cleveland.csv", None)
 
 # one swiss run with two genuine users and one principal of each class
@@ -60,7 +58,7 @@ print(run_protocol(config, load_payloads("swiss", {path!r}, 4)).content_hash())
 def scenarios(draw) -> tuple[ScenarioConfig, list[bytes]]:
     adversaries = tuple(
         AdversarySpec(cls, count=draw(st.integers(1, 2)), flips=draw(st.integers(1, 3)))
-        for cls in CLASSES
+        for cls in ADVERSARY_CLASSES
     )
     config = ScenarioConfig(
         n_genuine=draw(st.integers(1, 2)),  # a replaying outsider needs a genuine user
@@ -88,7 +86,7 @@ def test_generated_scenario_invariants(scenario):
     assert [user.name for user in transcript.world.users] == [name for name, _, _ in roster]
     summary = summarize(transcript)
     assert summary.genuine_total == config.n_genuine
-    for cls in CLASSES:
+    for cls in ADVERSARY_CLASSES:
         configured = sum(spec.count for spec in config.adversaries if spec.cls is cls)
         assert sum(summary.per_class[cls.name].values()) == configured, cls
 
