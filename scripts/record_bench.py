@@ -13,7 +13,7 @@ written with sorted keys; it has no timing gate.
 
 Usage, from any directory:
 
-    python3 scripts/record_bench.py BENCH_30.json
+    python3 scripts/record_bench.py OUT.json
 """
 
 from __future__ import annotations

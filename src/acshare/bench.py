@@ -83,11 +83,12 @@ def measure_memory(config: ScenarioConfig, transcript: Transcript) -> int:
 
     Only messages the server received count: each ``PERSISTED`` kind is
     kept per user id, a later one overwriting the earlier as the store
-    does, and every uploaded bundle adds to the total.
+    does, and every uploaded bundle adds to the total. The untampered
+    shares that runs hold are skipped unread, since no share is stored.
     """
     stored: dict[tuple[str, bytes | None], int] = {}
     bundle_bytes = 0
-    for message in transcript.messages:
+    for message in transcript.kept_messages():
         if message.recipient != CLOUD_NAME:
             continue
         fields = message.fields

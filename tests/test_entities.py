@@ -310,16 +310,18 @@ class TestTranscriptSerialization:
         first = grown.content_hash()
         copy_into(grown, messages[half:])
         copy_into(fresh, messages)
-        rendered = []
-        format_line = wire.format_line
+        renders = []
+        to_jsonl = Transcript.to_jsonl
         monkeypatch.setattr(
-            wire, "format_line", lambda m, fields: rendered.append(m.step) or format_line(m, fields)
+            Transcript, "to_jsonl", lambda self, sink: renders.append(self) or to_jsonl(self, sink)
         )
         out = tmp_path / "t.jsonl"
         grown.write(out)
         assert grown.content_hash() == hashlib.sha256(out.read_bytes()).hexdigest() != first
         # write renders each message once, and content_hash reuses its digest
-        assert rendered == list(range(1, len(messages) + 1))
+        assert renders == [grown]
+        steps = [json.loads(line)["step"] for line in out.read_text("ascii").splitlines()]
+        assert steps == list(range(1, len(messages) + 1))
         monkeypatch.undo()
         fresh.write(tmp_path / "fresh.jsonl")
         assert out.read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
@@ -472,6 +474,131 @@ class TestTranscriptSerialization:
             dumps_line(m) for m in transcript.messages
         ]
         assert digest == hashlib.sha256(sink.getvalue()).hexdigest()
+
+# (op, pick, header, annotation) of one append; see TestShareRuns.build
+APPENDS = st.lists(
+    st.tuples(
+        st.sampled_from(["upload", "next", "share", "other"]),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=2),
+        st.none() | st.just({}) | st.dictionaries(NAMES, JSON_VALUES, max_size=2),
+    ),
+    max_size=40,
+)
+
+
+class TestShareRuns:
+    """A transcript that keeps untampered shares as runs reads as one that keeps messages."""
+
+    @staticmethod
+    def build(appends, headers, copy):
+        """Replay ``appends`` into a new transcript, each dict copied when ``copy`` is set.
+
+        ``upload`` sends a new CIPHER_UPLOAD; ``next`` shares the upload
+        after the last one shared, ``share`` the upload ``pick`` names
+        (out of order or again), and ``other`` sends it as another kind;
+        with no upload yet, the message carries a dict of its own.
+        """
+        transcript, uploads, returned = Transcript(), [], []
+        last = -1
+        for i, (op, pick, header, annotation) in enumerate(appends):
+            stage, sender, recipient, channel = headers[header % len(headers)]
+            kind = "DATA_SHARE"
+            if op == "upload":
+                kind, fields = "CIPHER_UPLOAD", {"wrapped": i.to_bytes(2, "big"), "digest": b"d"}
+                uploads.append(fields)
+            elif not uploads:
+                fields = {"wrapped": i.to_bytes(2, "big")}
+            else:
+                last = (last + 1 if op == "next" else pick) % len(uploads)
+                fields = uploads[last]
+            if op == "other":
+                kind = "KEY_STORE"
+            if copy:
+                fields = dict(fields)
+            message = transcript.append(stage, sender, recipient, channel, kind, fields, annotation)
+            returned.append(message)
+        return transcript, returned
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        appends=APPENDS,
+        headers=st.lists(st.tuples(NAMES, NAMES, NAMES, NAMES), min_size=1, max_size=3),
+        chunk=st.sampled_from([1, 2, 3, RENDER_CHUNK]),
+        data=st.data(),
+    )
+    @example(
+        appends=[("upload", 0, 0, None)] * 3 + [("next", 0, 0, None)] * 7 + [("next", 0, 1, None)],
+        headers=[("sharing", "cloud", name, PUBLIC) for name in ("user-000", "user-001")],
+        chunk=2,
+        data=None,
+    )
+    @example(  # a message between two shares in upload order closes the run
+        appends=[("upload", 0, 0, None)] * 3 + [("next", 0, 0, None), ("other", 0, 0, None)]
+        + [("next", 0, 0, None)] * 2,
+        headers=[("sharing", "cloud", "user-000", PUBLIC)],
+        chunk=RENDER_CHUNK,
+        data=None,
+    )
+    def test_runs_read_as_kept_messages(self, appends, headers, chunk, data):
+        runs, returned = self.build(appends, headers, copy=False)
+        plain, _ = self.build(appends, headers, copy=True)
+        assert len(list(plain.kept_messages())) == len(plain.messages)  # no dict is an upload's
+        sinks = io.BytesIO(), io.BytesIO()
+        with mock.patch.object(wire, "RENDER_CHUNK", chunk):
+            digests = [t.to_jsonl(sink) for t, sink in zip((runs, plain), sinks)]
+        assert sinks[0].getvalue() == sinks[1].getvalue()
+        assert digests[0] == digests[1] == runs.content_hash() == plain.content_hash()
+        expected = list(plain.messages)
+        assert sinks[0].getvalue() == "".join(dumps_line(m) + "\n" for m in expected).encode()
+        assert len(runs.messages) == len(expected) == len(appends)
+        assert list(runs.messages) == expected == returned
+        assert all(m.fields is sent.fields for m, sent in zip(runs.messages, returned))
+        count = len(expected)
+        for index in range(-count - 1, count + 1):
+            if -count <= index < count:
+                assert runs.messages[index] == expected[index]
+            else:
+                with pytest.raises(IndexError):
+                    runs.messages[index]
+        cut = slice(None) if data is None else data.draw(st.slices(count + 2))
+        assert runs.messages[cut] == expected[cut]
+
+    def test_in_order_shares_are_one_run(self):
+        appends = [("upload", 0, 0, None)] * 4 + [("next", 0, 0, None)] * 8
+        appends[8:8] = [("share", 1, 0, None), ("next", 0, 1, None), ("next", 0, 1, {})]
+        headers = [("a", "b", "c", "d"), ("a", "b", "e", "d")]
+        transcript, _ = self.build(appends, headers, copy=False)
+        kept = [(m.step, m.kind) for m in transcript.kept_messages()]
+        # steps 5-8 and 12-15 are each one run; the resend of upload 1 at
+        # step 9 opens a run, the header change at step 10 opens another,
+        # and step 11 is annotated
+        assert kept == [(1, "CIPHER_UPLOAD"), (2, "CIPHER_UPLOAD"), (3, "CIPHER_UPLOAD"),
+                        (4, "CIPHER_UPLOAD"), (11, "DATA_SHARE")]
+        assert len(transcript._entries) == len(kept) + 4
+
+    def test_runs_grow_by_runs_not_shares(self):
+        users, records = 100, 303
+        transcript = Transcript()
+        for i in range(records):
+            fields = {"wrapped": i.to_bytes(32, "big")}
+            transcript.append("encryption", "owner", "cloud", PUBLIC, "CIPHER_UPLOAD", fields)
+        uploads = [m.fields for m in transcript.messages]
+        names = [f"user-{i:03d}" for i in range(users)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for name in names:
+                for fields in uploads:
+                    transcript.append("sharing", "cloud", name, PUBLIC, "DATA_SHARE", fields)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(transcript.messages) == records * (users + 1)
+        assert len(transcript._entries) == records + users
+        assert (after - before) / (users * records) < 2
+
 
 class TestCloudStore:
     def test_duplicate_identity(self):

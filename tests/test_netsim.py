@@ -80,7 +80,7 @@ class TestChannel:
             net = Network(rng=Rng(0), adversaries=adversaries, width=8)
             with pytest.raises(ValueError):
                 net.transmit("access", sender, recipient, "CARRIER_PIGEON", kind, fields)
-            assert net.transcript.messages == []
+            assert list(net.transcript.messages) == []
             assert net.rng.take(8) == Rng(0).take(8)
 
 
