@@ -396,12 +396,11 @@ def access_control_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net:
     """
     _require_phase(user, Phase.KEYED, "request access")
     q = access_query(user.reg_digest, user.user_id, user.private_key)
-    observed = {"observed_by": net.replayers} if net.replayers else None
     delivered = net.transmit(
         STAGE_ACCESS, user.name, CLOUD_NAME, PUBLIC, KIND_ACCESS_QUERY,
-        {"user_id": user.user_id, "q": q}, observed,
+        {"user_id": user.user_id, "q": q}, net.observed_note,
     )
-    if observed:
+    if net.replayers:
         net.observed_query = net.observed_query or delivered
     _serve_access(delivered, user, cloud, kgc, net)
 

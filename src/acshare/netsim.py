@@ -287,6 +287,8 @@ class Network:
         self.replayers = [
             name for name, (cls, _) in adversaries.items() if cls is AdversaryClass.REPLAY_QUERY
         ]
+        # the annotation of every access query, which the replayers observe
+        self.observed_note = {"observed_by": self.replayers} if self.replayers else None
         self.observed_query: Message | None = None  # the one a replay resends
 
     def transmit(

@@ -20,6 +20,11 @@ from typing import Sequence
 
 DIGEST_WIDTH = 32  # SHA-256 output size in bytes
 
+# every length prefix and every counter is a 4-byte big-endian word
+_U32 = struct.Struct(">I")
+# a counter's own length prefix, which ends the head every counter frame shares
+_COUNTER_PREFIX = _U32.pack(_U32.size)
+
 
 class InvalidWidthError(ValueError):
     """A byte width is out of range, or two operands' widths differ."""
@@ -34,11 +39,6 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def _counter(i: int) -> bytes:
-    # Counters enter hashes as framed 4-byte big-endian fields.
-    return struct.pack(">I", i)
-
-
 def frame_concat(fields: Sequence[bytes]) -> bytes:
     """Concatenate ``fields`` injectively.
 
@@ -48,11 +48,7 @@ def frame_concat(fields: Sequence[bytes]) -> bytes:
     """
     if not fields:
         raise ValueError("frame_concat needs at least one field")
-    out = bytearray()
-    for piece in fields:
-        out += struct.pack(">I", len(piece))
-        out += piece
-    return bytes(out)
+    return b"".join([_U32.pack(len(piece)) + piece for piece in fields])
 
 
 def frame_split(framed: bytes) -> list[bytes]:
@@ -63,7 +59,7 @@ def frame_split(framed: bytes) -> list[bytes]:
     while pos < total:
         if total - pos < 4:
             raise FramingError(f"truncated length prefix at offset {pos}")
-        (length,) = struct.unpack_from(">I", framed, pos)
+        (length,) = _U32.unpack_from(framed, pos)
         pos += 4
         if total - pos < length:
             raise FramingError(
@@ -79,15 +75,15 @@ def frame_split(framed: bytes) -> list[bytes]:
 def _counter_blocks(data: bytes, length: int) -> bytes:
     """First ``length`` bytes of the digests of ``(data, 0)``, ``(data, 1)``, ... frames.
 
-    The frames share every byte but the trailing counter, so the SHA-256
-    state over that common prefix is taken once and copied for each
-    block.
+    The frames share every byte but the trailing counter: the head
+    ``len(data)``, ``data``, the counter's length prefix. The SHA-256
+    state over that head is taken once and copied for each block.
     """
-    prefix = hashlib.sha256(frame_concat([data, _counter(0)])[:-4])
+    head = hashlib.sha256(_U32.pack(len(data)) + data + _COUNTER_PREFIX)
     blocks = []
     for i in range(-(-length // DIGEST_WIDTH)):
-        state = prefix.copy()
-        state.update(_counter(i))
+        state = head.copy()
+        state.update(_U32.pack(i))
         blocks.append(state.digest())
     return b"".join(blocks)[:length]
 
@@ -124,7 +120,7 @@ def effective_modulus(modulus_src: bytes) -> int:
     width = len(modulus_src)
     counter = 1
     while n <= 1:
-        n = int.from_bytes(expand(frame_concat([modulus_src, _counter(counter)]), width), "big")
+        n = int.from_bytes(expand(frame_concat([modulus_src, _U32.pack(counter)]), width), "big")
         counter += 1
     return n
 

@@ -57,7 +57,7 @@ OUTCOME_STATUSES = (ACCEPTED, REJECTED, INTEGRITY_FAILURE)
 _quote = functools.cache(json.dumps)
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
-#: messages per rendered chunk, and the most field texts a render memoises
+#: messages per rendered chunk, and the most texts each of a render's two memos keeps
 RENDER_CHUNK = 1024
 
 
@@ -90,15 +90,21 @@ def render_fields(fields: dict[str, bytes]) -> str:
     return ",".join(f'{_quote(name)}:"{value.hex()}"' for name, value in fields.items())
 
 
-def format_line(message: Message, fields: str) -> str:
-    """The JSON line of ``message`` around its field text ``fields``, with no newline.
+def render_note(annotation: dict | None) -> str:
+    """The ``,"annotation":…`` text that ends a line; ``""`` for no annotation."""
+    return "" if annotation is None else f',"annotation":{_encode(annotation)}'
 
-    The line equals ``json.dumps(doc, separators=(",", ":"))`` for ``doc =
-    {"step": step, "phase": stage, "from": sender, "to": recipient,
-    "channel": channel, "kind": kind, "fields": {name: value.hex()}}``,
-    with ``"annotation": annotation`` added last when it is not ``None``.
+
+def format_line(message: Message, fields: str, note: str) -> str:
+    """The JSON line of ``message`` around its field and note texts, with no newline.
+
+    ``fields`` is ``render_fields(message.fields)`` and ``note`` is
+    ``render_note(message.annotation)``. The line equals
+    ``json.dumps(doc, separators=(",", ":"))`` for ``doc = {"step": step,
+    "phase": stage, "from": sender, "to": recipient, "channel": channel,
+    "kind": kind, "fields": {name: value.hex()}}``, with ``"annotation":
+    annotation`` added last when it is not ``None``.
     """
-    note = "" if message.annotation is None else f',"annotation":{_encode(message.annotation)}'
     return (
         f'{{"step":{message.step},"phase":{_quote(message.stage)},"from":{_quote(message.sender)},'
         f'"to":{_quote(message.recipient)},"channel":{_quote(message.channel)},'
@@ -274,11 +280,14 @@ class Transcript:
         field text is rendered once per write, as is each run's header;
         a share in a run is written as its step, the header, the text and
         the line's end. A kept message's field dict, when resent, takes
-        its text from a memo of at most ``RENDER_CHUNK`` entries.
+        its text from a memo of at most ``RENDER_CHUNK`` entries; its
+        annotation takes its note text from a second memo of that size.
         """
         digest = hashlib.sha256()
         texts = [render_fields(fields).encode("ascii") for fields in self._uploads]
-        memo: dict[int, str] = {}  # by id: self._entries keeps each dict alive, unmutated
+        # by id: self._entries keeps each dict alive, unmutated
+        memo: dict[int, str] = {}  # field texts
+        notes: dict[int, str] = {}  # note texts, apart so that one-off notes evict no fields
         pieces: list[bytes] = []
         room = RENDER_CHUNK  # lines the open chunk still takes
 
@@ -294,14 +303,18 @@ class Transcript:
                     if len(memo) == RENDER_CHUNK:
                         memo.clear()
                     fields = memo[id(entry.fields)] = render_fields(entry.fields)
-                pieces.append((format_line(entry, fields) + "\n").encode("ascii"))
+                if (note := notes.get(id(entry.annotation))) is None:
+                    if len(notes) == RENDER_CHUNK:
+                        notes.clear()
+                    note = notes[id(entry.annotation)] = render_note(entry.annotation)
+                pieces.append((format_line(entry, fields, note) + "\n").encode("ascii"))
                 room -= 1
                 if not room:
                     flush()
                     room = RENDER_CHUNK
                 continue
             # the line of a share with step 0 and no fields, less '{"step":0' and '}}'
-            line = format_line(entry.message(0, {}), "")
+            line = format_line(entry.message(0, {}), "", "")
             header = line[len('{"step":0') : -2].encode("ascii")
             step = entry.step
             for text in texts[entry.first : entry.stop]:

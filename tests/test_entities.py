@@ -383,6 +383,70 @@ class TestTranscriptSerialization:
             dumps_line(m) for m in second.messages
         ]
 
+    def test_shared_annotation_encodes_once_per_write(self, monkeypatch):
+        note = {"observed_by": ["adv-replay_query-000", "adv-replay_query-001"]}
+        transcript = Transcript()
+        for i in range(2 * RENDER_CHUNK + 1):  # kept lines, more than one memo holds
+            fields = {"user_id": b"u", "q": i.to_bytes(2, "big")}
+            transcript.append("access", "user-000", "cloud", PUBLIC, "ACCESS_QUERY", fields, note)
+            if i % 3 == 0:
+                transcript.append("access", "cloud", "user-000", PUBLIC, "ACCESS_ACCEPTED", fields)
+        encoded = []
+        encode = wire._encode
+        monkeypatch.setattr(wire, "_encode", lambda doc: encoded.append(doc) or encode(doc))
+        first, second = io.BytesIO(), io.BytesIO()
+        transcript.to_jsonl(first)
+        transcript.to_jsonl(second)
+        monkeypatch.undo()
+        assert len(encoded) == 2 and all(doc is note for doc in encoded)
+        expected = "".join(dumps_line(m) + "\n" for m in transcript.messages).encode("ascii")
+        assert first.getvalue() == second.getvalue() == expected
+
+    def test_note_memo_lives_for_one_write(self):
+        # every note fits one memo, so a memo that outlived the write would still hold its id
+        def noted(notes):
+            transcript = Transcript()
+            for note in notes * 2:
+                transcript.append("access", "a", "b", PUBLIC, "ACCESS_QUERY", {"x": b"1"}, note)
+            return transcript
+
+        notes = [{"a": i} for i in range(RENDER_CHUNK // 4)]
+        first = noted(notes)
+        del notes
+        first_ids = {id(m.annotation) for m in first.messages}
+        first.content_hash()
+        del first
+        gc.collect()
+        # fresh notes with other values, kept only where a freed note's id is reused
+        fresh = [{"b": i} for i in range(16 * RENDER_CHUNK)]
+        reused = [note for note in fresh if id(note) in first_ids]
+        assert reused, "no id was reused, so the test shows nothing"
+        second = noted(reused)
+        assert written_lines(second) == [dumps_line(m) for m in second.messages]
+
+    @pytest.mark.parametrize("replayers", [0, 2])
+    def test_access_queries_carry_the_network_note(self, replayers, sample_payload, monkeypatch):
+        nets = []
+
+        class RecordedNetwork(Network):
+            def __init__(self, *args):
+                super().__init__(*args)
+                nets.append(self)
+
+        monkeypatch.setattr(entities, "Network", RecordedNetwork)
+        adversaries = (AdversarySpec(AdversaryClass.REPLAY_QUERY, replayers),) if replayers else ()
+        config = ScenarioConfig(
+            n_genuine=3, adversaries=adversaries, dataset="sample", key_length_bits=64, seed=0
+        )
+        transcript = run_protocol(config, [sample_payload])
+        (net,) = nets
+        assert net.observed_note == ({"observed_by": net.replayers} if replayers else None)
+        queries = by_kind(transcript, "ACCESS_QUERY")
+        # every query a user sends carries the one note; only a replay has its own
+        replays = [m for m in queries if m.annotation is not net.observed_note]
+        assert len(queries) - len(replays) == 3
+        assert [m.annotation["injected_by"] for m in replays] == net.replayers
+
     def test_shared_hash_and_write_copy_no_text(self, tmp_path):
         # each dict is sent twice, so a memo that kept every text would outgrow a chunk
         transcript = Transcript()
@@ -442,7 +506,9 @@ class TestTranscriptSerialization:
         if annotation is not None:
             doc["annotation"] = annotation
         message = Message(step, stage, sender, recipient, channel, kind, fields, annotation)
-        line = wire.format_line(message, wire.render_fields(message.fields))
+        line = wire.format_line(
+            message, wire.render_fields(message.fields), wire.render_note(message.annotation)
+        )
         assert line == json.dumps(doc, separators=(",", ":"))
 
     @settings(max_examples=100, deadline=None)

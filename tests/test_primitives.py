@@ -21,7 +21,7 @@ from acshare.primitives import (
     xor_bytes,
 )
 
-from reference import _grow, _stream, ref_effective_modulus, ref_mod_reduce
+from reference import _fr, _grow, _stream, ref_effective_modulus, ref_mod_reduce
 
 short_bytes = st.binary(min_size=0, max_size=64)
 nonempty_bytes = st.binary(min_size=1, max_size=64)
@@ -71,6 +71,14 @@ class TestFraming:
     def test_round_trip(self, fields):
         assert frame_split(frame_concat(fields)) == fields
 
+    @given(st.lists(st.binary(max_size=300), min_size=1, max_size=6))
+    @example([b""])
+    @example([b"", b"x", b""])
+    @example([bytes(256)])  # a length prefix that uses more than its last byte
+    @example([b"", bytes(range(256)) * 2, b"tail"])
+    def test_matches_oracle(self, fields):
+        assert frame_concat(fields) == _fr(fields)
+
     @given(st.binary(min_size=2, max_size=32), st.data())
     def test_injective_across_splits(self, blob, data):
         cut_a = data.draw(st.integers(0, len(blob)))
@@ -108,7 +116,10 @@ class TestExpand:
 
 class TestCounterBlocks:
     # expand's multi-block branch and keystream share one counter stream;
-    # lengths straddle the 32-byte digest size and span several blocks
+    # lengths straddle the 32-byte digest size and span several blocks.
+    # A frame's head is its data plus 8 bytes, and the frame is 4 more, so
+    # data of 51, 52, 55, 56, 64, 119 and 120 bytes ends the frame or the
+    # head just before or on a boundary of SHA-256's 64-byte blocks.
 
     @given(nonempty_bytes, st.integers(1, 300))
     @example(b"x", 31)
@@ -116,6 +127,13 @@ class TestCounterBlocks:
     @example(b"x", 33)
     @example(b"x", 64)
     @example(b"x", 65)
+    @example(b"d" * 51, 64)
+    @example(b"d" * 52, 64)
+    @example(b"d" * 55, 64)
+    @example(b"d" * 56, 64)
+    @example(b"d" * 64, 64)
+    @example(b"d" * 119, 64)
+    @example(b"d" * 120, 64)
     def test_expand_matches_oracle(self, data, width):
         assert expand(data, width) == _grow(data, width)
 
@@ -126,6 +144,13 @@ class TestCounterBlocks:
     @example(b"k", 33)
     @example(b"k", 64)
     @example(b"k", 65)
+    @example(b"k" * 51, 65)
+    @example(b"k" * 52, 65)
+    @example(b"k" * 55, 65)
+    @example(b"k" * 56, 65)
+    @example(b"k" * 64, 65)
+    @example(b"k" * 119, 65)
+    @example(b"k" * 120, 65)
     def test_keystream_matches_oracle(self, key, length):
         assert keystream(key, length) == _stream(key, length)
 
