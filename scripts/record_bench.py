@@ -11,6 +11,11 @@ non-zero exit if a run's last line is not a result, or reports
 each in a fresh process, and keeps each probe's line. The document is
 written with sorted keys; it has no timing gate.
 
+Every child runs with ``PYTHONDONTWRITEBYTECODE=1``, so no run leaves a
+bytecode cache for the next, and each entry's ``pycache`` records
+whether ``src/acshare/__pycache__`` existed as its run started: a
+cache skips the package's compile step, which ``setup_s`` times.
+
 Usage, from any directory:
 
     python3 scripts/record_bench.py OUT.json
@@ -20,11 +25,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PYCACHE = ROOT / "src" / "acshare" / "__pycache__"
 
 #: (key, arguments after ``--workload W --seed 1``) of each perfbench run
 RUNS = (("trace0", ("--seconds", "8", "--trace", "0")), ("trace1", ("--seconds", "6", "--trace", "1")))
@@ -58,7 +65,8 @@ def parse_run(stdout: str) -> dict:
 
 def output(args: list[str]) -> str:
     """Standard output of the script and arguments ``args``, run from the checkout's root."""
-    done = subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RecordError(f"{' '.join(args)}: exit {done.returncode}: {done.stderr.strip()}")
     return done.stdout
@@ -66,9 +74,10 @@ def output(args: list[str]) -> str:
 
 def perfbench_run(workload: str, extra: tuple[str, ...]) -> dict:
     args = ["perfbench/run.py", "--workload", workload, "--seed", "1", *extra]
+    pycache = PYCACHE.is_dir()
     stdout = output(args)
     try:
-        return {"args": args, **parse_run(stdout)}
+        return {"args": args, "pycache": pycache, **parse_run(stdout)}
     except RecordError as exc:
         raise RecordError(f"{' '.join(args)}: {exc}") from None
 
@@ -82,7 +91,8 @@ def record() -> dict:
     probes = {}
     for key, extra in PROBES:
         args = ["scripts/scale_probe.py", *extra]
-        probes[key] = {"args": args, "line": json.loads(output(args))}
+        pycache = PYCACHE.is_dir()
+        probes[key] = {"args": args, "pycache": pycache, "line": json.loads(output(args))}
     return {"perfbench": runs, "scale_probe": probes}
 
 

@@ -57,7 +57,7 @@ OUTCOME_STATUSES = (ACCEPTED, REJECTED, INTEGRITY_FAILURE)
 _quote = functools.cache(json.dumps)
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
-#: messages per rendered chunk, and the most texts each of a render's two memos keeps
+#: messages per rendered chunk, and the most note texts a render's memo keeps
 RENDER_CHUNK = 1024
 
 
@@ -279,15 +279,14 @@ class Transcript:
         and the digest is recorded for ``content_hash``. Each upload's
         field text is rendered once per write, as is each run's header;
         a share in a run is written as its step, the header, the text and
-        the line's end. A kept message's field dict, when resent, takes
-        its text from a memo of at most ``RENDER_CHUNK`` entries; its
-        annotation takes its note text from a second memo of that size.
+        the line's end. A kept message's field text is rendered for its
+        line, since a kept line seldom resends a field dict; its
+        annotation, which many queries share, takes its note text from a
+        memo of at most ``RENDER_CHUNK`` entries.
         """
         digest = hashlib.sha256()
         texts = [render_fields(fields).encode("ascii") for fields in self._uploads]
-        # by id: self._entries keeps each dict alive, unmutated
-        memo: dict[int, str] = {}  # field texts
-        notes: dict[int, str] = {}  # note texts, apart so that one-off notes evict no fields
+        notes: dict[int, str] = {}  # by id: self._entries keeps each note alive, unmutated
         pieces: list[bytes] = []
         room = RENDER_CHUNK  # lines the open chunk still takes
 
@@ -299,15 +298,12 @@ class Transcript:
 
         for entry in self._entries:
             if type(entry) is Message:
-                if (fields := memo.get(id(entry.fields))) is None:
-                    if len(memo) == RENDER_CHUNK:
-                        memo.clear()
-                    fields = memo[id(entry.fields)] = render_fields(entry.fields)
                 if (note := notes.get(id(entry.annotation))) is None:
                     if len(notes) == RENDER_CHUNK:
                         notes.clear()
                     note = notes[id(entry.annotation)] = render_note(entry.annotation)
-                pieces.append((format_line(entry, fields, note) + "\n").encode("ascii"))
+                line = format_line(entry, render_fields(entry.fields), note)
+                pieces.append((line + "\n").encode("ascii"))
                 room -= 1
                 if not room:
                     flush()

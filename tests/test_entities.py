@@ -345,7 +345,7 @@ class TestTranscriptSerialization:
     @pytest.mark.parametrize(
         "distinct", [RENDER_CHUNK - 1, RENDER_CHUNK, RENDER_CHUNK + 1, 2 * RENDER_CHUNK + 1]
     )
-    def test_shared_field_dicts_render_once_each(self, distinct, monkeypatch):
+    def test_shared_field_dicts_render_once_per_line(self, distinct, monkeypatch):
         dicts = [{"wrapped": i.to_bytes(2, "big"), "odd": bytes([i % 2])} for i in range(distinct)]
         dicts[1] = dict(dicts[0])  # two distinct dicts with equal values
         # at least three chunks, and every dict recurs
@@ -360,11 +360,11 @@ class TestTranscriptSerialization:
         monkeypatch.undo()
         messages = transcript.messages
         assert sink.getvalue() == "".join(dumps_line(m) + "\n" for m in messages).encode("ascii")
-        if distinct <= RENDER_CHUNK:  # a memo that fits every dict renders each once per write
-            assert len(rendered) == distinct
+        # each kept line renders its own field text, shared dict or not
+        assert len(rendered) == len(transcript.kept_messages()) == len(messages)
 
-    def test_render_memo_lives_for_one_write(self):
-        # every dict fits one memo, so a memo that outlived the write would still hold its id
+    def test_reused_field_dict_ids_render_fresh_text(self):
+        # every dict fits one chunk, so text kept by id past a write would still be found
         dicts = [{"a": i.to_bytes(2, "big")} for i in range(RENDER_CHUNK // 4)]
         first = shared_transcript(2 * len(dicts), dicts)
         del dicts

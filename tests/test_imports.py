@@ -9,15 +9,15 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
+import acshare.wire
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: the package's ``__init__`` imports ``Transcript`` only for the benchmark's tracer;
 #: ``perfbench/`` is left out because it changes only together with the benchmark's baseline
 SCANNED = sorted(
-    path
-    for folder in ("src/acshare", "tests", "scripts")
-    for path in (REPO_ROOT / folder).glob("*.py")
-    if path.name != "__init__.py"
+    path for folder in ("src/acshare", "tests", "scripts") for path in (REPO_ROOT / folder).glob("*.py")
 )
 
 #: every file that may use what ``src/acshare`` defines
@@ -81,27 +81,56 @@ def test_late_imports_are_found():
     assert late_imports(source) == ["from .c import d", "import b"]
 
 
-def test_the_one_late_import_is_in_run_scenario():
+def test_the_late_imports_are_the_root_transcript_and_run_scenario():
+    # the root imports wire only when acshare.Transcript is first read, so
+    # that set-up, which imports acshare.dataset, loads no transcript code;
     # entities imports netsim, so netsim reaches back into entities only at
-    # call time; moving scenario assembly above entities removes this one
+    # call time; moving scenario assembly above entities removes that one
     late = [
         f"{path.name}: {statement}"
         for path in sorted((REPO_ROOT / "src" / "acshare").glob("*.py"))
         for statement in late_imports(path.read_text(encoding="utf-8"))
     ]
-    assert late == ["netsim.py: from .entities import run_protocol"]
+    assert late == [
+        "__init__.py: from .wire import Transcript",
+        "netsim.py: from .entities import run_protocol",
+    ]
+
+
+def fresh_lines(code: str) -> list[str]:
+    """The lines ``code`` prints in a fresh isolated interpreter that imports from ``src``."""
+    path = f"import sys\nsys.path.insert(0, {str(REPO_ROOT / 'src')!r})\n"
+    done = subprocess.run([sys.executable, "-I", "-c", path + code], capture_output=True, text=True, check=True)
+    return done.stdout.split("\n")[:-1]
 
 
 def test_dataset_import_loads_no_protocol_module():
-    # the benchmark's set-up probe imports acshare.dataset in a fresh interpreter
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(REPO_ROOT / 'src')!r})\n"
+    # the benchmark's set-up probe imports acshare.dataset in a fresh interpreter;
+    # json and dataclasses are counted only if this import adds them, not site
+    package, transcript_deps = fresh_lines(
+        "before = set(sys.modules)\n"
         "import acshare.dataset\n"
-        "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'acshare'))\n"
+        "added = set(sys.modules) - before\n"
+        "print(*sorted(name for name in added if name.split('.')[0] == 'acshare'))\n"
+        "print(*sorted(added & {'json', 'dataclasses'}))\n"
     )
-    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["acshare", "acshare.dataset", "acshare.primitives", "acshare.wire"]
+    assert package.split() == ["acshare", "acshare.dataset", "acshare.primitives"]
+    assert transcript_deps.split() == []
+
+
+def test_the_root_binds_the_wire_transcript():
+    assert acshare.Transcript is acshare.wire.Transcript
+    # this session has loaded wire already; a fresh interpreter reads the name first
+    assert fresh_lines(
+        "import acshare\nfirst = acshare.Transcript\nimport acshare.wire\nprint(first is acshare.wire.Transcript)\n"
+    ) == ["True"]
+
+
+def test_the_root_has_no_other_name():
+    with pytest.raises(AttributeError, match="'Nope'"):
+        getattr(acshare, "Nope")
+    with pytest.raises(ImportError, match="'Nope'"):
+        exec("from acshare import Nope", {})
 
 
 def references(tree: ast.AST) -> Counter:
@@ -129,18 +158,18 @@ def references(tree: ast.AST) -> Counter:
 
 
 def definitions(tree: ast.Module) -> list[ast.AST]:
-    """Module-level functions and classes, and each method not named ``__*__``."""
+    """Module-level functions and classes, and each method, save those named ``__*__``.
+
+    The interpreter calls a ``__*__`` function by its name, as it does a
+    module's ``__getattr__`` (PEP 562), so no code need reference it.
+    """
     found = []
     for node in tree.body:
         if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
             found.append(node)
         if isinstance(node, ast.ClassDef):
-            found += [
-                item
-                for item in node.body
-                if isinstance(item, FUNCTIONS) and not re.fullmatch(r"__\w+__", item.name)
-            ]
-    return found
+            found += [item for item in node.body if isinstance(item, FUNCTIONS)]
+    return [node for node in found if not re.fullmatch(r"__\w+__", node.name)]
 
 
 def unreferenced(source: str, referenced: Counter) -> list[str]:
@@ -164,8 +193,15 @@ def test_unreferenced_definitions_are_found():
         "        pass\n"
         "def d():\n"
         '    return "A.c"\n'
+        "def __getattr__(name):\n"
+        "    return e\n"
+        "def e():\n"
+        "    pass\n"
+        "def f():\n"
+        "    pass\n"
     )
-    assert unreferenced(source, references(ast.parse(source))) == ["b", "d"]
+    # the interpreter calls __getattr__, which references e; nothing references f
+    assert unreferenced(source, references(ast.parse(source))) == ["b", "d", "f"]
 
 
 def test_every_definition_is_referenced():
