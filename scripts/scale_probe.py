@@ -5,9 +5,14 @@ Runs ``run_scenario`` once over all 303 Cleveland records with ``--users``
 genuine principals at ``--bits`` and seed 1, then hashes the transcript with
 ``content_hash``. Prints one JSON line: ``users``, ``bits``,
 ``messages``, ``run_s`` and ``hash_s`` (wall seconds of the run and of
-the hash) and ``peak_rss_mib`` (``ru_maxrss`` of this process, which ran
-only this). Run it in a fresh process for each measurement; it has no
-timing gate.
+the hash), ``gauge_s``, ``run_s_ref`` and ``hash_s_ref``, and
+``peak_rss_mib`` (``ru_maxrss`` of this process, which ran only this).
+``gauge_s`` is the mean of perfbench's ``calibration_seconds()`` taken
+before the run and after the hash, and each ``*_ref`` figure is the raw
+one scaled by ``REFERENCE_CALIBRATION_S / gauge_s``: the seconds on the
+benchmark's reference machine, which records from hosts of different
+speeds can be compared on. Run it in a fresh process for each
+measurement; it has no timing gate.
 
 Usage, from any directory:
 
@@ -24,7 +29,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from acshare.netsim import (  # noqa: E402  (needs src on the path first)
     KEY_LENGTH_BITS,
@@ -33,6 +38,7 @@ from acshare.netsim import (  # noqa: E402  (needs src on the path first)
     load_payloads,
     run_scenario,
 )
+from measure import REFERENCE_CALIBRATION_S, calibration_seconds  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -49,12 +55,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     payloads = load_payloads("cleveland", ROOT / "data" / "cleveland.csv", None)
 
+    before = calibration_seconds()
     start = time.perf_counter()
     transcript, _ = run_scenario(config, payloads=payloads)  # by keyword: older checkouts need it
     run_s = time.perf_counter() - start
     start = time.perf_counter()
     transcript.content_hash()
     hash_s = time.perf_counter() - start
+    gauge_s = (before + calibration_seconds()) / 2
+    scale = REFERENCE_CALIBRATION_S / gauge_s
 
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     print(json.dumps({
@@ -63,6 +72,9 @@ def main(argv: list[str] | None = None) -> int:
         "messages": len(transcript.messages),
         "run_s": round(run_s, 4),
         "hash_s": round(hash_s, 4),
+        "gauge_s": round(gauge_s, 4),
+        "run_s_ref": round(run_s * scale, 4),
+        "hash_s_ref": round(hash_s * scale, 4),
         "peak_rss_mib": round(peak_kib / 1024, 1),
     }))
     return 0

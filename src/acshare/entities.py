@@ -334,13 +334,16 @@ def encryption_phase(
 ) -> None:
     """The owner encrypts every payload and uploads the bundles."""
     _require_phase(owner, Phase.KEYED, "encrypt")
+    # bound once per call, after any tracer has wrapped them
+    seal, transmit, store = make_cipher_bundle, net.transmit, cloud.store.bundles.append
+    params, owner_key, name = owner.params, owner.private_key, owner.name
     for payload in payloads:
-        wrapped, payload_digest = make_cipher_bundle(payload, owner.params, owner.private_key)
-        delivered = net.transmit(
-            STAGE_ENCRYPTION, owner.name, CLOUD_NAME, PUBLIC, KIND_CIPHER_UPLOAD,
+        wrapped, payload_digest = seal(payload, params, owner_key)
+        delivered = transmit(
+            STAGE_ENCRYPTION, name, CLOUD_NAME, PUBLIC, KIND_CIPHER_UPLOAD,
             {"wrapped": wrapped, "payload_digest": payload_digest},
         )
-        cloud.store.bundles.append(delivered.fields)
+        store(delivered.fields)
 
 
 def _serve_access(
@@ -486,12 +489,12 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
         {"user_id": user.user_id},
     )
     recovered: list[bytes] = []
+    # bound once per call, after any tracer has wrapped them
+    open_share, transmit, params, name = recover_payload, net.transmit, user.params, user.name
     for bundle in cloud.store.bundles:
-        delivered = net.transmit(STAGE_SHARING, CLOUD_NAME, user.name, PUBLIC, KIND_DATA_SHARE, bundle)
+        fields = transmit(STAGE_SHARING, CLOUD_NAME, name, PUBLIC, KIND_DATA_SHARE, bundle).fields
         try:
-            payload = recover_payload(
-                delivered.fields["wrapped"], delivered.fields["payload_digest"], user.params
-            )
+            payload = open_share(fields["wrapped"], fields["payload_digest"], params)
         except IntegrityError as exc:
             # loud failure: nothing recovered so far is kept, and a digest
             # failure's mismatching pair goes into the outcome for rechecking

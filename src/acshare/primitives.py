@@ -24,6 +24,9 @@ DIGEST_WIDTH = 32  # SHA-256 output size in bytes
 _U32 = struct.Struct(">I")
 # a counter's own length prefix, which ends the head every counter frame shares
 _COUNTER_PREFIX = _U32.pack(_U32.size)
+_FIRST, _SECOND = _U32.pack(0), _U32.pack(1)
+# an Rng block's input: the seed and the block counter
+_RNG_BLOCK = struct.Struct(">QQ")
 
 
 class InvalidWidthError(ValueError):
@@ -76,10 +79,16 @@ def _counter_blocks(data: bytes, length: int) -> bytes:
     """First ``length`` bytes of the digests of ``(data, 0)``, ``(data, 1)``, ... frames.
 
     The frames share every byte but the trailing counter: the head
-    ``len(data)``, ``data``, the counter's length prefix. The SHA-256
-    state over that head is taken once and copied for each block.
+    ``len(data)``, ``data``, the counter's length prefix. Up to two
+    blocks (64 bytes: every ``expand`` to 512 bits, every short
+    ``keystream``) hash ``head || counter`` directly; a longer output
+    takes the SHA-256 state over the head once and copies it per block.
     """
-    head = hashlib.sha256(_U32.pack(len(data)) + data + _COUNTER_PREFIX)
+    frame = _U32.pack(len(data)) + data + _COUNTER_PREFIX
+    if length <= 2 * DIGEST_WIDTH:
+        sha256 = hashlib.sha256
+        return (sha256(frame + _FIRST).digest() + sha256(frame + _SECOND).digest())[:length]
+    head = hashlib.sha256(frame)
     blocks = []
     for i in range(-(-length // DIGEST_WIDTH)):
         state = head.copy()
@@ -199,7 +208,7 @@ class Rng:
         if width < 1:
             raise InvalidWidthError(f"width must be >= 1, got {width}")
         while len(self._buffer) < width:
-            self._buffer += digest(struct.pack(">QQ", self.seed, self._block))
+            self._buffer += digest(_RNG_BLOCK.pack(self.seed, self._block))
             self._block += 1
         out = bytes(self._buffer[:width])
         del self._buffer[:width]

@@ -129,3 +129,13 @@ def ref_recover_payload(wrapped, payload_digest, s, m):
     if _h(payload) != payload_digest:
         return "IntegrityError", "recovered payload does not match its advertised digest"
     return "ok", payload
+
+
+def _rng_stream(seed, n):
+    # first n bytes of the seeded generator: digests of (seed, block) as two u64s
+    out = b""
+    block = 0
+    while len(out) < n:
+        out += _h(struct.pack(">QQ", seed, block))
+        block += 1
+    return out[:n]

@@ -21,7 +21,7 @@ from acshare.primitives import (
     xor_bytes,
 )
 
-from reference import _fr, _grow, _stream, ref_effective_modulus, ref_mod_reduce
+from reference import _fr, _grow, _rng_stream, _stream, ref_effective_modulus, ref_mod_reduce
 
 short_bytes = st.binary(min_size=0, max_size=64)
 nonempty_bytes = st.binary(min_size=1, max_size=64)
@@ -153,6 +153,17 @@ class TestCounterBlocks:
     @example(b"k" * 120, 65)
     def test_keystream_matches_oracle(self, key, length):
         assert keystream(key, length) == _stream(key, length)
+
+    # one and two blocks are hashed directly, three and more from a copied head
+    @pytest.mark.parametrize("length", (0, 1, 31, 32, 33, 63, 64, 65, 96, 128))
+    def test_block_boundaries_match_oracle(self, length):
+        for data in (b"k", b"k" * 32, b"k" * 56):
+            assert keystream(data, length) == _stream(data, length)
+            if length:
+                assert expand(data, length) == _grow(data, length)
+            else:
+                with pytest.raises(InvalidWidthError):
+                    expand(data, length)
 
 
 class TestXor:
@@ -295,3 +306,11 @@ class TestRng:
         combined = rng.take(5) + rng.take(11)
         assert combined == Rng(3).take(16)
 
+    # widths either side of one and two 32-byte blocks, drawn in any mix
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(st.sampled_from((1, 31, 32, 33, 63, 64, 65)), min_size=1, max_size=8),
+    )
+    def test_mixed_widths_match_oracle(self, seed, takes):
+        rng = Rng(seed)
+        assert b"".join(rng.take(width) for width in takes) == _rng_stream(seed, sum(takes))

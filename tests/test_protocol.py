@@ -282,6 +282,38 @@ class TestDataPipeline:
                     opened = (type(exc).__name__, str(exc))
                 assert opened == ref_recover_payload(wrapped, payload_digest, s, m)
 
+    @pytest.mark.parametrize("width", (1, 8, 32, 64))
+    def test_broken_prefix_falls_back_to_oracle_error(self, width):
+        # a sealed bundle whose second length prefix decodes to k +- 1, 0 or
+        # 2**32 - 1 (k the owner key's length), or whose first decodes to
+        # T - 8 or past it, fails the straight-line open's check; its verdict
+        # must be the oracle's, warm or fresh, and no failure may be memoised
+        rng = Rng(100 + width)
+        s, m, owner_key = rng.take(width), rng.take(width), rng.take(width)
+        warm = SystemParams(s, m)
+        sent = []
+        for payload in (b"\x07", rng.take(5), rng.take(70)):
+            wrapped, payload_digest = make_cipher_bundle(payload, warm, owner_key)
+            assert recover_payload(wrapped, payload_digest, warm) == payload
+            total, at = len(wrapped), len(payload) + 4
+            stream = keystream(derive_data_key(m, s), total)
+            for length in (width - 1, width + 1, 0, 2**32 - 1):
+                prefix = (length ^ int.from_bytes(stream[at : at + 4], "big")).to_bytes(4, "big")
+                sent.append((wrapped[:at] + prefix + wrapped[at + 4 :], payload_digest))
+            first = ((total - 8) ^ int.from_bytes(stream[:4], "big")).to_bytes(4, "big")
+            sent.append((first + wrapped[4:], payload_digest))
+            # one past the clamp, over a last prefix that decodes to 0
+            first = ((total - 7) ^ int.from_bytes(stream[:4], "big")).to_bytes(4, "big")
+            sent.append((first + wrapped[4:-4] + stream[-4:], payload_digest))
+        for params in (SystemParams(s, m), warm):
+            for wrapped, payload_digest in sent:
+                before = dict(params._opened)
+                with pytest.raises(IntegrityError) as caught:
+                    recover_payload(wrapped, payload_digest, params)
+                assert params._opened == before
+                expected = ref_recover_payload(wrapped, payload_digest, s, m)
+                assert ("IntegrityError", str(caught.value)) == expected
+
     @given(st.data(), widths, st.binary(min_size=1, max_size=80))
     def test_owner_key_flip_opens_alike_warm_and_fresh(self, data, width, payload):
         # the trailing O_pk frame is not digest-bound (a strict xfail in
