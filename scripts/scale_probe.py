@@ -7,12 +7,13 @@ genuine principals at ``--bits`` and seed 1, then hashes the transcript with
 ``messages``, ``run_s`` and ``hash_s`` (wall seconds of the run and of
 the hash), ``gauge_s``, ``run_s_ref`` and ``hash_s_ref``, and
 ``peak_rss_mib`` (``ru_maxrss`` of this process, which ran only this).
-``gauge_s`` is the mean of perfbench's ``calibration_seconds()`` taken
-before the run and after the hash, and each ``*_ref`` figure is the raw
-one scaled by ``REFERENCE_CALIBRATION_S / gauge_s``: the seconds on the
-benchmark's reference machine, which records from hosts of different
-speeds can be compared on. Run it in a fresh process for each
-measurement; it has no timing gate.
+``gauge_s`` is perfbench's ``calibration_seconds()``, taken once
+``peak_rss_mib`` is read (so perfbench's modules are not in it), and
+each ``*_ref`` figure is the raw one scaled by
+``REFERENCE_CALIBRATION_S / gauge_s``: the seconds on the benchmark's
+reference machine, which records from hosts of different speeds can be
+compared on. Run it in a fresh process for each measurement; it has no
+timing gate.
 
 Usage, from any directory:
 
@@ -29,7 +30,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path.insert(0, str(ROOT / "src"))
 
 from acshare.netsim import (  # noqa: E402  (needs src on the path first)
     KEY_LENGTH_BITS,
@@ -38,7 +39,6 @@ from acshare.netsim import (  # noqa: E402  (needs src on the path first)
     load_payloads,
     run_scenario,
 )
-from measure import REFERENCE_CALIBRATION_S, calibration_seconds  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,17 +55,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     payloads = load_payloads("cleveland", ROOT / "data" / "cleveland.csv", None)
 
-    before = calibration_seconds()
     start = time.perf_counter()
     transcript, _ = run_scenario(config, payloads=payloads)  # by keyword: older checkouts need it
     run_s = time.perf_counter() - start
     start = time.perf_counter()
     transcript.content_hash()
     hash_s = time.perf_counter() - start
-    gauge_s = (before + calibration_seconds()) / 2
-    scale = REFERENCE_CALIBRATION_S / gauge_s
 
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from measure import REFERENCE_CALIBRATION_S, calibration_seconds
+
+    gauge_s = calibration_seconds()
+    scale = REFERENCE_CALIBRATION_S / gauge_s
     print(json.dumps({
         "users": args.users,
         "bits": args.bits,

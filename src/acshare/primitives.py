@@ -22,7 +22,7 @@ DIGEST_WIDTH = 32  # SHA-256 output size in bytes
 
 # every length prefix and every counter is a 4-byte big-endian word
 _U32 = struct.Struct(">I")
-# a counter's own length prefix, which ends the head every counter frame shares
+# a counter's own length prefix, and the first two counters
 _COUNTER_PREFIX = _U32.pack(_U32.size)
 _FIRST, _SECOND = _U32.pack(0), _U32.pack(1)
 # an Rng block's input: the seed and the block counter
@@ -75,26 +75,41 @@ def frame_split(framed: bytes) -> list[bytes]:
     return fields
 
 
+def frame_pair(first: bytes, second: bytes) -> bytes:
+    """``frame_concat([first, second])``, built in one expression."""
+    return _U32.pack(len(first)) + first + _U32.pack(len(second)) + second
+
+
+def first_of_pair(framed: bytes) -> bytes | None:
+    """``first`` when ``framed`` is exactly ``frame_pair(first, second)``, else None.
+
+    Reads only the two length prefixes; :func:`frame_split` names what is
+    wrong with a string this refuses.
+    """
+    rest = len(framed) - 8
+    if rest < 0:
+        return None
+    (length,) = _U32.unpack_from(framed)
+    if length > rest or _U32.unpack_from(framed, length + 4)[0] != rest - length:
+        return None
+    return framed[4 : length + 4]
+
+
 def _counter_blocks(data: bytes, length: int) -> bytes:
     """First ``length`` bytes of the digests of ``(data, 0)``, ``(data, 1)``, ... frames.
 
-    The frames share every byte but the trailing counter: the head
-    ``len(data)``, ``data``, the counter's length prefix. Up to two
-    blocks (64 bytes: every ``expand`` to 512 bits, every short
-    ``keystream``) hash ``head || counter`` directly; a longer output
-    takes the SHA-256 state over the head once and copies it per block.
+    Each frame is ``len(data) || data || len(counter) || counter``. Every
+    output starts with the digests of counters 0 and 1, which every
+    ``expand`` past the digest width needs (widths up to 512 bits), and
+    adds one digest per further counter. An output of at most 32 bytes
+    (the 4-byte ``prefix_key``, once per run) discards the second.
     """
     frame = _U32.pack(len(data)) + data + _COUNTER_PREFIX
-    if length <= 2 * DIGEST_WIDTH:
-        sha256 = hashlib.sha256
-        return (sha256(frame + _FIRST).digest() + sha256(frame + _SECOND).digest())[:length]
-    head = hashlib.sha256(frame)
-    blocks = []
-    for i in range(-(-length // DIGEST_WIDTH)):
-        state = head.copy()
-        state.update(_U32.pack(i))
-        blocks.append(state.digest())
-    return b"".join(blocks)[:length]
+    sha256 = hashlib.sha256
+    out = sha256(frame + _FIRST).digest() + sha256(frame + _SECOND).digest()
+    for i in range(2, -(-length // DIGEST_WIDTH)):
+        out += sha256(frame + _U32.pack(i)).digest()
+    return out[:length]
 
 
 def expand(data: bytes, width: int) -> bytes:

@@ -38,10 +38,10 @@ payload digest), and the user's data-sharing phase,
 :func:`recover_payload` (its inverse plus the digest check). Both take
 the run's :class:`SystemParams`, which every principal shares and which
 keeps each ``Q``, so each is built once a run. Both run straight-line
-on a sound bundle: sealing writes the two length prefixes itself, and
-opening reads them back and slices the payload out. Only a share whose
-prefixes do not read ``n`` and ``T - 8 - n`` goes through
-:func:`frame_split`, which names what broke.
+on a sound bundle: sealing frames ``(D, O_pk)`` with :func:`frame_pair`,
+and opening takes ``D`` back with :func:`first_of_pair`. Only a share
+that does not frame exactly two fields goes through :func:`frame_split`,
+which names what broke.
 """
 
 from __future__ import annotations
@@ -49,13 +49,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .primitives import (
-    _U32,
     FramingError,
     InvalidWidthError,
     Rng,
     digest,
     expand,
+    first_of_pair,
     frame_concat,
+    frame_pair,
     frame_split,
     keystream,
     mod_reduce,
@@ -199,16 +200,14 @@ def make_cipher_bundle(
     Returns ``(wrapped, payload_digest)``. Empty payloads are refused: a
     zero-length ciphertext would be indistinguishable from a missing
     one. The wrapped ciphertext is 8 bytes (two length prefixes) longer
-    than the payload and owner key combined: ``frame(D, O_pk)`` is built
-    in one expression, and ``Q`` is read from ``params`` directly once
-    it is built.
+    than the payload and owner key combined: :func:`frame_pair` builds
+    ``frame(D, O_pk)`` without a field list.
     """
     if not payload:
         raise InvalidWidthError("refusing to encrypt an empty payload")
-    length = len(payload)
-    total = length + len(owner_key) + 8
-    framed = _U32.pack(length) + payload + _U32.pack(len(owner_key)) + owner_key
-    pad = params._pads.get((total, length)) or params.bundle_pad(total, length)
+    framed = frame_pair(payload, owner_key)
+    total = len(framed)
+    pad = params.bundle_pad(total, len(payload))
     wrapped = (int.from_bytes(framed, "big") ^ pad).to_bytes(total, "big")
     return wrapped, digest(payload)
 
@@ -224,10 +223,9 @@ def recover_payload(wrapped: bytes, payload_digest: bytes, params: SystemParams)
     bytes), past which two fields cannot frame. ``Q(T, n')`` for
     ``n' <= n`` leaves every length prefix under ``ks`` alone, so the
     framing verdict and its message match those of ``SE(K_D, wrapped)``.
-    When the unpadded prefixes read ``n`` and ``T - 8 - n`` the bytes
-    frame exactly ``(D, O_pk)``, and the payload is sliced out; any other
-    share is split by :func:`frame_split`, whose error is the message.
-    Either way the payload's digest is checked.
+    When the unpadded bytes frame exactly two fields, :func:`first_of_pair`
+    returns the payload; any other share is split by :func:`frame_split`,
+    whose error is the message. Either way the payload's digest is checked.
 
     A pair that opened is kept in ``params`` and its payload returned
     again; a failure is never kept, so it is rechecked every time.
@@ -238,14 +236,11 @@ def recover_payload(wrapped: bytes, payload_digest: bytes, params: SystemParams)
     total = len(wrapped)
     length = 0
     if total >= 8:
-        length = min(_U32.unpack_from(wrapped)[0] ^ params.prefix_key, total - 8)
-    pad = params._pads.get((total, length)) or params.bundle_pad(total, length)
+        length = min(int.from_bytes(wrapped[:4], "big") ^ params.prefix_key, total - 8)
+    pad = params.bundle_pad(total, length)
     plain = (int.from_bytes(wrapped, "big") ^ pad).to_bytes(total, "big")
-    rest = total - 8 - length  # the owner key's length when the share is sound
-    read = _U32.unpack_from
-    if rest >= 0 and read(plain)[0] == length and read(plain, length + 4)[0] == rest:
-        payload = plain[4 : length + 4]
-    else:
+    payload = first_of_pair(plain)
+    if payload is None:
         try:
             fields = frame_split(plain)
         except FramingError as exc:

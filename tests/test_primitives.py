@@ -12,7 +12,9 @@ from acshare.primitives import (
     digest,
     effective_modulus,
     expand,
+    first_of_pair,
     frame_concat,
+    frame_pair,
     frame_split,
     keystream,
     mod_reduce,
@@ -79,6 +81,28 @@ class TestFraming:
     def test_matches_oracle(self, fields):
         assert frame_concat(fields) == _fr(fields)
 
+    @given(st.binary(max_size=300), st.binary(max_size=80))
+    @example(b"", b"")
+    def test_pair_matches_oracle(self, first, second):
+        framed = frame_pair(first, second)
+        assert framed == _fr([first, second])
+        assert first_of_pair(framed) == first
+
+    # any string: the first field exactly when frame_split finds two, else None
+    @given(st.binary(max_size=24))
+    @example(b"\x00\x00\x00\x00\x00\x00\x00")  # one byte short of two prefixes
+    @example(b"\x00\x00\x00\x00\x00\x00\x00\x01")  # a second field overruns
+    @example(b"\x00\x00\x00\x01a\x00\x00\x00\x00")  # (b"a", b"")
+    @example(b"\x00\x00\x00\x00" * 3)  # three empty fields
+    @example(b"\xff\xff\xff\xff" + bytes(8))  # the first prefix is 2**32 - 1
+    def test_first_of_pair_agrees_with_split(self, framed):
+        try:
+            fields = frame_split(framed)
+        except FramingError:
+            fields = []
+        expected = fields[0] if len(fields) == 2 else None
+        assert first_of_pair(framed) == expected
+
     @given(st.binary(min_size=2, max_size=32), st.data())
     def test_injective_across_splits(self, blob, data):
         cut_a = data.draw(st.integers(0, len(blob)))
@@ -122,11 +146,17 @@ class TestCounterBlocks:
     # head just before or on a boundary of SHA-256's 64-byte blocks.
 
     @given(nonempty_bytes, st.integers(1, 300))
+    @example(b"x", 1)
     @example(b"x", 31)
     @example(b"x", 32)
     @example(b"x", 33)
+    @example(b"x", 63)
     @example(b"x", 64)
     @example(b"x", 65)
+    @example(b"x", 96)
+    @example(b"x", 128)
+    @example(b"d" * 32, 64)
+    @example(b"d" * 32, 96)
     @example(b"d" * 51, 64)
     @example(b"d" * 52, 64)
     @example(b"d" * 55, 64)
@@ -139,11 +169,18 @@ class TestCounterBlocks:
 
     @given(nonempty_bytes, st.integers(1, 300))
     @example(b"k", 0)
+    @example(b"k", 1)
     @example(b"k", 31)
     @example(b"k", 32)
     @example(b"k", 33)
+    @example(b"k", 63)
     @example(b"k", 64)
     @example(b"k", 65)
+    @example(b"k", 96)
+    @example(b"k", 128)
+    @example(b"k" * 32, 4)
+    @example(b"k" * 32, 128)
+    @example(b"k" * 56, 96)
     @example(b"k" * 51, 65)
     @example(b"k" * 52, 65)
     @example(b"k" * 55, 65)
@@ -153,17 +190,6 @@ class TestCounterBlocks:
     @example(b"k" * 120, 65)
     def test_keystream_matches_oracle(self, key, length):
         assert keystream(key, length) == _stream(key, length)
-
-    # one and two blocks are hashed directly, three and more from a copied head
-    @pytest.mark.parametrize("length", (0, 1, 31, 32, 33, 63, 64, 65, 96, 128))
-    def test_block_boundaries_match_oracle(self, length):
-        for data in (b"k", b"k" * 32, b"k" * 56):
-            assert keystream(data, length) == _stream(data, length)
-            if length:
-                assert expand(data, length) == _grow(data, length)
-            else:
-                with pytest.raises(InvalidWidthError):
-                    expand(data, length)
 
 
 class TestXor:
