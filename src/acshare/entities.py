@@ -517,9 +517,8 @@ def run_protocol(config: ScenarioConfig, payloads: Sequence[bytes]) -> Transcrip
     width = config.width
     rng = Rng(config.seed)
     roster = principal_roster(config)
-    # each adversary's (class, flip budget), which Network applies
-    adversaries = {row[0]: row[1:] for row in roster if row[1] is not AdversaryClass.NONE}
-    net = Network(rng, adversaries, width)
+    # each adversary's (class, flip budget); not kept, as Network keeps only what it applies
+    net = Network(rng, {row[0]: row[1:] for row in roster if row[1] is not AdversaryClass.NONE}, width)
 
     kgc = KgcAgent(new_system_params(rng, width))
     cloud = CloudAgent()

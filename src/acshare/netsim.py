@@ -19,8 +19,8 @@ Adversarial principals each carry exactly one behaviour class:
     NONE                genuine principal, no interference
 
 The table ``CORRUPTS`` is the one place a class is tied to the message
-kind and the fields it corrupts, and ``Network.transmit`` applies it to
-every message sent from or to an adversarial principal. On PRIVATE,
+kind and the fields it corrupts; ``Network`` reads it once, into its
+table of the principals whose messages of that kind it alters. On PRIVATE,
 the adversarial end's value is recorded as sent: what it emits, or what
 it holds. On PUBLIC, the message is tampered in flight: the original
 line stays in the transcript marked as tampered, immediately followed
@@ -268,13 +268,11 @@ def apply_adversary(
 class Network:
     """Immediate delivery over PUBLIC and PRIVATE channels into its own transcript.
 
-    ``transmit`` records a message the moment it is sent and returns it
-    as delivered; nothing is ever queued. ``adversaries`` maps each
-    adversarial principal to its class and flip budget, and ``transmit``
-    applies ``CORRUPTS`` to every message: on PRIVATE it records the
-    adversarial end's value as sent; on PUBLIC it records the original,
-    marked as tampered in flight, then the altered copy that is
-    delivered.
+    ``transmit`` records each message as sent and returns it as
+    delivered; nothing is ever queued. The table ``corrupting``, built
+    once, maps each principal whose class has a ``CORRUPTS`` row to
+    ``(kind, cls, flips)``; only its messages of that kind are altered,
+    as the module describes. Honest messages go straight to ``append``.
     """
 
     def __init__(
@@ -283,7 +281,10 @@ class Network:
         self.transcript = Transcript()
         self.rng = rng
         self.width = width
-        self.adversaries = adversaries
+        self.corrupting = {
+            name: (CORRUPTS[cls][0], cls, flips)
+            for name, (cls, flips) in adversaries.items() if cls in CORRUPTS
+        }
         self.replayers = [
             name for name, (cls, _) in adversaries.items() if cls is AdversaryClass.REPLAY_QUERY
         ]
@@ -303,18 +304,17 @@ class Network:
     ) -> Message:
         if channel != PUBLIC and channel != PRIVATE:
             raise ValueError(f"channel must be PUBLIC or PRIVATE, got {channel!r}")
-        append = self.transcript.append
-        # a principal only ever talks to the cloud or the kgc, so at
-        # most one end of a message is adversarial
-        cls, flips = self.adversaries.get(sender) or self.adversaries.get(recipient) or (None, 0)
-        if (row := CORRUPTS.get(cls)) and row[0] == kind:
+        # at most one end is adversarial: a principal only talks to the cloud or the kgc
+        table = self.corrupting
+        if (hit := table and (table.get(sender) or table.get(recipient))) and hit[0] == kind:
+            _, cls, flips = hit
             if channel == PUBLIC:
                 marked = {**(annotation or {}), "tampered_in_flight": True}
-                original = append(stage, sender, recipient, channel, kind, fields, marked)
+                original = self.transcript.append(stage, sender, recipient, channel, kind, fields, marked)
             fields, annotation = apply_adversary(cls, fields, self.rng, width=self.width, flips=flips)
             if channel == PUBLIC:
                 annotation["tampered_copy_of_step"] = original.step
-        return append(stage, sender, recipient, channel, kind, fields, annotation)
+        return self.transcript.append(stage, sender, recipient, channel, kind, fields, annotation)
 
 
 @dataclass

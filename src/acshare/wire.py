@@ -277,15 +277,15 @@ class Transcript:
         Each chunk of ``RENDER_CHUNK`` lines is written and hashed before
         the next is rendered, so no text of the whole transcript is kept,
         and the digest is recorded for ``content_hash``. Each upload's
-        field text is rendered once per write, as is each run's header;
-        a share in a run is written as its step, the header, the text and
-        the line's end. A kept message's field text is rendered for its
-        line, since a kept line seldom resends a field dict; its
-        annotation, which many queries share, takes its note text from a
-        memo of at most ``RENDER_CHUNK`` entries.
+        field text is rendered once per write with the line's end, as is
+        each run's header; a share in a run is written as three pieces:
+        its step, the header and that text. A kept message's field text
+        is rendered for its line, since a kept line seldom resends a field
+        dict; its annotation, which many queries share, takes its note
+        text from a memo of at most ``RENDER_CHUNK`` entries.
         """
         digest = hashlib.sha256()
-        texts = [render_fields(fields).encode("ascii") for fields in self._uploads]
+        texts = [(render_fields(fields) + "}}\n").encode("ascii") for fields in self._uploads]
         notes: dict[int, str] = {}  # by id: self._entries keeps each note alive, unmutated
         pieces: list[bytes] = []
         room = RENDER_CHUNK  # lines the open chunk still takes
@@ -314,7 +314,7 @@ class Transcript:
             header = line[len('{"step":0') : -2].encode("ascii")
             step = entry.step
             for text in texts[entry.first : entry.stop]:
-                pieces += (b'{"step":%d' % step, header, text, b"}}\n")
+                pieces += (b'{"step":%d' % step, header, text)
                 step += 1
                 room -= 1
                 if not room:

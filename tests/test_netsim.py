@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from acshare import entities, netsim
 from acshare.entities import run_protocol
 from acshare.netsim import (
     CORRUPTS,
@@ -69,13 +70,15 @@ def send(net, kind):
 
 class TestChannel:
     def test_unknown_kind_rejected(self):
-        # a corrupting kind bound for an adversary is refused before any draw
+        # a corrupting kind bound for an adversary is refused before any draw,
+        # as is a query from a replayer, which the network never alters
         for adversaries, sender, recipient, kind, fields in (
             ({}, "user-000", "cloud", "ACCESS_QUERY", {}),
             (
                 {"adv-x": (AdversaryClass.TAMPER_CIPHERTEXT, 1)}, "cloud", "adv-x", KIND_DATA_SHARE,
                 SENDS[KIND_DATA_SHARE][3],
             ),
+            ({"adv-x": (AdversaryClass.REPLAY_QUERY, 1)}, "adv-x", "cloud", "ACCESS_QUERY", {}),
         ):
             net = Network(rng=Rng(0), adversaries=adversaries, width=8)
             with pytest.raises(ValueError):
@@ -107,6 +110,46 @@ class TestCorrupts:
             untouched = send(net, other)
             assert (untouched.fields, untouched.annotation) == (SENDS[other][3], None)
         assert len(net.transcript.messages) == len(lines) + len(SENDS) - 1
+
+
+class TestHonestPath:
+    @pytest.mark.parametrize(
+        "adversaries", [{}, {"adv-x": (AdversaryClass.REPLAY_QUERY, 1)}], ids=["none", "replay-only"]
+    )
+    @pytest.mark.parametrize("kind", list(SENDS))
+    def test_send_is_recorded_untouched(self, kind, adversaries, monkeypatch):
+        # a network with no corrupting principal never reaches the tamper path
+        def refuse(*args, **kwargs):
+            raise AssertionError("apply_adversary called on an honest message")
+
+        monkeypatch.setattr(netsim, "apply_adversary", refuse)
+        net = Network(rng=Rng(0), adversaries=adversaries, width=8)
+        assert net.corrupting == {}
+        delivered = send(net, kind)
+        assert delivered.fields is SENDS[kind][3] and delivered.annotation is None
+        assert len(net.transcript.messages) == 1
+        assert net.rng.take(8) == Rng(0).take(8)
+
+    def test_table_holds_exactly_the_corrupting_principals(self, monkeypatch):
+        nets = []
+
+        class RecordedNetwork(Network):
+            def __init__(self, *args):
+                super().__init__(*args)
+                nets.append(self)
+
+        monkeypatch.setattr(entities, "Network", RecordedNetwork)
+        config = scenario(
+            n_genuine=2, adversaries=tuple(AdversarySpec(cls, 1, flips=2) for cls in ADVERSARY_CLASSES)
+        )
+        run_protocol(config, [b"alpha"])
+        (net,) = nets
+        assert net.corrupting == {
+            name: (CORRUPTS[cls][0], cls, 2)
+            for name, cls, _ in principal_roster(config)
+            if cls in CORRUPTS
+        }
+        assert {cls for _, cls, _ in net.corrupting.values()} == set(CORRUPTS)
 
 
 class TestScenarioConfig:

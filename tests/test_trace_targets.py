@@ -7,14 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from tracer import CAPTURE_TARGETS, LAYER_TARGETS, Tracer  # noqa: E402
 
 from acshare.entities import run_protocol  # noqa: E402
-from acshare.netsim import ScenarioConfig  # noqa: E402
+from acshare.netsim import CORRUPTS, AdversaryClass, AdversarySpec, ScenarioConfig  # noqa: E402
 
-from conftest import by_kind  # noqa: E402
+from conftest import ADVERSARY_CLASSES, by_kind  # noqa: E402
 
 
 def test_every_trace_target_resolves():
@@ -56,3 +58,27 @@ def test_tracer_sees_every_open():
     assert tracer.spans["protocol.recover_payload"].calls == shares
     # one seal per upload, made inside the traced function
     assert tracer.spans["protocol.make_cipher_bundle"].calls == 4
+
+
+@pytest.mark.parametrize("classes", [ADVERSARY_CLASSES, ()], ids=["battery", "honest"])
+def test_tracer_counts_every_delivery_and_tamper(classes):
+    # transmit is wrapped on its class, so the fast path an honest message
+    # takes is still counted; a PUBLIC tamper appends its original as well
+    config = ScenarioConfig(
+        n_genuine=2,
+        adversaries=tuple(AdversarySpec(cls, 1) for cls in classes),
+        dataset="tiny",
+        key_length_bits=64,
+        seed=2,
+    )
+    with Tracer(LAYER_TARGETS) as tracer:
+        transcript = run_protocol(config, [b"alpha", b"beta", b"gamma", b"beta"])
+    messages = list(transcript.messages)
+    originals = [m for m in messages if (m.annotation or {}).get("tampered_in_flight")]
+    names = {cls.name for cls in CORRUPTS}
+    corrupted = [m for m in messages if (m.annotation or {}).get("adversary") in names]
+    assert len(originals) == (AdversaryClass.TAMPER_CIPHERTEXT in classes)
+    assert len(corrupted) == len(CORRUPTS.keys() & set(classes))
+    assert tracer.spans["entities.transcript.append"].calls == len(messages)
+    assert tracer.spans["netsim.transmit"].calls == len(messages) - len(originals)
+    assert tracer.spans["netsim.apply_adversary"].calls == len(corrupted)
