@@ -11,6 +11,12 @@ non-zero exit if a run's last line is not a result, or reports
 each in a fresh process, and keeps each probe's line. The document is
 written with sorted keys; it has no timing gate.
 
+The document also records ``head_source_sha256``, the hash that
+``perfbench/run.py`` gives for the ``src/`` of ``HEAD`` (read with
+``git ls-tree`` and ``git show``), and ``source_matches_head``: whether
+every run's ``source_sha256`` equals it. A record made on an
+uncommitted tree thus says that its sources differ from ``HEAD``.
+
 Every child runs with ``PYTHONDONTWRITEBYTECODE=1``, so no run leaves a
 bytecode cache for the next, and each entry's ``pycache`` records
 whether ``src/acshare/__pycache__`` existed as its run started: a
@@ -24,11 +30,12 @@ Usage, from any directory:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 ROOT = Path(__file__).resolve().parent.parent
 PYCACHE = ROOT / "src" / "acshare" / "__pycache__"
@@ -72,6 +79,26 @@ def output(args: list[str]) -> str:
     return done.stdout
 
 
+def git(*args: str) -> bytes:
+    """Standard output of ``git args`` in the checkout."""
+    done = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True)
+    if done.returncode != 0:
+        stderr = done.stderr.decode(errors="replace").strip()
+        raise RecordError(f"git {' '.join(args)}: exit {done.returncode}: {stderr}")
+    return done.stdout
+
+
+def head_source_sha256() -> str:
+    """The hash ``perfbench/run.py``'s ``_source_sha256`` gives for ``HEAD``'s ``src/``."""
+    names = git("ls-tree", "-r", "-z", "--name-only", "HEAD", "--", "src").decode().split("\0")
+    # relative to src/ and sorted as paths, as the tree walk sorts them
+    paths = sorted(PurePosixPath(name).relative_to("src") for name in names if name.endswith(".py"))
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(str(path).encode() + b"\0" + git("show", f"HEAD:src/{path}"))
+    return digest.hexdigest()
+
+
 def perfbench_run(workload: str, extra: tuple[str, ...]) -> dict:
     args = ["perfbench/run.py", "--workload", workload, "--seed", "1", *extra]
     pycache = PYCACHE.is_dir()
@@ -93,7 +120,17 @@ def record() -> dict:
         args = ["scripts/scale_probe.py", *extra]
         pycache = PYCACHE.is_dir()
         probes[key] = {"args": args, "pycache": pycache, "line": json.loads(output(args))}
-    return {"perfbench": runs, "scale_probe": probes}
+    head = head_source_sha256()
+    sources = {
+        run["environment"]["environment"].get("source_sha256")
+        for entry in runs.values() for run in entry.values()
+    }
+    return {
+        "perfbench": runs,
+        "scale_probe": probes,
+        "head_source_sha256": head,
+        "source_matches_head": sources == {head},
+    }
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -131,14 +131,19 @@ class OwnerAgent:
     private_key: bytes | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class UserSlot:
-    """Server-side record for one registered identity."""
+    """Server-side record for one registered identity, slotted as a run holds one per registrant.
+
+    ``attribute`` and ``digest``, the registration digest the setup gate
+    checked, are working values held to recompute checks, not accounted.
+    """
 
     password: bytes
     private_key: bytes | None = None
     session_key: bytes | None = None
-    attribute: bytes | None = None  # held to recompute checks, not accounted
+    attribute: bytes | None = None
+    digest: bytes | None = None
 
 
 class CloudStore:
@@ -148,8 +153,9 @@ class CloudStore:
     the protocol: the provisioned parameter ``s``, registered
     credentials, stored private and session keys, and uploaded bundles
     (wrapped ciphertext plus payload digest). Working values the server
-    merely needs to recompute checks, the parameter ``m`` and per-user
-    attributes, stay outside the accounted set. A bundle is the delivered
+    merely needs to recompute checks, the parameter ``m``, per-user
+    attributes and the registration digest each slot keeps from setup,
+    stay outside the accounted set. A bundle is the delivered
     upload's ``fields`` dict; shares resend it, as no code mutates one.
     """
 
@@ -255,6 +261,22 @@ def _decide(
     return False
 
 
+def _derive(net: Network, derivation, *inputs):
+    """``derivation(*inputs)``, reused when its last call in this run had equal inputs.
+
+    A gate's two sides derive from equal bytes in every honest exchange,
+    so the server's derivation just after the requester's is a lookup;
+    one differing byte misses and is computed. ``net.derived`` keeps one
+    entry per derivation and goes with the run's ``Network``.
+    """
+    last = net.derived.get(derivation)
+    if last is not None and last[0] == inputs:
+        return last[1]
+    output = derivation(*inputs)
+    net.derived[derivation] = (inputs, output)
+    return output
+
+
 def _require_phase(agent: UserAgent | OwnerAgent, phase: Phase, action: str) -> None:
     """Refuse to let ``agent`` ``action`` unless it is in ``phase``."""
     if agent.phase is not phase:
@@ -287,14 +309,16 @@ def setup_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network)
     cloud.store.register(delivered.fields["user_id"], delivered.fields["password"])
 
     # the user derives its digest from the credentials it believes in
-    user.reg_digest = registration_digest(user.user_id, user.password, params.s)
+    user.reg_digest = _derive(net, registration_digest, user.user_id, user.password, params.s)
     digest_msg = net.transmit(
         STAGE_SETUP, user.name, CLOUD_NAME, PUBLIC, KIND_REGISTER_DIGEST,
         {"user_id": user.user_id, "digest": user.reg_digest},
     )
-    slot = cloud.store.slot(digest_msg.fields["user_id"])
-    expected = registration_digest(digest_msg.fields["user_id"], slot.password, cloud.store.s)
-    if _decide(STAGE_SETUP, digest_msg, {"digest": expected}, user, net):
+    user_id = digest_msg.fields["user_id"]
+    slot = cloud.store.slot(user_id)
+    # kept, so that access checks against the digest this gate checked
+    slot.digest = _derive(net, registration_digest, user_id, slot.password, cloud.store.s)
+    if _decide(STAGE_SETUP, digest_msg, {"digest": slot.digest}, user, net):
         user.phase = Phase.REGISTERED
 
 
@@ -356,7 +380,8 @@ def _serve_access(
 ) -> None:
     """Server side of one access query, genuine or replayed; a grant carries ``accept_note``.
 
-    The server recomputes the expected query from stored values only.
+    The server derives the expected query from the registration digest
+    it checked at setup and the private key it stores.
     On a grant the generation centre sends the session key to the query's
     sender, and only a requester that is that sender keeps it. A replayer
     never is, since it replays from INIT and a query is sent only from
@@ -364,8 +389,7 @@ def _serve_access(
     """
     user_id = query.fields["user_id"]
     slot = cloud.store.slot(user_id)
-    expected_digest = registration_digest(user_id, slot.password, cloud.store.s)
-    expected_q = access_query(expected_digest, user_id, slot.private_key)
+    expected_q = _derive(net, access_query, slot.digest, user_id, slot.private_key)
     if not _decide(
         STAGE_ACCESS, query, {"q": expected_q}, requester, net,
         accept_fields={"user_id": user_id}, annotation=accept_note,
@@ -375,7 +399,7 @@ def _serve_access(
         STAGE_ACCESS, CLOUD_NAME, KGC_NAME, PRIVATE, KIND_SESSION_REQUEST, {"user_id": user_id}
     )
     public_param, attribute = kgc.issued[user_id]
-    session_key = derive_session_key(public_param, kgc.params.m, attribute)
+    session_key = _derive(net, derive_session_key, public_param, kgc.params.m, attribute)
     delivered = net.transmit(
         STAGE_ACCESS, KGC_NAME, query.sender, PRIVATE, KIND_SESSION_KEY,
         {"session_key": session_key},
@@ -398,7 +422,7 @@ def access_control_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net:
     is the one every replay resends.
     """
     _require_phase(user, Phase.KEYED, "request access")
-    q = access_query(user.reg_digest, user.user_id, user.private_key)
+    q = _derive(net, access_query, user.reg_digest, user.user_id, user.private_key)
     delivered = net.transmit(
         STAGE_ACCESS, user.name, CLOUD_NAME, PUBLIC, KIND_ACCESS_QUERY,
         {"user_id": user.user_id, "q": q}, net.observed_note,
@@ -446,7 +470,9 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
         }
     else:
         nonce = net.rng.take(width)
-        v1, v2 = validation_messages(
+        v1, v2 = _derive(
+            net,
+            validation_messages,
             user.user_id,
             user.session_key,
             user.params.s,
@@ -464,7 +490,9 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
 
     user_id = delivered.fields["user_id"]
     slot = cloud.store.slot(user_id)
-    expected_v1, expected_v2 = validation_messages(
+    expected_v1, expected_v2 = _derive(
+        net,
+        validation_messages,
         user_id,
         slot.session_key,
         cloud.store.s,

@@ -37,7 +37,13 @@ from acshare.entities import (
 )
 from acshare.netsim import AdversaryClass, AdversarySpec, Network, ScenarioConfig, load_payloads
 from acshare.primitives import Rng
-from acshare.protocol import new_system_params
+from acshare.protocol import (
+    access_query,
+    derive_session_key,
+    new_system_params,
+    registration_digest,
+    validation_messages,
+)
 from acshare.wire import ACCEPTED, PUBLIC, RENDER_CHUNK, Message, Transcript
 
 from conftest import ADVERSARY_CLASSES, EXPECTED_END, by_kind
@@ -688,6 +694,71 @@ class TestCloudStore:
         store.slot(b"uid").session_key = bytes(8)
         store.bundles.append({"wrapped": b"w" * 20, "payload_digest": b"d" * 32})
         assert store.accounted_bytes() == 8 + (3 + 8) + 8 + 8 + 20 + 32
+
+    def test_kept_digest_is_not_accounted(self):
+        store = CloudStore()
+        store.register(b"uid", bytes(8))
+        store.slot(b"uid").digest = bytes(8)
+        assert store.accounted_bytes() == 3 + 8
+
+
+#: each derivation that goes through ``entities._derive``, with its arity
+DERIVED = {
+    registration_digest: 3,
+    access_query: 3,
+    derive_session_key: 3,
+    validation_messages: 7,
+}
+
+#: one call: (derivation, which network, None or a flip (input, byte, xor) of the base inputs)
+DERIVE_CALLS = st.tuples(
+    st.sampled_from(list(DERIVED)),
+    st.integers(0, 1),
+    st.none() | st.tuples(st.integers(0, 6), st.integers(0, 7), st.integers(1, 255)),
+)
+
+
+class TestDerive:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.lists(st.binary(min_size=8, max_size=8), min_size=7, max_size=7),
+        calls=st.lists(DERIVE_CALLS, max_size=16),
+    )
+    # a differing ``s``, the last input of a registration digest
+    @example(
+        base=[bytes(range(i, i + 8)) for i in range(7)],
+        calls=[(registration_digest, 0, None), (registration_digest, 0, (2, 7, 1))],
+    )
+    def test_derive_is_the_direct_call_computed_once_per_distinct_input(self, base, calls):
+        # each derivation is counted, so a reuse shows as a call not made
+        computed = []
+        counted = {}
+        for derivation in DERIVED:
+            def call(*inputs, derivation=derivation):
+                computed.append((derivation, inputs))
+                return derivation(*inputs)
+            counted[derivation] = call
+        nets = [fresh_net(), fresh_net()]
+        last = [{}, {}]  # each network's last inputs per derivation, kept by the test
+        for derivation, which, flip in calls:
+            inputs = base[: DERIVED[derivation]]
+            if flip is not None:
+                position, index, xor = flip
+                position %= len(inputs)
+                changed = bytearray(inputs[position])
+                changed[index] ^= xor
+                inputs[position] = bytes(changed)
+            inputs = tuple(inputs)
+            computed.clear()
+            assert entities._derive(nets[which], counted[derivation], *inputs) == derivation(*inputs)
+            reused = last[which].get(derivation) == inputs
+            assert computed == ([] if reused else [(derivation, inputs)])
+            last[which][derivation] = inputs
+            for net, seen in zip(nets, last):
+                # one entry per derivation the network has seen, and nothing shared
+                assert net.derived.keys() == {counted[d] for d in seen}
+                assert all(net.derived[counted[d]][0] == seen[d] for d in seen)
+        assert nets[0].derived is not nets[1].derived
 
 
 class TestPhaseOrder:

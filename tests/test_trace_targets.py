@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
-from tracer import CAPTURE_TARGETS, LAYER_TARGETS, Tracer  # noqa: E402
+from tracer import CAPTURE_TARGETS, LAYER_TARGETS, Tracer, count_transcript  # noqa: E402
 
 from acshare.entities import run_protocol  # noqa: E402
 from acshare.netsim import CORRUPTS, AdversaryClass, AdversarySpec, ScenarioConfig  # noqa: E402
@@ -82,3 +83,37 @@ def test_tracer_counts_every_delivery_and_tamper(classes):
     assert tracer.spans["entities.transcript.append"].calls == len(messages)
     assert tracer.spans["netsim.transmit"].calls == len(messages) - len(originals)
     assert tracer.spans["netsim.apply_adversary"].calls == len(corrupted)
+
+
+@pytest.mark.parametrize("n_genuine, per_class", [(2, 1), (3, 2)])
+def test_each_gate_value_is_derived_once_per_distinct_input(n_genuine, per_class):
+    # the server's derivation just after the requester's reuses it on equal
+    # bytes, and only a differing input is derived again
+    config = ScenarioConfig(
+        n_genuine=n_genuine,
+        adversaries=tuple(AdversarySpec(cls, per_class) for cls in ADVERSARY_CLASSES),
+        dataset="tiny",
+        key_length_bits=64,
+        seed=2,
+    )
+    payloads = [b"alpha", b"beta", b"gamma", b"delta"]
+    with Tracer(LAYER_TARGETS) as tracer:
+        run_protocol(config, payloads)
+    n = per_class
+    registered = n_genuine + 4 * n  # every class but the replayer
+    keyed = n_genuine + 3 * n  # a wrong password stops at setup
+    validating = n_genuine + 2 * n  # a forged key stops at access
+    derivations = ("registration_digest", "access_query", "validation_messages")
+    assert {name: tracer.spans[f"protocol.{name}"].calls for name in derivations} == {
+        # each registrant's, and the server's for each wrong password
+        "registration_digest": registered + n,
+        # each keyed user's, the server's for each forged key, and the first
+        # replay's; the replays come last, so each later one repeats it
+        "access_query": keyed + n + 1,
+        # each validating user's, and the server's for each replayer's guessed nonce
+        "validation_messages": validating + n,
+    }
+    untraced = Counter()
+    count_transcript(untraced, run_protocol(config, payloads))
+    del tracer.counts["keystream_bytes"]
+    assert tracer.counts == untraced
