@@ -136,7 +136,9 @@ class UserSlot:
     """Server-side record for one registered identity, slotted as a run holds one per registrant.
 
     ``attribute`` and ``digest``, the registration digest the setup gate
-    checked, are working values held to recompute checks, not accounted.
+    checked, are working values held to recompute checks, not accounted;
+    deriving ``digest`` again at access costs adversary-battery 7%
+    (README, Perf-only constructs).
     """
 
     password: bytes
@@ -267,7 +269,8 @@ def _derive(net: Network, derivation, *inputs):
     A gate's two sides derive from equal bytes in every honest exchange,
     so the server's derivation just after the requester's is a lookup;
     one differing byte misses and is computed. ``net.derived`` keeps one
-    entry per derivation and goes with the run's ``Network``.
+    entry per derivation and goes with the run's ``Network``. Deriving
+    every value afresh costs adversary-battery 9% (README, Perf-only constructs).
     """
     last = net.derived.get(derivation)
     if last is not None and last[0] == inputs:
@@ -358,16 +361,13 @@ def encryption_phase(
 ) -> None:
     """The owner encrypts every payload and uploads the bundles."""
     _require_phase(owner, Phase.KEYED, "encrypt")
-    # bound once per call, after any tracer has wrapped them
-    seal, transmit, store = make_cipher_bundle, net.transmit, cloud.store.bundles.append
-    params, owner_key, name = owner.params, owner.private_key, owner.name
     for payload in payloads:
-        wrapped, payload_digest = seal(payload, params, owner_key)
-        delivered = transmit(
-            STAGE_ENCRYPTION, name, CLOUD_NAME, PUBLIC, KIND_CIPHER_UPLOAD,
+        wrapped, payload_digest = make_cipher_bundle(payload, owner.params, owner.private_key)
+        delivered = net.transmit(
+            STAGE_ENCRYPTION, owner.name, CLOUD_NAME, PUBLIC, KIND_CIPHER_UPLOAD,
             {"wrapped": wrapped, "payload_digest": payload_digest},
         )
-        store(delivered.fields)
+        cloud.store.bundles.append(delivered.fields)
 
 
 def _serve_access(
@@ -517,12 +517,12 @@ def data_sharing_phase(cloud: CloudAgent, user: UserAgent, net: Network) -> None
         {"user_id": user.user_id},
     )
     recovered: list[bytes] = []
-    # bound once per call, after any tracer has wrapped them
-    open_share, transmit, params, name = recover_payload, net.transmit, user.params, user.name
     for bundle in cloud.store.bundles:
-        fields = transmit(STAGE_SHARING, CLOUD_NAME, name, PUBLIC, KIND_DATA_SHARE, bundle).fields
+        fields = net.transmit(
+            STAGE_SHARING, CLOUD_NAME, user.name, PUBLIC, KIND_DATA_SHARE, bundle
+        ).fields
         try:
-            payload = open_share(fields["wrapped"], fields["payload_digest"], params)
+            payload = recover_payload(fields["wrapped"], fields["payload_digest"], user.params)
         except IntegrityError as exc:
             # loud failure: nothing recovered so far is kept, and a digest
             # failure's mismatching pair goes into the outcome for rechecking

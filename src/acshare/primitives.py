@@ -22,11 +22,8 @@ DIGEST_WIDTH = 32  # SHA-256 output size in bytes
 
 # every length prefix and every counter is a 4-byte big-endian word
 _U32 = struct.Struct(">I")
-# a counter's own length prefix, and the first two counters
+# a counter's own length prefix
 _COUNTER_PREFIX = _U32.pack(_U32.size)
-_FIRST, _SECOND = _U32.pack(0), _U32.pack(1)
-# an Rng block's input: the seed and the block counter
-_RNG_BLOCK = struct.Struct(">QQ")
 
 
 class InvalidWidthError(ValueError):
@@ -76,7 +73,8 @@ def frame_split(framed: bytes) -> list[bytes]:
 
 
 def frame_pair(first: bytes, second: bytes) -> bytes:
-    """``frame_concat([first, second])``, built in one expression."""
+    """``frame_concat([first, second])`` in one expression, which keeps
+    keylength-sweep 3.5% faster (README, Perf-only constructs)."""
     return _U32.pack(len(first)) + first + _U32.pack(len(second)) + second
 
 
@@ -84,7 +82,8 @@ def first_of_pair(framed: bytes) -> bytes | None:
     """``first`` when ``framed`` is exactly ``frame_pair(first, second)``, else None.
 
     Reads only the two length prefixes; :func:`frame_split` names what is
-    wrong with a string this refuses.
+    wrong with a string this refuses. Opening through ``frame_split``
+    alone runs 5-14% slower on every workload (README, Perf-only constructs).
     """
     rest = len(framed) - 8
     if rest < 0:
@@ -98,16 +97,13 @@ def first_of_pair(framed: bytes) -> bytes | None:
 def _counter_blocks(data: bytes, length: int) -> bytes:
     """First ``length`` bytes of the digests of ``(data, 0)``, ``(data, 1)``, ... frames.
 
-    Each frame is ``len(data) || data || len(counter) || counter``. Every
-    output starts with the digests of counters 0 and 1, which every
-    ``expand`` past the digest width needs (widths up to 512 bits), and
-    adds one digest per further counter. An output of at most 32 bytes
-    (the 4-byte ``prefix_key``, once per run) discards the second.
+    Each frame is ``len(data) || data || len(counter) || counter``, and
+    each counter adds one digest.
     """
     frame = _U32.pack(len(data)) + data + _COUNTER_PREFIX
     sha256 = hashlib.sha256
-    out = sha256(frame + _FIRST).digest() + sha256(frame + _SECOND).digest()
-    for i in range(2, -(-length // DIGEST_WIDTH)):
+    out = b""
+    for i in range(-(-length // DIGEST_WIDTH)):
         out += sha256(frame + _U32.pack(i)).digest()
     return out[:length]
 
@@ -223,7 +219,7 @@ class Rng:
         if width < 1:
             raise InvalidWidthError(f"width must be >= 1, got {width}")
         while len(self._buffer) < width:
-            self._buffer += digest(_RNG_BLOCK.pack(self.seed, self._block))
+            self._buffer += digest(struct.pack(">QQ", self.seed, self._block))
             self._block += 1
         out = bytes(self._buffer[:width])
         del self._buffer[:width]

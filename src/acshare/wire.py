@@ -17,8 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
@@ -53,7 +52,8 @@ REJECTED = "REJECTED"
 INTEGRITY_FAILURE = "INTEGRITY_FAILURE"
 OUTCOME_STATUSES = (ACCEPTED, REJECTED, INTEGRITY_FAILURE)
 
-# JSON quoting of a name; the distinct names of a run are bounded by its roster
+# JSON quoting of a name; the distinct names of a run are bounded by its roster.
+# Cached, as plain json.dumps costs adversary-battery 25% (README, Perf-only constructs)
 _quote = functools.cache(json.dumps)
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -72,7 +72,8 @@ class Message:
     copy), so a receiver may keep it and send it on, as the cloud does
     with each upload. The class is not frozen because a frozen
     dataclass sets each field through ``object.__setattr__``, which
-    makes building one about four times as slow.
+    makes building one about four times as slow (frozen, share-heavy
+    runs 53% slower: README, Perf-only constructs).
     """
 
     step: int
@@ -164,27 +165,14 @@ class _Run:
         )
 
 
-class _MessageView(Sequence[Message]):
-    """The messages of a transcript as a read-only sequence, in step order."""
+class _MessageView:
+    """The messages of a transcript, in step order: a length and an iteration."""
 
     def __init__(self, transcript: "Transcript") -> None:
         self._transcript = transcript
 
     def __len__(self) -> int:
         return self._transcript._count
-
-    def __getitem__(self, index):
-        steps = range(1, len(self) + 1)[index]  # raises IndexError as a list would
-        if isinstance(steps, range):
-            return [self._message(step) for step in steps]
-        return self._message(steps)
-
-    def _message(self, step: int) -> Message:
-        entries = self._transcript._entries
-        entry = entries[bisect_right(entries, step, key=lambda entry: entry.step) - 1]
-        if type(entry) is Message:
-            return entry
-        return entry.message(step, self._transcript._uploads[entry.first + step - entry.step])
 
     def __iter__(self) -> Iterator[Message]:
         uploads = self._transcript._uploads
@@ -215,7 +203,7 @@ class Transcript:
         self._digest = (0, hashlib.sha256().hexdigest())  # (message count, sha256 of its lines)
 
     @property
-    def messages(self) -> Sequence[Message]:
+    def messages(self) -> _MessageView:
         """Every message, in step order; a share held in a run is built again when read."""
         return _MessageView(self)
 
@@ -282,7 +270,8 @@ class Transcript:
         its step, the header and that text. A kept message's field text
         is rendered for its line, since a kept line seldom resends a field
         dict; its annotation, which many queries share, takes its note
-        text from a memo of at most ``RENDER_CHUNK`` entries.
+        text from a memo of at most ``RENDER_CHUNK`` entries (without it,
+        adversary-battery runs 9.5% slower: README, Perf-only constructs).
         """
         digest = hashlib.sha256()
         texts = [(render_fields(fields) + "}}\n").encode("ascii") for fields in self._uploads]

@@ -100,7 +100,7 @@ def test_the_late_imports_are_the_root_transcript_and_run_scenario():
 def fresh_lines(code: str) -> list[str]:
     """The lines ``code`` prints in a fresh isolated interpreter that imports from ``src``."""
     path = f"import sys\nsys.path.insert(0, {str(REPO_ROOT / 'src')!r})\n"
-    done = subprocess.run([sys.executable, "-I", "-c", path + code], capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", path + code], capture_output=True, text=True, check=True)
     return done.stdout.split("\n")[:-1]
 
 

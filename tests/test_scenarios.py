@@ -91,7 +91,7 @@ def test_generated_scenario_invariants(scenario):
         assert sum(summary.per_class[cls.name].values()) == configured, cls
 
     # a verdict answers the line just before it: the message the gate judged
-    messages = transcript.messages
+    messages = list(transcript.messages)
     for judged, verdict in zip(messages, messages[1:]):
         if verdict.kind.endswith(("_ACCEPTED", "_REJECTED")):
             assert (verdict.sender, verdict.recipient, verdict.channel) == (

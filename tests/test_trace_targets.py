@@ -41,7 +41,7 @@ def test_every_trace_target_resolves_in_a_fresh_interpreter():
         "original = acshare.Transcript.append\n"
         "print(json.dumps([fresh, tracer.missing, traced is not original, traced.__wrapped__ is original]))\n"
     )
-    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True)
     fresh, missing, wrapped, restored = json.loads(done.stdout)
     assert fresh and missing == [] and wrapped and restored
 
