@@ -5,14 +5,9 @@ Runs ``run_scenario`` once over all 303 Cleveland records with ``--users``
 genuine principals at ``--bits`` and seed 1, then hashes the transcript with
 ``content_hash``. Prints one JSON line: ``users``, ``bits``,
 ``messages``, ``run_s`` and ``hash_s`` (wall seconds of the run and of
-the hash), ``gauge_s``, ``run_s_ref`` and ``hash_s_ref``, and
-``peak_rss_mib`` (``ru_maxrss`` of this process, which ran only this).
-``gauge_s`` is perfbench's ``calibration_seconds()``, taken once
-``peak_rss_mib`` is read (so perfbench's modules are not in it), and
-each ``*_ref`` figure is the raw one scaled by
-``REFERENCE_CALIBRATION_S / gauge_s``: the seconds on the benchmark's
-reference machine, which records from hosts of different speeds can be
-compared on. Run it in a fresh process for each measurement; it has no
+the hash, which carry the host's speed and are for orientation only),
+and ``peak_rss_mib`` (``ru_maxrss`` of this process, which ran only
+this). Run it in a fresh process for each measurement; it has no
 timing gate.
 
 Usage, from any directory:
@@ -63,21 +58,12 @@ def main(argv: list[str] | None = None) -> int:
     hash_s = time.perf_counter() - start
 
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from measure import REFERENCE_CALIBRATION_S, calibration_seconds
-
-    gauge_s = calibration_seconds()
-    scale = REFERENCE_CALIBRATION_S / gauge_s
     print(json.dumps({
         "users": args.users,
         "bits": args.bits,
         "messages": len(transcript.messages),
         "run_s": round(run_s, 4),
         "hash_s": round(hash_s, 4),
-        "gauge_s": round(gauge_s, 4),
-        "run_s_ref": round(run_s * scale, 4),
-        "hash_s_ref": round(hash_s * scale, 4),
         "peak_rss_mib": round(peak_kib / 1024, 1),
     }))
     return 0

@@ -263,23 +263,6 @@ def _decide(
     return False
 
 
-def _derive(net: Network, derivation, *inputs):
-    """``derivation(*inputs)``, reused when its last call in this run had equal inputs.
-
-    A gate's two sides derive from equal bytes in every honest exchange,
-    so the server's derivation just after the requester's is a lookup;
-    one differing byte misses and is computed. ``net.derived`` keeps one
-    entry per derivation and goes with the run's ``Network``. Deriving
-    every value afresh costs adversary-battery 9% (README, Perf-only constructs).
-    """
-    last = net.derived.get(derivation)
-    if last is not None and last[0] == inputs:
-        return last[1]
-    output = derivation(*inputs)
-    net.derived[derivation] = (inputs, output)
-    return output
-
-
 def _require_phase(agent: UserAgent | OwnerAgent, phase: Phase, action: str) -> None:
     """Refuse to let ``agent`` ``action`` unless it is in ``phase``."""
     if agent.phase is not phase:
@@ -312,7 +295,7 @@ def setup_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network)
     cloud.store.register(delivered.fields["user_id"], delivered.fields["password"])
 
     # the user derives its digest from the credentials it believes in
-    user.reg_digest = _derive(net, registration_digest, user.user_id, user.password, params.s)
+    user.reg_digest = registration_digest(user.user_id, user.password, params.s)
     digest_msg = net.transmit(
         STAGE_SETUP, user.name, CLOUD_NAME, PUBLIC, KIND_REGISTER_DIGEST,
         {"user_id": user.user_id, "digest": user.reg_digest},
@@ -320,7 +303,7 @@ def setup_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net: Network)
     user_id = digest_msg.fields["user_id"]
     slot = cloud.store.slot(user_id)
     # kept, so that access checks against the digest this gate checked
-    slot.digest = _derive(net, registration_digest, user_id, slot.password, cloud.store.s)
+    slot.digest = registration_digest(user_id, slot.password, cloud.store.s)
     if _decide(STAGE_SETUP, digest_msg, {"digest": slot.digest}, user, net):
         user.phase = Phase.REGISTERED
 
@@ -389,7 +372,7 @@ def _serve_access(
     """
     user_id = query.fields["user_id"]
     slot = cloud.store.slot(user_id)
-    expected_q = _derive(net, access_query, slot.digest, user_id, slot.private_key)
+    expected_q = access_query(slot.digest, user_id, slot.private_key)
     if not _decide(
         STAGE_ACCESS, query, {"q": expected_q}, requester, net,
         accept_fields={"user_id": user_id}, annotation=accept_note,
@@ -399,7 +382,7 @@ def _serve_access(
         STAGE_ACCESS, CLOUD_NAME, KGC_NAME, PRIVATE, KIND_SESSION_REQUEST, {"user_id": user_id}
     )
     public_param, attribute = kgc.issued[user_id]
-    session_key = _derive(net, derive_session_key, public_param, kgc.params.m, attribute)
+    session_key = derive_session_key(public_param, kgc.params.m, attribute)
     delivered = net.transmit(
         STAGE_ACCESS, KGC_NAME, query.sender, PRIVATE, KIND_SESSION_KEY,
         {"session_key": session_key},
@@ -422,7 +405,7 @@ def access_control_phase(user: UserAgent, cloud: CloudAgent, kgc: KgcAgent, net:
     is the one every replay resends.
     """
     _require_phase(user, Phase.KEYED, "request access")
-    q = _derive(net, access_query, user.reg_digest, user.user_id, user.private_key)
+    q = access_query(user.reg_digest, user.user_id, user.private_key)
     delivered = net.transmit(
         STAGE_ACCESS, user.name, CLOUD_NAME, PUBLIC, KIND_ACCESS_QUERY,
         {"user_id": user.user_id, "q": q}, net.observed_note,
@@ -470,9 +453,7 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
         }
     else:
         nonce = net.rng.take(width)
-        v1, v2 = _derive(
-            net,
-            validation_messages,
+        v1, v2 = validation_messages(
             user.user_id,
             user.session_key,
             user.params.s,
@@ -490,9 +471,7 @@ def validation_phase(user: UserAgent, cloud: CloudAgent, net: Network) -> None:
 
     user_id = delivered.fields["user_id"]
     slot = cloud.store.slot(user_id)
-    expected_v1, expected_v2 = _derive(
-        net,
-        validation_messages,
+    expected_v1, expected_v2 = validation_messages(
         user_id,
         slot.session_key,
         cloud.store.s,

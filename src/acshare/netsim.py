@@ -291,7 +291,6 @@ class Network:
         # the annotation of every access query, which the replayers observe
         self.observed_note = {"observed_by": self.replayers} if self.replayers else None
         self.observed_query: Message | None = None  # the one a replay resends
-        self.derived: dict = {}  # derivation -> (its last inputs, output), see entities._derive
 
     def transmit(
         self,

@@ -173,13 +173,8 @@ def test_scale_probe_counts_the_run(data_dir):
         capture_output=True, text=True, check=True,
     )
     report = json.loads(done.stdout)
-    assert set(report) == {
-        "users", "bits", "messages", "run_s", "hash_s", "gauge_s", "run_s_ref", "hash_s_ref", "peak_rss_mib"
-    }
+    assert set(report) == {"users", "bits", "messages", "run_s", "hash_s", "peak_rss_mib"}
     assert (report["users"], report["bits"]) == (2, 64)
-    # the *_ref figures are the raw ones at the reference speed, scaled by one gauge
-    assert report["gauge_s"] > 0
-    assert min(report["run_s_ref"], report["hash_s_ref"]) >= 0
     config = ScenarioConfig(
         n_genuine=2, adversaries=(), dataset="cleveland", key_length_bits=64, seed=1
     )

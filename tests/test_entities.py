@@ -690,7 +690,7 @@ class TestCloudStore:
         assert store.accounted_bytes() == 3 + 8
 
 
-#: each derivation that goes through ``entities._derive``, with its arity
+#: each gate derivation, which keeps its last call, with its arity
 DERIVED = {
     registration_digest: 3,
     access_query: 3,
@@ -698,15 +698,18 @@ DERIVED = {
     validation_messages: 7,
 }
 
-#: one call: (derivation, which network, None or a flip (input, byte, xor) of the base inputs)
+#: one call: (derivation, None or a flip (input, byte, xor) of the base inputs)
 DERIVE_CALLS = st.tuples(
     st.sampled_from(list(DERIVED)),
-    st.integers(0, 1),
     st.none() | st.tuples(st.integers(0, 6), st.integers(0, 7), st.integers(1, 255)),
 )
 
 
 class TestDerive:
+    def test_each_derivation_keeps_one_call(self):
+        # a cache that kept more would grow with the roster
+        assert [derivation.cache_info().maxsize for derivation in DERIVED] == [1] * len(DERIVED)
+
     @settings(max_examples=200, deadline=None)
     @given(
         base=st.lists(st.binary(min_size=8, max_size=8), min_size=7, max_size=7),
@@ -715,20 +718,14 @@ class TestDerive:
     # a differing ``s``, the last input of a registration digest
     @example(
         base=[bytes(range(i, i + 8)) for i in range(7)],
-        calls=[(registration_digest, 0, None), (registration_digest, 0, (2, 7, 1))],
+        calls=[(registration_digest, None), (registration_digest, (2, 7, 1))],
     )
     def test_derive_is_the_direct_call_computed_once_per_distinct_input(self, base, calls):
-        # each derivation is counted, so a reuse shows as a call not made
-        computed = []
-        counted = {}
+        # a miss is a computation, so a reuse shows as a miss not counted
         for derivation in DERIVED:
-            def call(*inputs, derivation=derivation):
-                computed.append((derivation, inputs))
-                return derivation(*inputs)
-            counted[derivation] = call
-        nets = [fresh_net(), fresh_net()]
-        last = [{}, {}]  # each network's last inputs per derivation, kept by the test
-        for derivation, which, flip in calls:
+            derivation.cache_clear()
+        last = {}  # each derivation's last inputs, kept by the test
+        for derivation, flip in calls:
             inputs = base[: DERIVED[derivation]]
             if flip is not None:
                 position, index, xor = flip
@@ -737,16 +734,10 @@ class TestDerive:
                 changed[index] ^= xor
                 inputs[position] = bytes(changed)
             inputs = tuple(inputs)
-            computed.clear()
-            assert entities._derive(nets[which], counted[derivation], *inputs) == derivation(*inputs)
-            reused = last[which].get(derivation) == inputs
-            assert computed == ([] if reused else [(derivation, inputs)])
-            last[which][derivation] = inputs
-            for net, seen in zip(nets, last):
-                # one entry per derivation the network has seen, and nothing shared
-                assert net.derived.keys() == {counted[d] for d in seen}
-                assert all(net.derived[counted[d]][0] == seen[d] for d in seen)
-        assert nets[0].derived is not nets[1].derived
+            misses = derivation.cache_info().misses
+            assert derivation(*inputs) == derivation.__wrapped__(*inputs)
+            assert derivation.cache_info().misses == misses + (last.get(derivation) != inputs)
+            last[derivation] = inputs
 
 
 class TestPhaseOrder:

@@ -16,6 +16,12 @@ from tracer import CAPTURE_TARGETS, LAYER_TARGETS, Tracer, count_transcript  # n
 
 from acshare.entities import run_protocol  # noqa: E402
 from acshare.netsim import CORRUPTS, AdversaryClass, AdversarySpec, ScenarioConfig  # noqa: E402
+from acshare.protocol import (  # noqa: E402
+    access_query,
+    derive_session_key,
+    registration_digest,
+    validation_messages,
+)
 
 from conftest import ADVERSARY_CLASSES, by_kind  # noqa: E402
 
@@ -97,14 +103,17 @@ def test_each_gate_value_is_derived_once_per_distinct_input(n_genuine, per_class
         seed=2,
     )
     payloads = [b"alpha", b"beta", b"gamma", b"delta"]
+    # each derivation keeps its last call, and a miss is a computation
+    derivations = (registration_digest, access_query, validation_messages)
+    for derivation in (*derivations, derive_session_key):
+        derivation.cache_clear()
     with Tracer(LAYER_TARGETS) as tracer:
         run_protocol(config, payloads)
     n = per_class
     registered = n_genuine + 4 * n  # every class but the replayer
     keyed = n_genuine + 3 * n  # a wrong password stops at setup
     validating = n_genuine + 2 * n  # a forged key stops at access
-    derivations = ("registration_digest", "access_query", "validation_messages")
-    assert {name: tracer.spans[f"protocol.{name}"].calls for name in derivations} == {
+    assert {derivation.__name__: derivation.cache_info().misses for derivation in derivations} == {
         # each registrant's, and the server's for each wrong password
         "registration_digest": registered + n,
         # each keyed user's, the server's for each forged key, and the first
