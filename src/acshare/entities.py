@@ -108,7 +108,7 @@ class Phase(Enum):
     REJECTED = "REJECTED"
 
 
-@dataclass
+@dataclass(slots=True)
 class UserAgent:
     name: str
     user_id: bytes

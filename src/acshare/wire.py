@@ -4,12 +4,15 @@ Every transmission of a run is one line of a :class:`Transcript`.
 ``Transcript.append`` numbers each message by its position, so a step
 is fixed once and never copied, and returns it as a :class:`Message`.
 The transcript keeps every line as that ``Message`` except the
-untampered shares, which resend stored uploads in order: it keeps each
-unbroken run of them as one ``_Run``, and ``Transcript.messages``
-builds a share's ``Message`` again from its run when one is read, so
-``append`` is not the only place a ``Message`` is built. The JSON-lines
-form of a transcript is the byte-level record of a run; one
-seed always reproduces one byte stream.
+untampered shares, which resend stored uploads in order from the
+first: it keeps each unbroken run of them as one ``_Run``, and
+``Transcript.messages`` builds a share's ``Message`` again from its run
+when one is read, so ``append`` is not the only place a ``Message`` is
+built. Keeping every share as its ``Message`` instead runs share-heavy
+86% slower and takes the 10,000-user probe from 102 to 495 MiB
+(README, Perf-only constructs). The JSON-lines form of a transcript is
+the byte-level record of a run; one seed always reproduces one byte
+stream.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ OUTCOME_STATUSES = (ACCEPTED, REJECTED, INTEGRITY_FAILURE)
 _quote = functools.cache(json.dumps)
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
-#: messages per rendered chunk, and the most note texts a render's memo keeps
+#: messages per rendered chunk
 RENDER_CHUNK = 1024
 
 
@@ -113,7 +116,7 @@ def format_line(message: Message, fields: str, note: str) -> str:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     """Terminal status of one principal.
 
@@ -137,26 +140,23 @@ class _Discard:
 class _Run:
     """Consecutive untampered ``DATA_SHARE`` lines that resend uploads in order.
 
-    Line ``step + k`` resends upload ``first + k`` of its transcript, for
-    each ``k`` below ``stop - first``; every line has the one header
-    ``stage``, ``sender``, ``recipient`` and ``channel``, and no
-    annotation. A plain class, not a dataclass, since building a
-    dataclass adds to import time; the header is four fields, not a
-    tuple, since ``append`` compares it once per share.
+    Line ``step + k`` resends upload ``k`` of its transcript, for each
+    ``k`` below ``stop``; every line has the one header ``stage``,
+    ``sender``, ``recipient`` and ``channel``, and no annotation. A
+    plain class, not a dataclass, since building a dataclass adds to
+    import time; the header is four fields, not a tuple, since
+    ``append`` compares it once per share.
     """
 
-    __slots__ = ("step", "stage", "sender", "recipient", "channel", "first", "stop")
+    __slots__ = ("step", "stage", "sender", "recipient", "channel", "stop")
 
-    def __init__(
-        self, step: int, stage: str, sender: str, recipient: str, channel: str, first: int
-    ) -> None:
+    def __init__(self, step: int, stage: str, sender: str, recipient: str, channel: str) -> None:
         self.step = step
         self.stage = stage
         self.sender = sender
         self.recipient = recipient
         self.channel = channel
-        self.first = first
-        self.stop = first + 1
+        self.stop = 1
 
     def message(self, step: int, fields: dict[str, bytes]) -> Message:
         """The ``Message`` of this run's line ``step``, which resends ``fields``."""
@@ -180,7 +180,7 @@ class _MessageView:
             if type(entry) is Message:
                 yield entry
                 continue
-            for step, fields in enumerate(uploads[entry.first : entry.stop], entry.step):
+            for step, fields in enumerate(uploads[: entry.stop], entry.step):
                 yield entry.message(step, fields)
 
 
@@ -196,10 +196,6 @@ class Transcript:
         self._count = 0  # messages appended
         self._entries: list[Message | _Run] = []  # in step order
         self._uploads: list[dict[str, bytes]] = []  # fields of every CIPHER_UPLOAD, kept alive
-        self._run: _Run | None = None  # the last run opened
-        # while that run is open: the upload that extends it, and the ones after
-        self._next: dict[str, bytes] | None = None
-        self._rest: Iterator[dict[str, bytes]] = iter(())
         self._digest = (0, hashlib.sha256().hexdigest())  # (message count, sha256 of its lines)
 
     @property
@@ -223,39 +219,34 @@ class Transcript:
     ) -> Message:
         """Record one message as the next step and return it.
 
-        An unannotated share extends the open run when its header is the
-        run's and its fields dict is the upload after the run's last. Any
-        other message closes the run. An unannotated share that extends
-        no run opens one at the first upload that is its fields dict, if
-        there is one; every other message is kept as itself.
+        A run is open while it is the last entry. An unannotated share
+        extends the open run when its header is the run's and its fields
+        dict is the upload after the run's last; one whose fields dict is
+        the first upload opens a run. Every other message is kept as
+        itself, and so closes the open run. The cloud resends every
+        upload in order to each user it shares with, so on a protocol
+        run each run covers all uploads.
         """
         self._count = step = self._count + 1
         message = Message(step, stage, sender, recipient, channel, kind, fields, annotation)
-        if (
-            fields is self._next
-            and annotation is None
-            and kind == KIND_DATA_SHARE
-            and stage == (run := self._run).stage
-            and sender == run.sender
-            and recipient == run.recipient
-            and channel == run.channel
-        ):
-            run.stop += 1
-            self._next = next(self._rest, None)
-            return message
-        self._next = None
-        if kind == KIND_CIPHER_UPLOAD:
-            self._uploads.append(fields)
-        elif kind == KIND_DATA_SHARE and annotation is None:
-            # the cloud streams every user's shares from the first upload,
-            # so this scan stops at once on a protocol run
-            first = next((i for i, upload in enumerate(self._uploads) if upload is fields), None)
-            if first is not None:
-                self._run = _Run(step, stage, sender, recipient, channel, first)
-                self._entries.append(self._run)
-                self._rest = iter(self._uploads[first + 1 :])
-                self._next = next(self._rest, None)
+        if kind == KIND_DATA_SHARE and annotation is None and (uploads := self._uploads):
+            run = self._entries[-1]  # an upload was kept, so there is one
+            if (
+                type(run) is _Run
+                and run.stop < len(uploads)
+                and fields is uploads[run.stop]
+                and stage == run.stage
+                and sender == run.sender
+                and recipient == run.recipient
+                and channel == run.channel
+            ):
+                run.stop += 1
                 return message
+            if fields is uploads[0]:
+                self._entries.append(_Run(step, stage, sender, recipient, channel))
+                return message
+        elif kind == KIND_CIPHER_UPLOAD:
+            self._uploads.append(fields)
         self._entries.append(message)
         return message
 
@@ -269,13 +260,14 @@ class Transcript:
         each run's header; a share in a run is written as three pieces:
         its step, the header and that text. A kept message's field text
         is rendered for its line, since a kept line seldom resends a field
-        dict; its annotation, which many queries share, takes its note
-        text from a memo of at most ``RENDER_CHUNK`` entries (without it,
-        adversary-battery runs 9.5% slower: README, Perf-only constructs).
+        dict. Its note text is the last annotated kept line's when the two
+        carry the one annotation dict, as the access queries of a run do
+        (without that, adversary-battery runs 11% slower: README,
+        Perf-only constructs).
         """
         digest = hashlib.sha256()
         texts = [(render_fields(fields) + "}}\n").encode("ascii") for fields in self._uploads]
-        notes: dict[int, str] = {}  # by id: self._entries keeps each note alive, unmutated
+        noted, note = None, ""  # the last annotation rendered, and its note text
         pieces: list[bytes] = []
         room = RENDER_CHUNK  # lines the open chunk still takes
 
@@ -287,11 +279,11 @@ class Transcript:
 
         for entry in self._entries:
             if type(entry) is Message:
-                if (note := notes.get(id(entry.annotation))) is None:
-                    if len(notes) == RENDER_CHUNK:
-                        notes.clear()
-                    note = notes[id(entry.annotation)] = render_note(entry.annotation)
-                line = format_line(entry, render_fields(entry.fields), note)
+                if (annotation := entry.annotation) is not None and annotation is not noted:
+                    noted, note = annotation, render_note(annotation)
+                line = format_line(
+                    entry, render_fields(entry.fields), "" if annotation is None else note
+                )
                 pieces.append((line + "\n").encode("ascii"))
                 room -= 1
                 if not room:
@@ -302,7 +294,7 @@ class Transcript:
             line = format_line(entry.message(0, {}), "", "")
             header = line[len('{"step":0') : -2].encode("ascii")
             step = entry.step
-            for text in texts[entry.first : entry.stop]:
+            for text in texts[: entry.stop]:
                 pieces += (b'{"step":%d' % step, header, text)
                 step += 1
                 room -= 1

@@ -57,6 +57,8 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
     max_leaves=8,
 )
+# the kinds of an upload and of its shares, which a transcript keeps as runs
+UPLOAD_KINDS = st.sampled_from(["CIPHER_UPLOAD", "DATA_SHARE"])
 
 
 def share_transcript(count, width=2):
@@ -522,23 +524,32 @@ class TestTranscriptSerialization:
         dicts=st.lists(
             st.dictionaries(NAMES, st.binary(max_size=8), max_size=3), min_size=1, max_size=4
         ),
+        notes=st.lists(st.dictionaries(NAMES, JSON_VALUES, max_size=2), min_size=1, max_size=3),
         sends=st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=3),
-                st.tuples(NAMES, NAMES, NAMES, NAMES, NAMES),
-                st.none() | st.dictionaries(NAMES, JSON_VALUES, max_size=2),
+                st.tuples(NAMES, NAMES, NAMES, NAMES, UPLOAD_KINDS | NAMES),
+                st.none() | st.integers(min_value=0, max_value=2),
             ),
             max_size=12,
         ),
         chunk=st.integers(min_value=1, max_value=4),
     )
-    def test_to_jsonl_equals_json_dumps(self, dicts, sends, chunk):
+    @example(  # one note on the kept lines before and after a run
+        dicts=[{"w": b"\x01"}],
+        notes=[{"k": 1}],
+        sends=[(0, ("s", "a", "b", "c", kind), note) for kind, note in
+               [("CIPHER_UPLOAD", 0), ("DATA_SHARE", None), ("KEY_STORE", 0)]],
+        chunk=4,
+    )
+    def test_to_jsonl_equals_json_dumps(self, dicts, notes, sends, chunk):
         transcript = Transcript()
-        for pick, (stage, sender, recipient, channel, kind), annotation in sends:
+        for pick, (stage, sender, recipient, channel, kind), note in sends:
             fields = dicts[pick % len(dicts)]  # some messages share one dict
+            annotation = None if note is None else notes[note % len(notes)]  # and one note
             transcript.append(stage, sender, recipient, channel, kind, fields, annotation)
         sink = io.BytesIO()
-        with mock.patch.object(wire, "RENDER_CHUNK", chunk):  # small chunks fill the memo
+        with mock.patch.object(wire, "RENDER_CHUNK", chunk):  # small chunks split runs
             digest = transcript.to_jsonl(sink)
         lines = sink.getvalue().split(b"\n")
         assert lines.pop() == b""
@@ -625,17 +636,39 @@ class TestShareRuns:
         assert all(m.fields is sent.fields for m, sent in zip(runs.messages, returned))
 
     def test_in_order_shares_are_one_run(self):
-        appends = [("upload", 0, 0, None)] * 4 + [("next", 0, 0, None)] * 8
-        appends[8:8] = [("share", 1, 0, None), ("next", 0, 1, None), ("next", 0, 1, {})]
+        appends = [("upload", 0, 0, None)] * 4 + [("next", 0, 0, None)] * 4
+        appends += [("share", 1, 0, None), ("next", 0, 0, None), ("share", 0, 0, None)]
+        appends += [("next", 0, 1, None), ("share", 0, 1, None), ("next", 0, 1, None)]
+        appends += [("next", 0, 1, {}), ("next", 0, 1, None)]
         headers = [("a", "b", "c", "d"), ("a", "b", "e", "d")]
         transcript, _ = self.build(appends, headers, copy=False)
         kept = [(m.step, m.kind) for m in transcript.kept_messages()]
-        # steps 5-8 and 12-15 are each one run; the resend of upload 1 at
-        # step 9 opens a run, the header change at step 10 opens another,
-        # and step 11 is annotated
+        runs = [(run.step, run.stop) for run in transcript._entries if type(run) is not Message]
+        # steps 5-8 resend every upload as one run; the resend from upload
+        # 1 at step 9 and its next upload are kept; step 11 resends upload
+        # 0 and opens a run, which the header change at step 12 closes;
+        # step 13 opens a run under the new header, step 15 is annotated
+        # and step 16, upload 3, follows no run
         assert kept == [(1, "CIPHER_UPLOAD"), (2, "CIPHER_UPLOAD"), (3, "CIPHER_UPLOAD"),
-                        (4, "CIPHER_UPLOAD"), (11, "DATA_SHARE")]
-        assert len(transcript._entries) == len(kept) + 4
+                        (4, "CIPHER_UPLOAD"), (9, "DATA_SHARE"), (10, "DATA_SHARE"),
+                        (12, "DATA_SHARE"), (15, "DATA_SHARE"), (16, "DATA_SHARE")]
+        assert runs == [(5, 4), (11, 1), (13, 2)]
+
+    def test_protocol_runs_cover_every_upload(self, data_dir):
+        config = ScenarioConfig(
+            n_genuine=3,
+            adversaries=tuple(AdversarySpec(cls, 2, flips=2) for cls in ADVERSARY_CLASSES),
+            dataset="swiss",
+            key_length_bits=64,
+            seed=5,
+        )
+        transcript = run_protocol(config, load_payloads("swiss", data_dir / "swiss.csv", 6))
+        runs = [run for run in transcript._entries if type(run) is not Message]
+        assert all(run.stop == len(transcript._uploads) == 6 for run in runs)
+        # one run per user that received every share; a tamperer's first share is tampered
+        accepted = [name for name, end in transcript.outcomes.items() if end.status == ACCEPTED]
+        assert sorted(run.recipient for run in runs) == sorted(accepted)
+        assert any(end.status == "INTEGRITY_FAILURE" for end in transcript.outcomes.values())
 
     def test_runs_grow_by_runs_not_shares(self):
         users, records = 100, 303
