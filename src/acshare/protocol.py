@@ -99,12 +99,11 @@ class SystemParams:
     ``H(s || m)`` mask seed, so ``Q`` depends only on the two lengths:
     each ``Q(T, n)`` is built once, from ``keystream(K_D, T)`` and
     ``expand(H(s || m), n)``, and kept as an integer. ``prefix_key`` is
-    ``ks[:4]`` as an integer, and ``_opened`` maps each
-    ``(wrapped, payload_digest)`` whose digest check passed to its payload.
-    Each pays (README, Perf-only constructs): without ``_pads``
-    keylength-sweep runs 3.3 times as long, without ``prefix_key`` 6%
-    longer, and without ``_opened`` share-heavy runs twice as long,
-    while keylength-sweep, which opens each bundle once, runs 7% faster.
+    ``ks[:4]`` as an integer. ``shared`` is ``(shares, payloads)`` of the
+    last user that opened every share it received, for the data-sharing
+    stage's memo (``entities.data_sharing_phase``). Each pays (README,
+    Perf-only constructs): without ``_pads`` keylength-sweep runs 3.3
+    times as long, and without ``prefix_key`` 6% longer.
     """
 
     s: bytes
@@ -114,7 +113,7 @@ class SystemParams:
         self._data_key = derive_data_key(self.m, self.s)
         self._mask_seed = digest(frame_concat([self.s, self.m]))
         self._pads: dict[tuple[int, int], int] = {}
-        self._opened: dict[tuple[bytes, bytes], bytes] = {}
+        self.shared: tuple[list[dict[str, bytes]], tuple[bytes, ...]] = ([], ())
         self.prefix_key = int.from_bytes(keystream(self._data_key, 4), "big")
 
     def bundle_pad(self, total: int, length: int) -> int:
@@ -242,13 +241,8 @@ def recover_payload(wrapped: bytes, payload_digest: bytes, params: SystemParams)
     When the unpadded bytes frame exactly two fields, :func:`first_of_pair`
     returns the payload; any other share is split by :func:`frame_split`,
     whose error is the message. Either way the payload's digest is checked.
-
-    A pair that opened is kept in ``params`` and its payload returned
-    again; a failure is never kept, so it is rechecked every time.
+    Only the pads in ``params`` are kept: every call opens its share afresh.
     """
-    payload = params._opened.get((wrapped, payload_digest))
-    if payload is not None:
-        return payload
     total = len(wrapped)
     length = 0
     if total >= 8:
@@ -270,5 +264,4 @@ def recover_payload(wrapped: bytes, payload_digest: bytes, params: SystemParams)
             "recovered payload does not match its advertised digest",
             (actual.hex(), payload_digest.hex()),
         )
-    params._opened[wrapped, payload_digest] = payload
     return payload

@@ -253,12 +253,14 @@ class Transcript:
     def to_jsonl(self, sink: BinaryIO) -> str:
         """Write the JSON lines of every message to ``sink``; return their sha256.
 
-        Each chunk of ``RENDER_CHUNK`` lines is written and hashed before
+        Each chunk of ``RENDER_CHUNK`` steps is written and hashed before
         the next is rendered, so no text of the whole transcript is kept,
         and the digest is recorded for ``content_hash``. Each upload's
         field text is rendered once per write with the line's end, as is
-        each run's header; a share in a run is written as three pieces:
-        its step, the header and that text. A kept message's field text
+        each run's header. A run's lines in one chunk are one block of
+        three pieces a line (its step, the header and that text), filled
+        by slice assignment (without blocks share-heavy runs 6% slower:
+        README, Perf-only constructs). A kept message's field text
         is rendered for its line, since a kept line seldom resends a field
         dict. Its note text is the last annotated kept line's when the two
         carry the one annotation dict, as the access queries of a run do
@@ -269,7 +271,6 @@ class Transcript:
         texts = [(render_fields(fields) + "}}\n").encode("ascii") for fields in self._uploads]
         noted, note = None, ""  # the last annotation rendered, and its note text
         pieces: list[bytes] = []
-        room = RENDER_CHUNK  # lines the open chunk still takes
 
         def flush() -> None:
             data = b"".join(pieces)
@@ -285,22 +286,22 @@ class Transcript:
                     entry, render_fields(entry.fields), "" if annotation is None else note
                 )
                 pieces.append((line + "\n").encode("ascii"))
-                room -= 1
-                if not room:
+                if not entry.step % RENDER_CHUNK:
                     flush()
-                    room = RENDER_CHUNK
                 continue
             # the line of a share with step 0 and no fields, less '{"step":0' and '}}'
             line = format_line(entry.message(0, {}), "", "")
             header = line[len('{"step":0') : -2].encode("ascii")
-            step = entry.step
-            for text in texts[: entry.stop]:
-                pieces += (b'{"step":%d' % step, header, text)
-                step += 1
-                room -= 1
-                if not room:
+            step, stop = entry.step, entry.step + entry.stop
+            while step < stop:  # the run's lines up to the end of the open chunk
+                end = min(stop, step + 1 + (-step % RENDER_CHUNK))
+                block = [header] * (3 * (end - step))
+                block[0::3] = [b'{"step":%d' % k for k in range(step, end)]
+                block[2::3] = texts[step - entry.step : end - entry.step]
+                pieces += block
+                step = end
+                if not (end - 1) % RENDER_CHUNK:
                     flush()
-                    room = RENDER_CHUNK
         flush()
         self._digest = (self._count, digest.hexdigest())
         return self._digest[1]

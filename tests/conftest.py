@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import pytest
 
 from acshare.dataset import SAMPLE_RECORD, record_to_payload
 from acshare.entities import run_protocol
-from acshare.netsim import AdversaryClass, ScenarioConfig
+from acshare.netsim import AdversaryClass, Network, ScenarioConfig
 from acshare.wire import Message, Transcript
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +29,29 @@ EXPECTED_END = {
 def by_kind(transcript: Transcript, kind: str) -> list[Message]:
     """Every message of ``kind``, in transcript order."""
     return [m for m in transcript.messages if m.kind == kind]
+
+
+def run_with_patched_shares(payloads, monkeypatch, patch):
+    """Cleveland x 2 genuine users at 256-bit, seed 0, with user-001's shares patched in flight.
+
+    ``patch(index, uploads)`` gives the fields delivered as user-001's
+    ``index``-th PUBLIC ``DATA_SHARE``, from the fields of every upload.
+    """
+    uploads, index = [], itertools.count()
+    transmit = Network.transmit
+
+    def patched(net, stage, sender, recipient, channel, kind, fields, annotation=None):
+        if kind == "CIPHER_UPLOAD":
+            uploads.append(fields)
+        elif kind == "DATA_SHARE" and recipient == "user-001" and channel == "PUBLIC":
+            fields = patch(next(index), uploads)
+        return transmit(net, stage, sender, recipient, channel, kind, fields, annotation)
+
+    monkeypatch.setattr(Network, "transmit", patched)
+    config = ScenarioConfig(
+        n_genuine=2, adversaries=(), dataset="cleveland", key_length_bits=256, seed=0
+    )
+    return run_protocol(config, payloads)
 
 
 class StubRng:

@@ -8,12 +8,11 @@ the fix has to remove the marker. See the README's "Known weaknesses".
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 import pytest
 
 from acshare.entities import run_protocol
-from acshare.netsim import Network, ScenarioConfig, load_payloads
+from acshare.netsim import ScenarioConfig, load_payloads
 from acshare.primitives import Rng, xor_bytes
 from acshare.protocol import (
     IntegrityError,
@@ -22,7 +21,7 @@ from acshare.protocol import (
     recover_payload,
 )
 
-from conftest import by_kind
+from conftest import by_kind, run_with_patched_shares
 
 FRAME_PREFIX = 4  # length prefix in front of the encrypted payload inside ``wrapped``
 
@@ -77,29 +76,6 @@ def test_flipped_owner_key_frame_is_refused(sample_payload):
 @pytest.fixture(scope="module")
 def cleveland(data_dir):
     return load_payloads("cleveland", data_dir / "cleveland.csv", None)
-
-
-def run_with_patched_shares(payloads, monkeypatch, patch):
-    """Cleveland x 2 genuine users at 256-bit, seed 0, with user-001's shares patched in flight.
-
-    ``patch(index, uploads)`` gives the fields delivered as user-001's
-    ``index``-th PUBLIC ``DATA_SHARE``, from the fields of every upload.
-    """
-    uploads, index = [], itertools.count()
-    transmit = Network.transmit
-
-    def patched(net, stage, sender, recipient, channel, kind, fields, annotation=None):
-        if kind == "CIPHER_UPLOAD":
-            uploads.append(fields)
-        elif kind == "DATA_SHARE" and recipient == "user-001" and channel == "PUBLIC":
-            fields = patch(next(index), uploads)
-        return transmit(net, stage, sender, recipient, channel, kind, fields, annotation)
-
-    monkeypatch.setattr(Network, "transmit", patched)
-    config = ScenarioConfig(
-        n_genuine=2, adversaries=(), dataset="cleveland", key_length_bits=256, seed=0
-    )
-    return run_protocol(config, payloads)
 
 
 def assert_no_silent_corruption(transcript, payloads):

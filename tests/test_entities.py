@@ -41,12 +41,13 @@ from acshare.protocol import (
     access_query,
     derive_session_key,
     new_system_params,
+    recover_payload,
     registration_digest,
     validation_messages,
 )
 from acshare.wire import ACCEPTED, PUBLIC, RENDER_CHUNK, Message, Transcript
 
-from conftest import ADVERSARY_CLASSES, EXPECTED_END, by_kind
+from conftest import ADVERSARY_CLASSES, EXPECTED_END, by_kind, run_with_patched_shares
 from reference import ref_recover_payload
 
 
@@ -161,7 +162,10 @@ class TestHonestRun:
             n_genuine=3, adversaries=(), dataset="cleveland", key_length_bits=256, seed=0
         )
         payloads = load_payloads("cleveland", data_dir / "cleveland.csv", None)
-        with mock.patch("acshare.entities.KgcAgent", wraps=KgcAgent) as make_kgc:
+        with (
+            mock.patch("acshare.entities.KgcAgent", wraps=KgcAgent) as make_kgc,
+            mock.patch.object(entities, "recover_payload", wraps=recover_payload) as opens,
+        ):
             world = run_protocol(config, payloads).world
         # the KGC, the owner and every user hold the one drawn SystemParams
         (params,) = make_kgc.call_args.args
@@ -171,47 +175,112 @@ class TestHonestRun:
         pads = {(len(payload) + config.width + 8, len(payload)) for payload in payloads}
         assert set(params._pads) == pads
         assert len(pads) == 4
-        # every record is distinct, and each stored bundle is opened once a run
+        # the first user opens each stored bundle, and the later two reuse
+        # its payloads by position, as each got the stored dicts in order
         bundles = world.cloud.store.bundles
-        assert set(params._opened) == {(b["wrapped"], b["payload_digest"]) for b in bundles}
-        assert len(params._opened) == len(bundles) == len(payloads)
+        assert [call.args[0] for call in opens.call_args_list] == [b["wrapped"] for b in bundles]
         first, *others = world.users
         assert first.recovered == payloads
-        assert all(
-            mine is theirs
-            for user in others
-            for mine, theirs in zip(user.recovered, first.recovered, strict=True)
-        )
+        for user in others:
+            assert all(
+                mine is theirs for mine, theirs in zip(user.recovered, first.recovered, strict=True)
+            )
+        shares, kept = params.shared
+        assert all(share is bundle for share, bundle in zip(shares, bundles, strict=True))
+        assert all(mine is theirs for mine, theirs in zip(kept, first.recovered, strict=True))
 
     def test_memo_keeps_only_verified_opens(self, data_dir):
-        # the genuine user opens every bundle before a tamperer's copies
-        # arrive, and a tampered copy is opened afresh under its own bytes
-        config = ScenarioConfig(
-            n_genuine=1,
-            adversaries=(AdversarySpec(AdversaryClass.TAMPER_CIPHERTEXT, 3, flips=2),),
-            dataset="swiss",
-            key_length_bits=64,
-            seed=5,
-        )
+        # a genuine user after a tamperer reuses the opens of the last user
+        # that opened every share, and the tamperer's failed open leaves
+        # the memo as it was; run_protocol puts genuine users first, so the
+        # stages are driven here in the order first, tamperer, second
+        rng, width = Rng(5), 8
+        tamperer = "adv-tamper_ciphertext-000"
+        net = Network(rng, {tamperer: (AdversaryClass.TAMPER_CIPHERTEXT, 2)}, width)
+        kgc, cloud, owner = KgcAgent(new_system_params(rng, width)), CloudAgent(), OwnerAgent()
+        users = [
+            UserAgent(name, name.encode("ascii"), rng.take(width), adversary=cls)
+            for name, cls in (
+                ("user-000", AdversaryClass.NONE),
+                (tamperer, AdversaryClass.TAMPER_CIPHERTEXT),
+                ("user-001", AdversaryClass.NONE),
+            )
+        ]
         payloads = load_payloads("swiss", data_dir / "swiss.csv", 6)
-        transcript = run_protocol(config, payloads)
-        world = transcript.world
-        bundles = world.cloud.store.bundles
-        by_digest = {b["payload_digest"]: payload for b, payload in zip(bundles, payloads)}
-        stored = {b["wrapped"] for b in bundles}
-        tampered = {
-            m.fields["wrapped"]
-            for m in by_kind(transcript, "DATA_SHARE")
-            if m.annotation and "tampered_copy_of_step" in m.annotation
-        }
-        assert tampered and not tampered & stored
-        opened = world.owner.params._opened
-        assert {(b["wrapped"], b["payload_digest"]) for b in bundles} <= set(opened)
-        for (wrapped, payload_digest), payload in opened.items():
-            assert wrapped in stored or wrapped in tampered
-            assert payload == by_digest[payload_digest]
-        statuses = [transcript.outcomes[user.name].status for user in world.users]
-        assert statuses == ["ACCEPTED"] + ["INTEGRITY_FAILURE"] * 3
+        for user in users:
+            setup_phase(user, cloud, kgc, net)
+        for principal in (owner, *users):
+            keygen_phase(kgc, cloud, principal, net)
+        encryption_phase(owner, cloud, payloads, net)
+        for user in users:
+            access_control_phase(user, cloud, kgc, net)
+        for user in users:
+            validation_phase(user, cloud, net)
+        first, adversary, second = users
+        params = kgc.params
+        with mock.patch.object(entities, "recover_payload", wraps=recover_payload) as opens:
+            data_sharing_phase(cloud, first, net)
+            kept = params.shared
+            assert opens.call_count == len(payloads)
+            data_sharing_phase(cloud, adversary, net)
+            # the tampered copy at position 0 is not the dict first got there
+            assert opens.call_count == len(payloads) + 1
+            assert params.shared is kept
+            data_sharing_phase(cloud, second, net)
+            assert opens.call_count == len(payloads) + 1
+        outcomes = net.transcript.outcomes
+        assert [outcomes[user.name].status for user in users] == [
+            "ACCEPTED", "INTEGRITY_FAILURE", "ACCEPTED"
+        ]
+        assert first.recovered == payloads
+        assert all(
+            mine is theirs for mine, theirs in zip(second.recovered, first.recovered, strict=True)
+        )
+        assert adversary.recovered == []
+
+    def test_memo_keys_by_the_dict_received(self, data_dir, monkeypatch):
+        # user-001 is handed upload 1 at position 0: a memo keyed by position
+        # alone would give it payload 0 there, what user-000 opened at 0
+        payloads = load_payloads("cleveland", data_dir / "cleveland.csv", None)
+        opens = mock.Mock(wraps=recover_payload)
+        monkeypatch.setattr(entities, "recover_payload", opens)
+        transcript = run_with_patched_shares(
+            payloads, monkeypatch, lambda i, uploads: uploads[1 if i == 0 else i]
+        )
+        first, second = transcript.world.users
+        assert transcript.outcomes["user-001"].status == "ACCEPTED"
+        assert second.recovered[0] == payloads[1]
+        assert second.recovered[1:] == payloads[1:]
+        assert all(
+            mine is theirs for mine, theirs in zip(second.recovered[1:], first.recovered[1:])
+        )
+        # user-000 opened every share; user-001 only the one it was not sent there
+        assert opens.call_count == len(payloads) + 1
+        # user-001 completed, so the memo is now what it received and opened
+        shares, kept = first.params.shared
+        assert shares[0] is shares[1]
+        assert all(mine is theirs for mine, theirs in zip(kept, second.recovered, strict=True))
+
+    def test_failed_open_leaves_the_memo_as_it_was(self, data_dir, monkeypatch):
+        # user-001 reuses four opens, then fails on a copy of share 4 with
+        # one payload byte flipped, so nothing of it may enter the memo
+        payloads = load_payloads("cleveland", data_dir / "cleveland.csv", None)
+
+        def patch(i, uploads):
+            if i != 4:
+                return uploads[i]
+            wrapped = bytearray(uploads[i]["wrapped"])
+            wrapped[4] ^= 0x80
+            return {**uploads[i], "wrapped": bytes(wrapped)}
+
+        transcript = run_with_patched_shares(payloads, monkeypatch, patch)
+        first, second = transcript.world.users
+        assert transcript.outcomes["user-001"].status == "INTEGRITY_FAILURE"
+        assert second.recovered == []
+        shares, kept = first.params.shared
+        assert list(kept) == first.recovered == payloads
+        bundles = transcript.world.cloud.store.bundles
+        assert all(share is bundle for share, bundle in zip(shares, bundles, strict=True))
 
     def test_sharing_failure_carries_the_digest_pair_only_when_framing_holds(self, data_dir):
         # user-000's first share has its first payload byte flipped, so it
@@ -350,6 +419,27 @@ class TestTranscriptSerialization:
         # the first render holds one chunk of text at a time and keeps none
         assert peak < size / 10
 
+    def test_each_write_holds_one_chunk_of_lines(self):
+        # runs of shares start inside a chunk and cross into the next, between
+        # kept lines; every write but the last is one whole chunk of lines
+        uploads = [{"wrapped": i.to_bytes(2, "big")} for i in range(300)]
+        transcript = Transcript()
+        for fields in uploads:
+            transcript.append("encryption", "owner", "cloud", PUBLIC, "CIPHER_UPLOAD", fields)
+        for user in ("user-000", "user-001", "user-002", "user-003"):
+            transcript.append("sharing", user, "cloud", PUBLIC, "DATA_REQUEST", {"u": b"u"})
+            for fields in uploads:
+                transcript.append("sharing", "cloud", user, PUBLIC, "DATA_SHARE", fields)
+        writes = []
+        sink = mock.Mock(write=lambda data: writes.append(data) or len(data))
+        transcript.to_jsonl(sink)
+        count = len(transcript.messages)
+        assert count == 1504
+        assert [data.count(b"\n") for data in writes] == [RENDER_CHUNK, count - RENDER_CHUNK]
+        assert b"".join(writes).decode("ascii").splitlines() == [
+            dumps_line(m) for m in transcript.messages
+        ]
+
     @pytest.mark.parametrize(
         "distinct", [RENDER_CHUNK - 1, RENDER_CHUNK, RENDER_CHUNK + 1, 2 * RENDER_CHUNK + 1]
     )
@@ -392,13 +482,18 @@ class TestTranscriptSerialization:
         ]
 
     def test_shared_annotation_encodes_once_per_write(self, monkeypatch):
+        # the memo keeps the last annotation and its text for one write:
+        # without it each query line encodes the note, a memo cleared when
+        # a chunk is flushed encodes it once a chunk, and one that an
+        # unannotated line resets encodes it once per query
         note = {"observed_by": ["adv-replay_query-000", "adv-replay_query-001"]}
         transcript = Transcript()
-        for i in range(2 * RENDER_CHUNK + 1):  # kept lines, more than one memo holds
+        for i in range(RENDER_CHUNK):  # with the accepted lines, past one chunk
             fields = {"user_id": b"u", "q": i.to_bytes(2, "big")}
             transcript.append("access", "user-000", "cloud", PUBLIC, "ACCESS_QUERY", fields, note)
             if i % 3 == 0:
                 transcript.append("access", "cloud", "user-000", PUBLIC, "ACCESS_ACCEPTED", fields)
+        assert len(transcript.messages) > RENDER_CHUNK
         encoded = []
         encode = wire._encode
         monkeypatch.setattr(wire, "_encode", lambda doc: encoded.append(doc) or encode(doc))
@@ -410,27 +505,17 @@ class TestTranscriptSerialization:
         expected = "".join(dumps_line(m) + "\n" for m in transcript.messages).encode("ascii")
         assert first.getvalue() == second.getvalue() == expected
 
-    def test_note_memo_lives_for_one_write(self):
-        # every note fits one memo, so a memo that outlived the write would still hold its id
-        def noted(notes):
-            transcript = Transcript()
-            for note in notes * 2:
-                transcript.append("access", "a", "b", PUBLIC, "ACCESS_QUERY", {"x": b"1"}, note)
-            return transcript
-
-        notes = [{"a": i} for i in range(RENDER_CHUNK // 4)]
-        first = noted(notes)
-        del notes
-        first_ids = {id(m.annotation) for m in first.messages}
-        first.content_hash()
-        del first
-        gc.collect()
-        # fresh notes with other values, kept only where a freed note's id is reused
-        fresh = [{"b": i} for i in range(16 * RENDER_CHUNK)]
-        reused = [note for note in fresh if id(note) in first_ids]
-        assert reused, "no id was reused, so the test shows nothing"
-        second = noted(reused)
-        assert written_lines(second) == [dumps_line(m) for m in second.messages]
+    def test_note_memo_follows_each_new_annotation(self):
+        # notes A, B, none and A again must each render their own text: a
+        # memo that kept its first annotation writes A's note on B's lines,
+        # and one that ignored a line's lack of a note writes B's on it
+        a, b = {"observed_by": ["adv-a"]}, {"observed_by": ["adv-b"]}
+        transcript = Transcript()
+        for note in (a, a, b, None, b, a):
+            transcript.append("access", "u", "cloud", PUBLIC, "ACCESS_QUERY", {"x": b"1"}, note)
+        lines = written_lines(transcript)
+        assert lines == [dumps_line(m) for m in transcript.messages]
+        assert [json.loads(line).get("annotation") for line in lines] == [a, a, b, None, b, a]
 
     @pytest.mark.parametrize("replayers", [0, 2])
     def test_access_queries_carry_the_network_note(self, replayers, sample_payload, monkeypatch):

@@ -53,16 +53,20 @@ def test_every_trace_target_resolves_in_a_fresh_interpreter():
 
 
 def test_tracer_sees_every_open():
-    # opens after the first of a bundle are memo hits inside recover_payload,
-    # and its span must still count one call per share
+    # the first user opens each of its 4 shares, the other two reuse those
+    # opens by position, and every share still crosses transmit and append
     config = ScenarioConfig(
         n_genuine=3, adversaries=(), dataset="tiny", key_length_bits=64, seed=2
     )
     with Tracer(LAYER_TARGETS) as tracer:
         transcript = run_protocol(config, [b"alpha", b"beta", b"gamma", b"beta"])
-    shares = len(by_kind(transcript, "DATA_SHARE"))
-    assert shares == 12
-    assert tracer.spans["protocol.recover_payload"].calls == shares
+    assert len(by_kind(transcript, "DATA_SHARE")) == 12
+    assert tracer.spans["protocol.recover_payload"].calls == 4
+    # 12 shares and 3 requests appended in the sharing stage, each one transmitted
+    assert tracer.counts["msgs.sharing.PUBLIC"] == 12 + 3
+    spans = tracer.spans
+    assert spans["netsim.transmit"].calls == spans["entities.transcript.append"].calls
+    assert spans["entities.transcript.append"].calls == len(transcript.messages)
     # one seal per upload, made inside the traced function
     assert tracer.spans["protocol.make_cipher_bundle"].calls == 4
 
